@@ -30,6 +30,7 @@ from bgroups.burnside import (
     zero,
 )
 from bgroups.groups import (
+    GroupError,
     Homomorphism,
     Subgroup,
     alternating_4,
@@ -292,6 +293,42 @@ def test_transport_roundtrip():
         moved = transport(b, f)
         back = transport(moved, f.inverse_map())
         assert back.coeffs == b.coeffs
+
+
+def _biset_bad_inputs():
+    C2, C3, C4 = make_cyclic(2), make_cyclic(3), make_cyclic(4)
+    S3 = symmetric_group(3)
+    square = Homomorphism(C4, C4, (0, 2, 0, 2))  # neither injective nor onto
+    onto_c2 = Homomorphism(C4, C2, (0, 1, 0, 1))
+    into_c4 = Homomorphism(C2, C4, (0, 2))
+    into_s3 = subgroup_embedding(subgroup_generated(S3, [1]))
+    ident_c2 = Homomorphism(C2, C2, (0, 1))
+    res = "restriction needs an injective map into the ambient group"
+    ind = "induction needs an injective map from the element's group"
+    inf = "inflation needs a surjection onto the element's group"
+    dfl = "deflation needs a surjection from the element's group"
+    tra = "transport needs an isomorphism from the element's group"
+    return [
+        pytest.param(restrict, C4, square, res, id="restrict-not-injective"),
+        pytest.param(restrict, C4, into_s3, res, id="restrict-wrong-group"),
+        pytest.param(induce, C4, onto_c2, ind, id="induce-not-injective"),
+        pytest.param(induce, C4, into_c4, ind, id="induce-wrong-group"),
+        pytest.param(inflate, C4, into_c4, inf, id="inflate-not-surjective"),
+        pytest.param(inflate, C3, onto_c2, inf, id="inflate-wrong-group"),
+        pytest.param(deflate, C4, square, dfl, id="deflate-not-surjective"),
+        pytest.param(deflate, C2, onto_c2, dfl, id="deflate-wrong-group"),
+        pytest.param(transport, C4, onto_c2, tra, id="transport-not-bijective"),
+        pytest.param(transport, C4, ident_c2, tra, id="transport-wrong-group"),
+    ]
+
+
+@pytest.mark.parametrize("op,G,f,message", _biset_bad_inputs())
+def test_biset_operation_preconditions(op, G, f, message):
+    """Each elementary operation rejects a map of the wrong kind, or one on
+    the wrong ambient group, with its own message."""
+    with pytest.raises(GroupError) as info:
+        op(identity_element(G), f)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
