@@ -25,7 +25,8 @@ from .groups import (
     mask_of,
     subgroup_embedding,
 )
-from .subgroups import SubgroupLattice, enumerate_subgroups, m_constant
+from .subgroups import SubgroupLattice, enumerate_subgroups
+from .subgroups import m_const  # re-exported: part of this module's API
 
 TRANSITIVE = "transitive"
 IDEMPOTENT = "idempotent"
@@ -54,9 +55,6 @@ class BurnsideElement:
     def __rmul__(self, scalar) -> "BurnsideElement":
         s = Fraction(scalar)
         return BurnsideElement(self.group, self.basis, tuple(s * c for c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def support(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.coeffs) if c != 0)
@@ -157,25 +155,8 @@ def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     return to_transitive_basis(prod)
 
 
-def m_const(G: Group, N: Subgroup) -> Fraction:
-    """m_{G,N} for a normal subgroup N of G."""
-    from .subgroups import normal_subgroups
-
-    lat = enumerate_subgroups(G)
-    if N.parent != G:
-        raise GroupError("N must be a subgroup of G")
-    if all(S.mask != N.mask for S in normal_subgroups(G)):
-        raise GroupError("N is not normal in G")
-    full = lat.subgroups[-1]
-    return m_constant(lat, full, N)
-
-
 # ---------------------------------------------------------------------------
 # elementary biset operations (transitive basis, extended linearly)
-
-
-def _as_transitive(elem: BurnsideElement) -> BurnsideElement:
-    return to_transitive_basis(elem)
 
 
 def restrict(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
@@ -183,7 +164,7 @@ def restrict(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
 
     [G/X] restricts to the sum over H\\G/X double cosets of [H/(H n gXg^-1)].
     """
-    elem = _as_transitive(elem)
+    elem = to_transitive_basis(elem)
     G = elem.group
     if incl.target != G or not incl.is_injective():
         raise GroupError("restriction needs an injective map into the ambient group")
@@ -217,80 +198,53 @@ def restrict(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
     return from_class_coeffs(H, coeffs)
 
 
-def induce(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
-    """Induction along an injective map H -> G: [H/X] -> [G/X]."""
-    elem = _as_transitive(elem)
-    if incl.source != elem.group or not incl.is_injective():
-        raise GroupError("induction needs an injective map from the element's group")
-    G = incl.target
-    lat_h = elem.lattice
-    lat_g = enumerate_subgroups(G)
+def _push(elem: BurnsideElement, target: Group, push) -> BurnsideElement:
+    """Send each [G/X] in elem to [target/Y], where Y has mask push(X)."""
+    elem = to_transitive_basis(elem)
+    lat = elem.lattice
+    lat_t = enumerate_subgroups(target)
     coeffs: dict[int, Fraction] = {}
     for cx, coeff in enumerate(elem.coeffs):
         if coeff == 0:
             continue
-        X = lat_h.class_rep(cx)
-        up = mask_of(incl.image[i] for i in X.elements())
-        c = lat_g.conj_class[lat_g.index_of[up]]
+        c = lat_t.conj_class[lat_t.index_of[push(lat.class_rep(cx))]]
         coeffs[c] = coeffs.get(c, Fraction(0)) + coeff
-    return from_class_coeffs(G, coeffs)
+    return from_class_coeffs(target, coeffs)
+
+
+def _image_mask(f: Homomorphism):
+    return lambda X: mask_of(f.image[x] for x in X.elements())
+
+
+def induce(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
+    """Induction along an injective map H -> G: [H/X] -> [G/X]."""
+    if incl.source != elem.group or not incl.is_injective():
+        raise GroupError("induction needs an injective map from the element's group")
+    return _push(elem, incl.target, _image_mask(incl))
 
 
 def inflate(elem: BurnsideElement, proj: Homomorphism) -> BurnsideElement:
     """Inflation along a surjection G -> Q: [Q/Y] -> [G/preimage(Y)]."""
-    elem = _as_transitive(elem)
     if proj.target != elem.group or not proj.is_surjective():
         raise GroupError("inflation needs a surjection onto the element's group")
     G = proj.source
-    lat_q = elem.lattice
-    lat_g = enumerate_subgroups(G)
-    coeffs: dict[int, Fraction] = {}
-    for cy, coeff in enumerate(elem.coeffs):
-        if coeff == 0:
-            continue
-        Y = lat_q.class_rep(cy)
-        pre = mask_of(g for g in range(G.order) if proj.image[g] in Y)
-        c = lat_g.conj_class[lat_g.index_of[pre]]
-        coeffs[c] = coeffs.get(c, Fraction(0)) + coeff
-    return from_class_coeffs(G, coeffs)
+    return _push(
+        elem, G, lambda Y: mask_of(g for g in range(G.order) if proj.image[g] in Y)
+    )
 
 
 def deflate(elem: BurnsideElement, proj: Homomorphism) -> BurnsideElement:
     """Deflation along a surjection G -> Q: [G/X] -> [Q/image(X)]."""
-    elem = _as_transitive(elem)
     if proj.source != elem.group or not proj.is_surjective():
         raise GroupError("deflation needs a surjection from the element's group")
-    Q = proj.target
-    lat_g = elem.lattice
-    lat_q = enumerate_subgroups(Q)
-    coeffs: dict[int, Fraction] = {}
-    for cx, coeff in enumerate(elem.coeffs):
-        if coeff == 0:
-            continue
-        X = lat_g.class_rep(cx)
-        down = mask_of(proj.image[x] for x in X.elements())
-        c = lat_q.conj_class[lat_q.index_of[down]]
-        coeffs[c] = coeffs.get(c, Fraction(0)) + coeff
-    return from_class_coeffs(Q, coeffs)
+    return _push(elem, proj.target, _image_mask(proj))
 
 
 def transport(elem: BurnsideElement, iso: Homomorphism) -> BurnsideElement:
     """Relabelling along a group isomorphism."""
-    elem = _as_transitive(elem)
     if iso.source != elem.group or not iso.is_bijective():
         raise GroupError("transport needs an isomorphism from the element's group")
-    Gp = iso.target
-    lat = elem.lattice
-    lat_p = enumerate_subgroups(Gp)
-    coeffs: dict[int, Fraction] = {}
-    for cx, coeff in enumerate(elem.coeffs):
-        if coeff == 0:
-            continue
-        X = lat.class_rep(cx)
-        over = mask_of(iso.image[x] for x in X.elements())
-        c = lat_p.conj_class[lat_p.index_of[over]]
-        coeffs[c] = coeffs.get(c, Fraction(0)) + coeff
-    return from_class_coeffs(Gp, coeffs)
+    return _push(elem, iso.target, _image_mask(iso))
 
 
 # ---------------------------------------------------------------------------

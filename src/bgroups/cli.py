@@ -33,29 +33,24 @@ from .groups import (
     Subgroup,
     full_subgroup,
     kernel,
-    o_p_subgroup,
-    quotient,
     set_validation,
     subgroup_as_group,
     subgroup_generated,
     trivial_subgroup,
 )
-from .ideals import ClosedSetCapExceeded, p_ideal_lattice
+from .ideals import ClosedSetCapExceeded, minimal_groups, p_ideal_lattice, simple_dim
 from .overk import (
-    CASE_CP,
-    CASE_CP2,
+    CASE_EMBEDDING,
     GroupOverK,
-    beta_k,
+    beta_k_subgroup,
     is_bk_group,
     is_isomorphic,
+    kernel_m_constants,
+    p_persistent_case,
+    quotient_over_k,
 )
 from .specdoc import GroupSpecDocument, SpecError, load_spec
-from .subgroups import (
-    OrderBoundExceeded,
-    enumerate_subgroups,
-    m_constant,
-    normal_subgroups,
-)
+from .subgroups import OrderBoundExceeded, enumerate_subgroups
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -208,26 +203,18 @@ def _over_k(doc: GroupSpecDocument, args) -> GroupOverK:
 def cmd_beta_k(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
     x = _over_k(doc, args)
     lat = enumerate_subgroups(x.L, order_bound=cfg.max_order)
-    full = lat.subgroups[-1]
-    ker = kernel(x.phi)
     report = Report(meta=_base_meta("beta-k", args, cfg))
     report.meta["k"] = f"{x.K.label} order={x.K.order}"
     report.meta["l"] = f"{x.L.label} order={x.L.order}"
-    report.meta["kernel-order"] = str(ker.order)
-    rows = []
-    chosen = None
-    for N in normal_subgroups(x.L):
-        if N.mask & ker.mask != N.mask:
-            continue
-        m = m_constant(lat, full, N)
-        rows.append([class_label(lat, lat.class_of(N)), rat(m)])
-        if m != 0 and (chosen is None or N.order > chosen.order):
-            chosen = N
-    report.tables["m-constants"] = rows
-    bk = is_bk_group(x)
-    report.meta["verdict"] = "B_K-group" if bk else "not a B_K-group"
+    report.meta["kernel-order"] = str(kernel(x.phi).order)
+    ms = list(kernel_m_constants(x))
+    report.tables["m-constants"] = [
+        [class_label(lat, lat.class_of(N)), rat(m)] for N, m in ms
+    ]
+    chosen = beta_k_subgroup(ms)
+    report.meta["verdict"] = "B_K-group" if chosen.is_trivial() else "not a B_K-group"
     report.meta["chosen-q"] = class_label(lat, lat.class_of(chosen))
-    b = beta_k(x)
+    b = quotient_over_k(x, chosen)
     report.meta["beta-order"] = str(b.L.order)
     report.meta["beta-image-order"] = str(
         len({b.phi.image[a] for a in range(b.L.order)})
@@ -238,8 +225,6 @@ def cmd_beta_k(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
 
 
 def cmd_simple(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
-    from .ideals import minimal_groups, simple_dim
-
     x = _over_k(doc, args)
     if not is_bk_group(x):
         raise MathPreconditionError(
@@ -280,17 +265,12 @@ def cmd_p_lattice(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
     report = Report(meta=_base_meta("p-lattice", args, cfg))
     report.meta["k"] = f"{K.label} order={K.order}"
     report.meta["p"] = str(p)
-    desc = p_ideal_lattice(K, p, verify=cfg.check)
     lat = enumerate_subgroups(K, order_bound=cfg.max_order)
+    desc = p_ideal_lattice(K, p, verify=cfg.check)
     rows = []
     for ci, (_, kind) in enumerate(desc.components):
-        Hgrp = subgroup_as_group(lat.class_rep(ci))
-        Hp, _ = quotient(Hgrp, o_p_subgroup(Hgrp, p))
-        cases = ["embedding"]
-        if Hp.order == 1:
-            cases.append(CASE_CP2)
-        elif Hp.is_cyclic():
-            cases.append(CASE_CP)
+        case = p_persistent_case(subgroup_as_group(lat.class_rep(ci)), p)
+        cases = [CASE_EMBEDDING] + ([case] if case else [])
         rows.append([class_label(lat, ci), kind, "+".join(cases)])
     report.tables["components"] = rows
     report.meta["c-count"] = str(desc.c_count)

@@ -1,8 +1,12 @@
 """Explicit finite groups given by Cayley tables.
 
-Element ids are integers 0..order-1 and 0 is always the identity.  All
-structures are immutable once built, so they can be hashed, cached and
-shared freely between threads.
+Element ids are integers 0..order-1 and 0 is always the identity.  Groups,
+homomorphisms and subgroups are frozen dataclasses, hashed and compared by
+their tables, not their labels.  Not everything here is pure:
+`set_validation` flips a process-global flag that every later construction
+reads; constructions are memoized in process-wide caches; and
+`dihedral_group`, `alternating_4` and `dicyclic_3` set the label of the
+group they have just built with `object.__setattr__`.
 """
 
 from __future__ import annotations
@@ -286,9 +290,14 @@ class Product:
         return a * self.proj2.target.order + b
 
 
-@lru_cache(maxsize=None)
 def direct_product(G: Group, H: Group) -> Product:
     """G x H with element id (a, b) -> a*|H| + b."""
+    return _direct_product(G, H, G.label, H.label)
+
+
+# Group equality ignores labels, so the labels are part of the cache key.
+@lru_cache(maxsize=None)
+def _direct_product(G: Group, H: Group, glabel: str, hlabel: str) -> Product:
     n, m = G.order, H.order
     order = n * m
     table = tuple(
@@ -303,7 +312,7 @@ def direct_product(G: Group, H: Group) -> Product:
     inverse = tuple(
         G.inverse[a] * m + H.inverse[b] for a in range(n) for b in range(m)
     )
-    P = Group(order, table, inverse, f"{G.label}x{H.label}")
+    P = Group(order, table, inverse, f"{glabel}x{hlabel}")
     proj1 = Homomorphism(P, G, tuple(i // m for i in range(order)))
     proj2 = Homomorphism(P, H, tuple(i % m for i in range(order)))
     inj1 = Homomorphism(G, P, tuple(a * m for a in range(n)))
@@ -384,13 +393,11 @@ def image(f: Homomorphism) -> Subgroup:
 
 
 def is_normal(N: Subgroup) -> bool:
+    """Normality by conjugating every element; needs no subgroup lattice."""
     G = N.parent
     m = N.mask
-    for g in range(G.order):
-        for a in N.elements():
-            if not (m >> G.conj(a, g)) & 1:
-                return False
-    return True
+    elems = N.elements()
+    return all((m >> G.conj(a, g)) & 1 for g in range(G.order) for a in elems)
 
 
 def _is_prime(p: int) -> bool:
@@ -424,13 +431,17 @@ def inner_automorphisms(K: Group) -> list[Homomorphism]:
     return out
 
 
-@lru_cache(maxsize=None)
 def subgroup_embedding(S: Subgroup) -> Homomorphism:
     """Subgroup as a standalone Group; returns the inclusion into the parent.
 
     Elements are relabelled in increasing parent-id order, so the identity
     keeps id 0.  The standalone group is the source of the returned map.
     """
+    return _subgroup_embedding(S, S.parent.label)
+
+
+@lru_cache(maxsize=None)  # keyed on the parent's label too, as _direct_product
+def _subgroup_embedding(S: Subgroup, label: str) -> Homomorphism:
     G = S.parent
     elems = S.elements()
     back = {e: i for i, e in enumerate(elems)}
@@ -439,7 +450,7 @@ def subgroup_embedding(S: Subgroup) -> Homomorphism:
         tuple(back[G.table[elems[i]][elems[j]]] for j in range(k)) for i in range(k)
     )
     inverse = tuple(back[G.inverse[elems[i]]] for i in range(k))
-    H = Group(k, table, inverse, f"{G.label}|{k}")
+    H = Group(k, table, inverse, f"{label}|{k}")
     return Homomorphism(H, G, tuple(elems))
 
 

@@ -7,13 +7,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .catalog import groups_up_to_order
 from .groups import (
     Group,
     GroupError,
+    Homomorphism,
     Subgroup,
     direct_product,
     kernel,
     quotient,
+    subgroup_as_group,
 )
 from .overk import (
     GroupOverK,
@@ -25,6 +28,7 @@ from .overk import (
     is_isomorphic,
     is_isomorphic_over_k,
     is_quotient_over_k,
+    p_persistent_case,
     pair_from_subgroup,
 )
 from .subgroups import enumerate_subgroups, normal_subgroups
@@ -137,8 +141,6 @@ def second_projection(parent: Group, K: Group):
     Relies on the deterministic id layout of direct_product; the
     homomorphism check rejects parents that were not built that way.
     """
-    from .groups import Homomorphism
-
     if parent.order % K.order != 0:
         raise GroupError("parent is not a product with K")
     return Homomorphism(parent, K, tuple(i % K.order for i in range(parent.order)))
@@ -203,8 +205,6 @@ def build_bk_poset(
     p: int | None = None,
     max_order: int | None = None,
 ) -> BkPoset:
-    from .catalog import groups_up_to_order
-
     if mode == P_RESTRICTED:
         if p is None:
             raise GroupError("p_restricted mode needs a prime")
@@ -260,18 +260,13 @@ def p_ideal_lattice(K: Group, p: int, verify: bool = True) -> IdealLatticeDescri
     """Component census of the p-restricted ideal lattice: one factor per
     subgroup class of K, a 3-chain when H^[p] is cyclic, a 2-chain otherwise;
     total ideal count 3^c * 2^nc."""
-    from .groups import o_p_subgroup
-    from .groups import subgroup_as_group
-
     lat = enumerate_subgroups(K)
     c = nc = 0
     components: list[tuple[str, str]] = []
     for ci in range(lat.n_classes()):
         H = lat.class_rep(ci)
-        Hgrp = subgroup_as_group(H)
-        Hp, _ = quotient(Hgrp, o_p_subgroup(Hgrp, p))
         label = f"ord{H.order}#{ci}"
-        if Hp.is_cyclic():  # includes the trivial quotient
+        if p_persistent_case(subgroup_as_group(H), p) is not None:  # H^[p] cyclic
             c += 1
             components.append((label, "chain2"))
         else:

@@ -15,15 +15,16 @@ from .groups import (
     Homomorphism,
     Subgroup,
     direct_product,
-    inner_automorphisms,
     kernel,
     make_cyclic,
     mask_of,
     o_p_subgroup,
+    p_residual_quotient,
     quotient,
+    subgroup_embedding,
     trivial_group,
 )
-from .subgroups import enumerate_subgroups, m_constant, normal_subgroups
+from .subgroups import enumerate_subgroups, m_const, normal_subgroups
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,6 @@ def trivial_over(K: Group) -> GroupOverK:
 
 def embedding_over(K: Group, H: Subgroup) -> GroupOverK:
     """(H, j_H): a subgroup of K with its inclusion map."""
-    from .groups import subgroup_embedding
-
     j = subgroup_embedding(H)
     return GroupOverK(j.source, j, f"({j.source.label},incl)")
 
@@ -61,54 +60,32 @@ def embedding_over(K: Group, H: Subgroup) -> GroupOverK:
 # plain-group homomorphism / isomorphism machinery
 
 
-def _word_plan(G: Group) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """Greedy generators plus, per element, a recipe (prev_element, gen_index)
-    so any generator-image assignment extends to a full candidate map."""
+@lru_cache(maxsize=None)
+def _word_plan(G: Group) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """Greedy generators plus steps (y, x, gen_index) with y = x * gens[i],
+    in breadth-first order from the identity, so that any generator-image
+    assignment extends to a full candidate map in one pass."""
     gens = G.generating_sequence()
-    plan: list[tuple[int, int]] = [(-1, -1)] * G.order  # identity needs none
+    steps = []
     known = [0]
     seen = {0}
     t = G.table
-    changed = True
-    while changed:
-        changed = False
-        for x in list(known):
-            for gi, g in enumerate(gens):
-                y = t[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    plan[y] = (x, gi)
-                    known.append(y)
-                    changed = True
-    return gens, plan
+    for x in known:  # grows while we walk it
+        for gi, g in enumerate(gens):
+            y = t[x][g]
+            if y not in seen:
+                seen.add(y)
+                steps.append((y, x, gi))
+                known.append(y)
+    return gens, tuple(steps)
 
 
-@lru_cache(maxsize=None)
-def _word_plan_cached(G: Group):
-    return _word_plan(G)
-
-
-def _extend_map(G: Group, H: Group, gens, plan, images) -> tuple[int, ...] | None:
+def _extend_map(G: Group, H: Group, steps, images) -> tuple[int, ...] | None:
     """Complete a generator-image assignment to a map G -> H, or None if the
     result is not a homomorphism."""
-    out = [-1] * G.order
-    out[0] = 0
-    order = sorted(range(G.order), key=lambda x: 0 if x == 0 else 1)
-    # fill by repeatedly applying recipes (plan is acyclic from identity)
-    pending = [x for x in range(1, G.order)]
-    while pending:
-        progressed = False
-        rest = []
-        for x in pending:
-            px, gi = plan[x]
-            if out[px] >= 0:
-                out[x] = H.table[out[px]][images[gi]]
-                progressed = True
-            else:
-                rest.append(x)
-        pending = rest
-        if not progressed and pending:
-            raise GroupError("broken word plan")  # unreachable
+    out = [0] * G.order
+    for y, x, gi in steps:
+        out[y] = H.table[out[x]][images[gi]]
     t, s = G.table, H.table
     for a in range(G.order):
         for b in range(G.order):
@@ -119,7 +96,7 @@ def _extend_map(G: Group, H: Group, gens, plan, images) -> tuple[int, ...] | Non
 
 def homomorphisms(G: Group, H: Group) -> list[Homomorphism]:
     """All homomorphisms G -> H (brute force over generator images)."""
-    gens, plan = _word_plan_cached(G)
+    gens, steps = _word_plan(G)
     horders = [H.element_order(h) for h in range(H.order)]
     out = []
     seen = set()
@@ -128,65 +105,65 @@ def homomorphisms(G: Group, H: Group) -> list[Homomorphism]:
         for g in gens
     ]
     for images in itertools.product(*candidates_per_gen):
-        m = _extend_map(G, H, gens, plan, images)
+        m = _extend_map(G, H, steps, images)
         if m is not None and m not in seen:
             seen.add(m)
             out.append(Homomorphism(G, H, m))
     return out
 
 
-def isomorphisms(G: Group, H: Group):
-    """Yield all isomorphisms G -> H."""
+def _isomorphism_images(G: Group, H: Group):
+    """Yield the image tuple of every isomorphism G -> H."""
     if G.order != H.order:
         return
     if sorted(G.element_orders()) != sorted(H.element_orders()):
         return
-    gens, plan = _word_plan_cached(G)
+    gens, steps = _word_plan(G)
     horders = [H.element_order(h) for h in range(H.order)]
     candidates_per_gen = [
         [h for h in range(H.order) if horders[h] == G.element_order(g)] for g in gens
     ]
     for images in itertools.product(*candidates_per_gen):
-        m = _extend_map(G, H, gens, plan, images)
+        m = _extend_map(G, H, steps, images)
         if m is not None and len(set(m)) == G.order:
-            yield Homomorphism(G, H, m)
+            yield m
+
+
+def isomorphisms(G: Group, H: Group):
+    """Yield all isomorphisms G -> H."""
+    for m in _isomorphism_images(G, H):
+        yield Homomorphism(G, H, m)
 
 
 def is_isomorphic(G: Group, H: Group) -> bool:
-    return next(iter(isomorphisms(G, H)), None) is not None
+    return next(_isomorphism_images(G, H), None) is not None
 
 
 # ---------------------------------------------------------------------------
 # the category over K
 
 
+def _conjugates(phi: Homomorphism) -> set[tuple[int, ...]]:
+    """Image tuples of i . phi for every inner automorphism i of phi.target."""
+    K = phi.target
+    return {tuple(K.conj(v, g) for v in phi.image) for g in range(K.order)}
+
+
 def is_morphism_over_k(f: Homomorphism, x: GroupOverK, y: GroupOverK) -> bool:
     """True iff some inner automorphism i of K satisfies i . phi_x = phi_y . f."""
     if f.source != x.L or f.target != y.L or x.K != y.K:
         raise GroupError("mismatched morphism data")
-    lhs_targets = [y.phi.image[f.image[a]] for a in range(x.L.order)]
-    for i in inner_automorphisms(x.K):
-        if all(i.image[x.phi.image[a]] == lhs_targets[a] for a in range(x.L.order)):
-            return True
-    return False
+    return tuple(y.phi.image[b] for b in f.image) in _conjugates(x.phi)
 
 
 def is_isomorphic_over_k(x: GroupOverK, y: GroupOverK) -> bool:
     if x.K != y.K:
         raise GroupError("different K")
-    if x.L.order != y.L.order:
-        return False
-    if sorted(x.L.element_orders()) != sorted(y.L.element_orders()):
-        return False
-    inners = inner_automorphisms(x.K)
-    for f in isomorphisms(x.L, y.L):
-        for i in inners:
-            if all(
-                i.image[x.phi.image[a]] == y.phi.image[f.image[a]]
-                for a in range(x.L.order)
-            ):
-                return True
-    return False
+    conj = _conjugates(x.phi)
+    return any(
+        tuple(y.phi.image[b] for b in f) in conj
+        for f in _isomorphism_images(x.L, y.L)
+    )
 
 
 def quotient_over_k(x: GroupOverK, N: Subgroup) -> GroupOverK:
@@ -209,14 +186,12 @@ def is_quotient_over_k(x: GroupOverK, y: GroupOverK) -> bool:
         raise GroupError("different K")
     if x.L.order % y.L.order != 0:
         return False
-    ker = kernel(x.phi)
     target = x.L.order // y.L.order
-    for N in normal_subgroups(x.L):
-        if N.order != target or N.mask & ker.mask != N.mask:
-            continue
-        if is_isomorphic_over_k(quotient_over_k(x, N), y):
-            return True
-    return False
+    return any(
+        is_isomorphic_over_k(quotient_over_k(x, N), y)
+        for N in _normal_in_kernel(x)
+        if N.order == target
+    )
 
 
 def graph_subgroup(x: GroupOverK) -> Subgroup:
@@ -228,8 +203,7 @@ def graph_subgroup(x: GroupOverK) -> Subgroup:
 
 def p_graph_subgroup(x: GroupOverK, p: int) -> Subgroup:
     """Image of l -> (l O^p(L), phi(l)) inside L^[p] x K."""
-    O = o_p_subgroup(x.L, p)
-    Q, pi = quotient(x.L, O)
+    Q, pi = p_residual_quotient(x.L, p)
     P = direct_product(Q, x.K)
     m = x.K.order
     return Subgroup(
@@ -240,8 +214,6 @@ def p_graph_subgroup(x: GroupOverK, p: int) -> Subgroup:
 
 def pair_from_subgroup(X: Subgroup, p2: Homomorphism) -> GroupOverK:
     """(X, p2|_X) as a group over K, for X <= G x K and the projection p2."""
-    from .groups import subgroup_embedding
-
     j = subgroup_embedding(X)
     phi = p2.compose(j)
     return GroupOverK(j.source, phi)
@@ -252,40 +224,45 @@ def pair_from_subgroup(X: Subgroup, p2: Homomorphism) -> GroupOverK:
 
 
 def _normal_in_kernel(x: GroupOverK) -> list[Subgroup]:
+    """Normal subgroups of L inside Ker phi, in canonical lattice order."""
     ker = kernel(x.phi)
     return [N for N in normal_subgroups(x.L) if N.mask & ker.mask == N.mask]
 
 
+def kernel_m_constants(x: GroupOverK):
+    """Yield (N, m_{L,N}) for every normal N <= Ker phi, in canonical
+    lattice order."""
+    for N in _normal_in_kernel(x):
+        yield N, m_const(x.L, N)
+
+
+def beta_k_subgroup(m_constants) -> Subgroup:
+    """The Q with beta_K(x) = (L/Q, phi/Q), from kernel_m_constants(x): of
+    maximal order with m_{L,Q} != 0, the first in canonical order on ties.
+    Q is trivial iff x is a B_K-group, since m_{L,1} = 1."""
+    best = None
+    for N, m in m_constants:
+        if m != 0 and (best is None or N.order > best.order):
+            best = N
+    return best
+
+
 def is_bk_group(x: GroupOverK) -> bool:
     """m_{L,N} = 0 for every nontrivial normal N <= Ker phi."""
-    lat = enumerate_subgroups(x.L)
-    full = lat.subgroups[-1]
-    for N in _normal_in_kernel(x):
-        if N.mask != 1 and m_constant(lat, full, N) != 0:
-            return False
-    return True
+    return all(m == 0 for N, m in kernel_m_constants(x) if not N.is_trivial())
 
 
 def beta_k(x: GroupOverK) -> GroupOverK:
     """Largest B_K-group quotient: (L/Q, phi/Q) for Q <= Ker phi normal of
     maximal order with m_{L,Q} != 0 (deterministic tie-break)."""
-    lat = enumerate_subgroups(x.L)
-    full = lat.subgroups[-1]
-    best: Subgroup | None = None
-    for N in _normal_in_kernel(x):  # canonical order: (size, mask)
-        if m_constant(lat, full, N) != 0 and (best is None or N.order > best.order):
-            best = N
-    assert best is not None  # N = 1 always has m = 1
-    return quotient_over_k(x, best)
+    return quotient_over_k(x, beta_k_subgroup(kernel_m_constants(x)))
 
 
 def is_p_persistent(x: GroupOverK, p: int) -> bool:
     """m_{L, O^p(L) n Ker phi} != 0."""
     O = o_p_subgroup(x.L, p)
     ker = kernel(x.phi)
-    N = Subgroup(x.L, O.mask & ker.mask)
-    lat = enumerate_subgroups(x.L)
-    return m_constant(lat, lat.subgroups[-1], N) != 0
+    return m_const(x.L, Subgroup(x.L, O.mask & ker.mask)) != 0
 
 
 CASE_EMBEDDING = "embedding"
@@ -293,9 +270,13 @@ CASE_CP = "cp_extension"
 CASE_CP2 = "cp2_extension"
 
 
-def _p_part_quotient(H: Group, p: int) -> Group:
-    Q, _ = quotient(H, o_p_subgroup(H, p))
-    return Q
+def p_persistent_case(H: Group, p: int) -> str | None:
+    """The case that H^[p] = H/O^p(H) adds to (H, j_H): CASE_CP2 when H^[p]
+    is trivial, CASE_CP when it is cyclic and nontrivial, None otherwise."""
+    Hp, _ = p_residual_quotient(H, p)
+    if Hp.order == 1:
+        return CASE_CP2
+    return CASE_CP if Hp.is_cyclic() else None
 
 
 def classify_p_persistent_bk(K: Group, p: int) -> list[tuple[GroupOverK, str]]:
@@ -312,13 +293,13 @@ def classify_p_persistent_bk(K: Group, p: int) -> list[tuple[GroupOverK, str]]:
         H = lat.class_rep(c)
         x = embedding_over(K, H)
         out.append((x, CASE_EMBEDDING))
-        Hp = _p_part_quotient(x.L, p)
-        if Hp.order > 1 and Hp.is_cyclic():
+        case = p_persistent_case(x.L, p)
+        if case == CASE_CP:
             P = direct_product(Cp, x.L)
             out.append(
                 (GroupOverK(P.group, x.phi.compose(P.proj2), f"Cpx{x.label}"), CASE_CP)
             )
-        elif Hp.order == 1:
+        elif case == CASE_CP2:
             P1 = direct_product(Cp, Cp)
             P = direct_product(P1.group, x.L)
             out.append(

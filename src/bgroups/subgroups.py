@@ -9,6 +9,7 @@ containment tests cheap at desk scale (order <= 128 by default).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -211,21 +212,21 @@ def enumerate_subgroups(G: Group, order_bound: int = DEFAULT_ORDER_BOUND) -> Sub
     return lat
 
 
+def _normal_classes(lat: SubgroupLattice) -> set[int]:
+    """Classes with a single member: a subgroup is normal iff its
+    conjugacy class has size one."""
+    return {c for c, size in Counter(lat.conj_class).items() if size == 1}
+
+
 def normal_subgroups(G: Group) -> list[Subgroup]:
     """Conjugation-invariant subgroups, in canonical lattice order."""
     lat = enumerate_subgroups(G)
-    out = []
-    for i, S in enumerate(lat.subgroups):
-        c = lat.conj_class[i]
-        # normal iff its conjugacy orbit is a singleton
-        if sum(1 for x in lat.conj_class if x == c) == 1:
-            out.append(S)
-    return out
+    normal = _normal_classes(lat)
+    return [S for S, c in zip(lat.subgroups, lat.conj_class) if c in normal]
 
 
 def is_normal_in(lat: SubgroupLattice, i: int) -> bool:
-    c = lat.conj_class[i]
-    return lat.conj_class.count(c) == 1
+    return lat.conj_class[i] in _normal_classes(lat)
 
 
 def count_complements(G: Group, Z: Subgroup) -> int:
@@ -265,3 +266,14 @@ def m_constant(lat: SubgroupLattice, L: Subgroup, N: Subgroup) -> Fraction:
         if mu:
             total += X.order * mu
     return Fraction(total, lorder)
+
+
+def m_const(G: Group, N: Subgroup) -> Fraction:
+    """m_{G,N} for a normal subgroup N of G."""
+    lat = enumerate_subgroups(G)
+    if N.parent != G:
+        raise GroupError("N must be a subgroup of G")
+    i = lat.index_of.get(N.mask)
+    if i is None or not is_normal_in(lat, i):
+        raise GroupError("N is not normal in G")
+    return m_constant(lat, lat.subgroups[-1], N)

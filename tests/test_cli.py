@@ -165,6 +165,12 @@ def test_exit_code_resource_cap(capsys):
     assert code == 3
 
 
+def test_p_lattice_enforces_max_order_before_the_census(capsys):
+    code = main(["p-lattice", SPEC, "--k", "L", "--p", "2", "--max-order", "16"])
+    assert code == 3
+    assert "enumeration bound 16" in capsys.readouterr().err
+
+
 def test_exit_code_math_precondition(tmp_path, capsys):
     spec = tmp_path / "notbk.bspec"
     spec.write_text(

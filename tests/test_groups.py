@@ -13,6 +13,7 @@ from bgroups.groups import (
     dicyclic_3,
     dihedral_group,
     direct_product,
+    full_subgroup,
     image,
     inner_automorphisms,
     is_normal,
@@ -23,6 +24,7 @@ from bgroups.groups import (
     quaternion_group,
     quotient,
     semidirect_product,
+    subgroup_embedding,
     subgroup_generated,
     symmetric_group,
     trivial_group,
@@ -291,6 +293,14 @@ def test_op_minimality_by_enumeration():
                     q //= p
                 if q == 1:
                     assert O.mask & N.mask == O.mask
+
+
+def test_cached_constructions_keep_their_labels():
+    C3 = make_cyclic(3)
+    assert direct_product(make_cyclic(2, "A"), C3).group.label == "AxC3"
+    assert direct_product(make_cyclic(2, "B"), C3).group.label == "BxC3"
+    assert subgroup_embedding(full_subgroup(make_cyclic(2, "A"))).source.label == "A|2"
+    assert subgroup_embedding(full_subgroup(make_cyclic(2, "B"))).source.label == "B|2"
 
 
 # ---------------------------------------------------------------------------
