@@ -2,7 +2,7 @@
 
 Element ids are integers 0..order-1 and 0 is always the identity.  Groups,
 homomorphisms and subgroups are frozen dataclasses, hashed and compared by
-their tables, not their labels.  Not everything here is pure:
+their contents with group labels ignored.  Not everything here is pure:
 `set_validation` flips a process-global flag that every later construction
 reads; constructions are memoized in process-wide caches; and
 `dihedral_group`, `alternating_4` and `dicyclic_3` set the label of the
