@@ -21,6 +21,7 @@ from .groups import (
     GroupError,
     Homomorphism,
     Subgroup,
+    _trusted,
     direct_product,
     mask_of,
     subgroup_embedding,
@@ -259,7 +260,7 @@ def shift_hom(f: Homomorphism, K: Group) -> Homomorphism:
     image = tuple(
         f.image[i // m] * m + (i % m) for i in range(P.group.order)
     )
-    return Homomorphism(P.group, Pp.group, image)
+    return _trusted(Homomorphism, P.group, Pp.group, image)
 
 
 def shifted_restrict(elem: BurnsideElement, H: Subgroup, K: Group) -> BurnsideElement:

@@ -33,7 +33,6 @@ from .groups import (
     Subgroup,
     full_subgroup,
     kernel,
-    set_validation,
     subgroup_as_group,
     subgroup_generated,
     trivial_subgroup,
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-order", type=int, default=128,
                        help="subgroup-lattice order cap (default 128)")
         p.add_argument("--no-validate", action="store_true",
-                       help="skip group-axiom validation on construction")
+                       help="skip the homomorphism check of the spec's hom maps")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--check", dest="check", action="store_true", default=True,
                        help="run cross-check oracles (default)")
@@ -351,10 +350,9 @@ def main(argv: list[str] | None = None) -> int:
         check=args.check,
         out=args.out,
     )
-    set_validation(cfg.validate)
     try:
         try:
-            doc = load_spec(args.spec)
+            doc = load_spec(args.spec, cfg.validate)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
@@ -368,8 +366,6 @@ def main(argv: list[str] | None = None) -> int:
     except MathPreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    finally:
-        set_validation(True)
     text = render_text(report) if cfg.fmt == "text" else render_json(report)
     sys.stdout.write(text)
     if cfg.out:

@@ -2,11 +2,15 @@
 
 Element ids are integers 0..order-1 and 0 is always the identity.  Groups,
 homomorphisms and subgroups are frozen dataclasses, hashed and compared by
-their contents with group labels ignored.  Not everything here is pure:
-`set_validation` flips a process-global flag that every later construction
-reads; constructions are memoized in process-wide caches; and
-`dihedral_group`, `alternating_4` and `dicyclic_3` set the label of the
-group they have just built with `object.__setattr__`.
+their contents with group labels ignored.
+
+Values are checked where they enter: a direct `Group(...)`,
+`Homomorphism(...)` or `Subgroup(...)` call checks its input in full, and
+the group check is exact at every order (Light's associativity test over a
+generating sequence).  Every value this library derives from checked values
+(products, quotients, subgroups, kernels, compositions, named groups) is
+built by `_trusted` without a second check.  Constructions are memoized in
+process-wide caches.
 """
 
 from __future__ import annotations
@@ -21,15 +25,13 @@ class GroupError(ValueError):
     """Raised when a construction precondition fails."""
 
 
-# Full associativity checking is O(n^3); beyond this bound we sample.
-_FULL_ASSOC_BOUND = 64
-_VALIDATE = True
-
-
-def set_validation(on: bool) -> None:
-    """Globally toggle axiom checking on construction (CLI --no-validate)."""
-    global _VALIDATE
-    _VALIDATE = bool(on)
+def _trusted(cls, *fields):
+    """A `cls` value built from `fields` without running its checks; only
+    for values derived from values that were already checked."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -40,27 +42,28 @@ class Group:
     label: str = "G"
 
     def __post_init__(self):
-        if _VALIDATE:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
-        n = self.order
-        if n < 1 or len(self.table) != n or len(self.inverse) != n:
+        n, t, inv = self.order, self.table, self.inverse
+        if n < 1 or len(t) != n or len(inv) != n or any(len(row) != n for row in t):
             raise GroupError("malformed Cayley table")
+        if not all(0 <= x < n for row in (*t, inv) for x in row):
+            raise GroupError("element id out of range")
         for x in range(n):
-            if self.table[0][x] != x or self.table[x][0] != x:
+            if t[0][x] != x or t[x][0] != x:
                 raise GroupError("identity law fails at element %d" % x)
-            if self.table[x][self.inverse[x]] != 0:
+            if t[x][inv[x]] != 0:
                 raise GroupError("inverse law fails at element %d" % x)
-        t = self.table
-        if n <= _FULL_ASSOC_BOUND:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            step = max(1, n // 16)
-            triples = itertools.product(range(0, n, step), repeat=3)
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise GroupError("associativity fails at (%d,%d,%d)" % (a, b, c))
+        # Light's test: the elements a with (xa)y = x(ay) for all x, y are
+        # closed under the product, so checking a generating sequence is exact.
+        for a in self.generating_sequence():
+            ta = t[a]
+            for x in range(n):
+                row, tx = t[t[x][a]], t[x]
+                for y in range(n):
+                    if row[y] != tx[ta[y]]:
+                        raise GroupError("associativity fails at (%d,%d,%d)" % (x, a, y))
 
     def __hash__(self):
         return hash((self.order, self.table))
@@ -129,12 +132,13 @@ class Homomorphism:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        if _VALIDATE:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         if len(self.image) != self.source.order:
             raise GroupError("image array has wrong length")
+        if not all(0 <= v < self.target.order for v in self.image):
+            raise GroupError("image element out of range")
         if self.image[0] != 0:
             raise GroupError("homomorphism must fix the identity")
         s, t, im = self.source.table, self.target.table, self.image
@@ -162,9 +166,8 @@ class Homomorphism:
         """self o inner."""
         if inner.target != self.source:
             raise GroupError("composition mismatch")
-        return Homomorphism(
-            inner.source, self.target, tuple(self.image[x] for x in inner.image)
-        )
+        image = tuple(self.image[x] for x in inner.image)
+        return _trusted(Homomorphism, inner.source, self.target, image)
 
     def inverse_map(self) -> "Homomorphism":
         if not self.is_bijective():
@@ -172,7 +175,7 @@ class Homomorphism:
         inv = [0] * self.target.order
         for a, b in enumerate(self.image):
             inv[b] = a
-        return Homomorphism(self.target, self.source, tuple(inv))
+        return _trusted(Homomorphism, self.target, self.source, tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -181,12 +184,13 @@ class Subgroup:
     mask: int  # bitset over parent element ids
 
     def __post_init__(self):
-        if _VALIDATE:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         if not self.mask & 1:
             raise GroupError("subgroup must contain the identity")
+        if self.mask >> self.parent.order:
+            raise GroupError("mask has elements outside the parent")
         elems = self.elements()
         t, inv = self.parent.table, self.parent.inverse
         m = self.mask
@@ -196,8 +200,6 @@ class Subgroup:
             for b in elems:
                 if not (m >> t[a][b]) & 1:
                     raise GroupError("subset not closed under product")
-        if self.parent.order % len(elems) != 0:
-            raise GroupError("Lagrange violated")  # unreachable if closed
 
     def __hash__(self):
         return hash((self.parent, self.mask))
@@ -249,19 +251,29 @@ def close_subset(G: Group, elements) -> set[int]:
 
 
 def subgroup_generated(G: Group, gens) -> Subgroup:
-    return Subgroup(G, mask_of(close_subset(G, gens)))
+    return _trusted(Subgroup, G, mask_of(close_subset(G, gens)))
 
 
 def trivial_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, 1)
+    return _trusted(Subgroup, G, 1)
 
 
 def full_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, (1 << G.order) - 1)
+    return _trusted(Subgroup, G, (1 << G.order) - 1)
 
 
 # ---------------------------------------------------------------------------
 # constructions
+
+
+def _inverses(table) -> tuple[int, ...]:
+    """The inverse of each element of a group table: where its row hits 0."""
+    return tuple(row.index(0) for row in table)
+
+
+def relabel(G: Group, label: str) -> Group:
+    """G under another label, sharing its tables."""
+    return _trusted(Group, G.order, G.table, G.inverse, label)
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +282,7 @@ def make_cyclic(n: int, label: str | None = None) -> Group:
         raise GroupError("cyclic group order must be >= 1")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     inverse = tuple((-i) % n for i in range(n))
-    return Group(n, table, inverse, label or f"C{n}")
+    return _trusted(Group, n, table, inverse, label or f"C{n}")
 
 
 @lru_cache(maxsize=None)
@@ -292,12 +304,20 @@ class Product:
 
 def direct_product(G: Group, H: Group) -> Product:
     """G x H with element id (a, b) -> a*|H| + b."""
-    return _direct_product(G, H, G.label, H.label)
+    table, inverse, (p1, p2, i1, i2) = _product_tables(G, H)
+    P = _trusted(Group, len(inverse), table, inverse, f"{G.label}x{H.label}")
+    return Product(
+        P,
+        _trusted(Homomorphism, P, G, p1),
+        _trusted(Homomorphism, P, H, p2),
+        _trusted(Homomorphism, G, P, i1),
+        _trusted(Homomorphism, H, P, i2),
+    )
 
 
-# Group equality ignores labels, so the labels are part of the cache key.
+# Keyed on group contents only; direct_product labels each call's result.
 @lru_cache(maxsize=None)
-def _direct_product(G: Group, H: Group, glabel: str, hlabel: str) -> Product:
+def _product_tables(G: Group, H: Group):
     n, m = G.order, H.order
     order = n * m
     table = tuple(
@@ -312,12 +332,13 @@ def _direct_product(G: Group, H: Group, glabel: str, hlabel: str) -> Product:
     inverse = tuple(
         G.inverse[a] * m + H.inverse[b] for a in range(n) for b in range(m)
     )
-    P = Group(order, table, inverse, f"{glabel}x{hlabel}")
-    proj1 = Homomorphism(P, G, tuple(i // m for i in range(order)))
-    proj2 = Homomorphism(P, H, tuple(i % m for i in range(order)))
-    inj1 = Homomorphism(G, P, tuple(a * m for a in range(n)))
-    inj2 = Homomorphism(H, P, tuple(range(m)))
-    return Product(P, proj1, proj2, inj1, inj2)
+    images = (
+        tuple(i // m for i in range(order)),
+        tuple(i % m for i in range(order)),
+        tuple(a * m for a in range(n)),
+        tuple(range(m)),
+    )
+    return table, inverse, images
 
 
 def semidirect_product(N: Group, H: Group, action) -> Group:
@@ -350,13 +371,7 @@ def semidirect_product(N: Group, H: Group, action) -> Group:
         for a1 in range(n)
         for b1 in range(m)
     )
-    inverse = [0] * (n * m)
-    for i in range(n * m):
-        for j in range(n * m):
-            if table[i][j] == 0:
-                inverse[i] = j
-                break
-    return Group(n * m, table, tuple(inverse), f"{N.label}:{H.label}")
+    return _trusted(Group, n * m, table, _inverses(table), f"{N.label}:{H.label}")
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
@@ -379,17 +394,17 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
         tuple(coset_of[t[reps[i]][reps[j]]] for j in range(q)) for i in range(q)
     )
     inverse = tuple(coset_of[G.inverse[reps[i]]] for i in range(q))
-    Q = Group(q, table, inverse, f"{G.label}/N{N.order}")
-    pi = Homomorphism(G, Q, tuple(coset_of))
+    Q = _trusted(Group, q, table, inverse, f"{G.label}/N{N.order}")
+    pi = _trusted(Homomorphism, G, Q, tuple(coset_of))
     return Q, pi
 
 
 def kernel(f: Homomorphism) -> Subgroup:
-    return Subgroup(f.source, mask_of(a for a in range(f.source.order) if f.image[a] == 0))
+    return _trusted(Subgroup, f.source, mask_of(a for a, b in enumerate(f.image) if b == 0))
 
 
 def image(f: Homomorphism) -> Subgroup:
-    return Subgroup(f.target, mask_of(set(f.image)))
+    return _trusted(Subgroup, f.target, mask_of(set(f.image)))
 
 
 def is_normal(N: Subgroup) -> bool:
@@ -427,7 +442,7 @@ def inner_automorphisms(K: Group) -> list[Homomorphism]:
         im = tuple(K.conj(a, g) for a in range(K.order))
         if im not in seen:
             seen.add(im)
-            out.append(Homomorphism(K, K, im))
+            out.append(_trusted(Homomorphism, K, K, im))
     return out
 
 
@@ -437,21 +452,22 @@ def subgroup_embedding(S: Subgroup) -> Homomorphism:
     Elements are relabelled in increasing parent-id order, so the identity
     keeps id 0.  The standalone group is the source of the returned map.
     """
-    return _subgroup_embedding(S, S.parent.label)
+    table, inverse, elems = _embedding_tables(S)
+    H = _trusted(Group, len(elems), table, inverse, f"{S.parent.label}|{len(elems)}")
+    return _trusted(Homomorphism, H, S.parent, elems)
 
 
-@lru_cache(maxsize=None)  # keyed on the parent's label too, as _direct_product
-def _subgroup_embedding(S: Subgroup, label: str) -> Homomorphism:
+@lru_cache(maxsize=None)  # keyed on contents only, as _product_tables
+def _embedding_tables(S: Subgroup):
     G = S.parent
-    elems = S.elements()
+    elems = tuple(S.elements())
     back = {e: i for i, e in enumerate(elems)}
     k = len(elems)
     table = tuple(
         tuple(back[G.table[elems[i]][elems[j]]] for j in range(k)) for i in range(k)
     )
     inverse = tuple(back[G.inverse[elems[i]]] for i in range(k))
-    H = Group(k, table, inverse, f"{label}|{k}")
-    return Homomorphism(H, G, tuple(elems))
+    return table, inverse, elems
 
 
 def subgroup_as_group(S: Subgroup) -> Group:
@@ -470,13 +486,7 @@ def symmetric_group(n: int) -> Group:
     table = tuple(
         tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
     )
-    inverse = []
-    for p in perms:
-        inv = [0] * n
-        for i, v in enumerate(p):
-            inv[v] = i
-        inverse.append(index[tuple(inv)])
-    return Group(len(perms), table, tuple(inverse), f"S{n}")
+    return _trusted(Group, len(perms), table, _inverses(table), f"S{n}")
 
 
 @lru_cache(maxsize=None)
@@ -485,9 +495,7 @@ def dihedral_group(n: int) -> Group:
     Cn = make_cyclic(n)
     inv_perm = tuple((-i) % n for i in range(n))
     ident = tuple(range(n))
-    G = semidirect_product(Cn, make_cyclic(2), (ident, inv_perm))
-    object.__setattr__(G, "label", f"D{2*n}")
-    return G
+    return relabel(semidirect_product(Cn, make_cyclic(2), (ident, inv_perm)), f"D{2*n}")
 
 
 @lru_cache(maxsize=None)
@@ -517,13 +525,7 @@ def cyclic_extension(n: int, t: int, r: int, label: str | None = None) -> Group:
         tuple(mul(i, j, k, l)[0] * 2 + mul(i, j, k, l)[1] for (k, l) in ids)
         for (i, j) in ids
     )
-    inverse = [0] * (2 * n)
-    for x in range(2 * n):
-        for y in range(2 * n):
-            if table[x][y] == 0:
-                inverse[x] = y
-                break
-    return Group(2 * n, table, tuple(inverse), label or f"E({n},{t},{r})")
+    return _trusted(Group, 2 * n, table, _inverses(table), label or f"E({n},{t},{r})")
 
 
 @lru_cache(maxsize=None)
@@ -539,9 +541,7 @@ def alternating_4() -> Group:
     ident = (0, 1, 2, 3)
     rho = (0, 3, 1, 2)
     rho2 = tuple(rho[rho[i]] for i in range(4))
-    G = semidirect_product(V, make_cyclic(3), (ident, rho, rho2))
-    object.__setattr__(G, "label", "A4")
-    return G
+    return relabel(semidirect_product(V, make_cyclic(3), (ident, rho, rho2)), "A4")
 
 
 @lru_cache(maxsize=None)
@@ -550,9 +550,7 @@ def dicyclic_3() -> Group:
     C3, C4 = make_cyclic(3), make_cyclic(4)
     inv = (0, 2, 1)
     ident = (0, 1, 2)
-    G = semidirect_product(C3, C4, (ident, inv, ident, inv))
-    object.__setattr__(G, "label", "C3:C4")
-    return G
+    return relabel(semidirect_product(C3, C4, (ident, inv, ident, inv)), "C3:C4")
 
 
 def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P") -> Group:
@@ -584,10 +582,4 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
     table = tuple(
         tuple(index[tuple(p[q[i]] for i in range(n))] for q in elems) for p in elems
     )
-    inverse = []
-    for p in elems:
-        inv = [0] * n
-        for i, v in enumerate(p):
-            inv[v] = i
-        inverse.append(index[tuple(inv)])
-    return Group(m, table, tuple(inverse), label)
+    return _trusted(Group, m, table, _inverses(table), label)

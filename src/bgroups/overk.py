@@ -14,6 +14,7 @@ from .groups import (
     GroupError,
     Homomorphism,
     Subgroup,
+    _trusted,
     direct_product,
     kernel,
     make_cyclic,
@@ -47,12 +48,15 @@ class GroupOverK:
 
 def trivial_over(K: Group) -> GroupOverK:
     one = trivial_group()
-    return GroupOverK(one, Homomorphism(one, K, (0,)), "1")
+    return GroupOverK(one, _trusted(Homomorphism, one, K, (0,)), "1")
 
 
 def embedding_over(K: Group, H: Subgroup) -> GroupOverK:
-    """(H, j_H): a subgroup of K with its inclusion map."""
-    j = subgroup_embedding(H)
+    """(H, j_H): a subgroup of K with its inclusion map.  H may come from the
+    cached lattice of a group equal to K; the labels come from K."""
+    if H.parent != K:
+        raise GroupError("H must be a subgroup of K")
+    j = subgroup_embedding(_trusted(Subgroup, K, H.mask))
     return GroupOverK(j.source, j, f"({j.source.label},incl)")
 
 
@@ -108,7 +112,7 @@ def homomorphisms(G: Group, H: Group) -> list[Homomorphism]:
         m = _extend_map(G, H, steps, images)
         if m is not None and m not in seen:
             seen.add(m)
-            out.append(Homomorphism(G, H, m))
+            out.append(_trusted(Homomorphism, G, H, m))
     return out
 
 
@@ -132,7 +136,7 @@ def _isomorphism_images(G: Group, H: Group):
 def isomorphisms(G: Group, H: Group):
     """Yield all isomorphisms G -> H."""
     for m in _isomorphism_images(G, H):
-        yield Homomorphism(G, H, m)
+        yield _trusted(Homomorphism, G, H, m)
 
 
 def is_isomorphic(G: Group, H: Group) -> bool:
@@ -176,7 +180,8 @@ def quotient_over_k(x: GroupOverK, N: Subgroup) -> GroupOverK:
     for a in range(x.L.order):
         if pre[pi.image[a]] < 0:
             pre[pi.image[a]] = a
-    phi_bar = Homomorphism(Q, x.K, tuple(x.phi.image[pre[q]] for q in range(Q.order)))
+    image = tuple(x.phi.image[pre[q]] for q in range(Q.order))
+    phi_bar = _trusted(Homomorphism, Q, x.K, image)
     return GroupOverK(Q, phi_bar, f"{x.label}/N{N.order}" if x.label else "")
 
 
@@ -198,7 +203,8 @@ def graph_subgroup(x: GroupOverK) -> Subgroup:
     """L_phi = {(l, phi(l))} inside the canonical product L x K."""
     P = direct_product(x.L, x.K)
     m = x.K.order
-    return Subgroup(P.group, mask_of(l * m + x.phi.image[l] for l in range(x.L.order)))
+    mask = mask_of(l * m + x.phi.image[l] for l in range(x.L.order))
+    return _trusted(Subgroup, P.group, mask)
 
 
 def p_graph_subgroup(x: GroupOverK, p: int) -> Subgroup:
@@ -206,10 +212,8 @@ def p_graph_subgroup(x: GroupOverK, p: int) -> Subgroup:
     Q, pi = p_residual_quotient(x.L, p)
     P = direct_product(Q, x.K)
     m = x.K.order
-    return Subgroup(
-        P.group,
-        mask_of(pi.image[l] * m + x.phi.image[l] for l in range(x.L.order)),
-    )
+    mask = mask_of(pi.image[l] * m + x.phi.image[l] for l in range(x.L.order))
+    return _trusted(Subgroup, P.group, mask)
 
 
 def pair_from_subgroup(X: Subgroup, p2: Homomorphism) -> GroupOverK:
@@ -262,7 +266,7 @@ def is_p_persistent(x: GroupOverK, p: int) -> bool:
     """m_{L, O^p(L) n Ker phi} != 0."""
     O = o_p_subgroup(x.L, p)
     ker = kernel(x.phi)
-    return m_const(x.L, Subgroup(x.L, O.mask & ker.mask)) != 0
+    return m_const(x.L, _trusted(Subgroup, x.L, O.mask & ker.mask)) != 0
 
 
 CASE_EMBEDDING = "embedding"

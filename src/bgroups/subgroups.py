@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .groups import Group, GroupError, Subgroup, close_subset, mask_of
+from .groups import Group, GroupError, Subgroup, _trusted, close_subset, mask_of
 
 DEFAULT_ORDER_BOUND = 128
 
@@ -184,7 +184,7 @@ def enumerate_subgroups(G: Group, order_bound: int = DEFAULT_ORDER_BOUND) -> Sub
                     new.append(closed)
         frontier = new
     masks = sorted(found, key=lambda m: (m.bit_count(), m))
-    subs = [Subgroup(G, m) for m in masks]
+    subs = [_trusted(Subgroup, G, m) for m in masks]
     index_of = {m: i for i, m in enumerate(masks)}
 
     lat = SubgroupLattice(G, subs, index_of, [], [])

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from bgroups.cli import main, read_report, render_text
-from bgroups.groups import quotient
+from bgroups.groups import Group, GroupError, quotient
 from bgroups.overk import is_isomorphic
 from bgroups.specdoc import SpecError, parse_spec
 
@@ -75,6 +75,25 @@ def test_parse_quotient_and_hom():
 def test_parse_errors(text):
     with pytest.raises(SpecError):
         parse_spec(text)
+
+
+def test_unvalidated_spec_skips_only_the_hom_check():
+    bad_hom = "group C4 = cyclic 4\nhom f = C4 -> C4 images 0 2 0 0"
+    with pytest.raises(SpecError):
+        parse_spec(bad_hom)
+    assert parse_spec(bad_hom, validate=False).hom("f").image == (0, 2, 0, 0)
+    with pytest.raises(SpecError):  # constructions check their input regardless
+        parse_spec("group C3 = cyclic 3\ngroup C2 = cyclic 2\n"
+                   "group X = semidirect C3 C2 action 0:0,1,2 1:0,1,1",
+                   validate=False)
+
+
+def test_no_validate_leaves_later_checks_on(capsys):
+    code, out = run_cli(["p-lattice", SPEC, "--k", "C4", "--p", "2",
+                         "--no-validate"], capsys)
+    assert code == 0 and "validate: false" in out
+    with pytest.raises(GroupError):
+        Group(2, ((1, 0), (0, 1)), (0, 1))
 
 
 # ---------------------------------------------------------------------------

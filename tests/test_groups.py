@@ -4,16 +4,19 @@ quotients, residual subgroups."""
 import pytest
 from hypothesis import given, strategies as st
 
+from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
     Group,
     GroupError,
     Homomorphism,
     Subgroup,
     alternating_4,
+    cyclic_extension,
     dicyclic_3,
     dihedral_group,
     direct_product,
     full_subgroup,
+    group_from_permutations,
     image,
     inner_automorphisms,
     is_normal,
@@ -23,6 +26,7 @@ from bgroups.groups import (
     p_residual_quotient,
     quaternion_group,
     quotient,
+    relabel,
     semidirect_product,
     subgroup_embedding,
     subgroup_generated,
@@ -30,7 +34,9 @@ from bgroups.groups import (
     trivial_group,
     trivial_subgroup,
 )
-from bgroups.overk import is_isomorphic
+from bgroups.overk import homomorphisms, is_isomorphic, isomorphisms
+from bgroups.subgroups import enumerate_subgroups, normal_subgroups
+from util import is_group_table
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +82,22 @@ def test_bad_table_rejected():
         Group(2, ((1, 0), (0, 1)), (0, 1), "bad")
 
 
+@pytest.mark.parametrize(
+    "table, inverse",
+    [
+        (((0, 1), (1, 0, 5)), (0, 1)),  # row too long
+        (((0, 1), (1,)), (0, 1)),  # row too short
+        (((0, 1), (1, 2)), (0, 1)),  # entry out of range
+        (((0, 1), (1, -1)), (0, 1)),  # negative entry
+        (((0, 1), (1, 0)), (0, 2)),  # inverse out of range
+    ],
+    ids=["long-row", "short-row", "big-entry", "negative-entry", "big-inverse"],
+)
+def test_malformed_table_rejected(table, inverse):
+    with pytest.raises(GroupError):
+        Group(2, table, inverse, "bad")
+
+
 def test_non_associative_table_rejected():
     # identity law holds but (1*1)*2 != 1*(1*2)
     table = ((0, 1, 2), (1, 0, 0), (2, 0, 1))
@@ -89,10 +111,129 @@ def test_bad_homomorphism_rejected():
         Homomorphism(C4, C2, (0, 1, 1, 0))
 
 
+@pytest.mark.parametrize(
+    "image", [(0, 5), (0, -1), (0, 1, 0)], ids=["big", "negative", "long"]
+)
+def test_malformed_homomorphism_rejected(image):
+    C2 = make_cyclic(2)
+    with pytest.raises(GroupError):
+        Homomorphism(C2, C2, image)
+
+
+def test_subgroup_mask_outside_parent_rejected():
+    with pytest.raises(GroupError):
+        Subgroup(make_cyclic(4), 0b10001)
+
+
 def test_non_closed_subgroup_rejected():
     C4 = make_cyclic(4)
     with pytest.raises(GroupError):
         Subgroup(C4, 0b0011)  # {0, 1} not closed
+
+
+# ---------------------------------------------------------------------------
+# the exact group check against the brute-force oracle
+
+
+def _swapped_c66():
+    """C66 with t[1][3] and t[1][5] swapped: the identity and inverse laws
+    hold, associativity fails, and sampling every fourth element misses it."""
+    C = make_cyclic(66)
+    rows = [list(r) for r in C.table]
+    rows[1][3], rows[1][5] = rows[1][5], rows[1][3]
+    return tuple(map(tuple, rows)), C.inverse
+
+
+def test_non_associative_table_above_order_64_rejected():
+    table, inverse = _swapped_c66()
+    assert not is_group_table(66, table, inverse)
+    with pytest.raises(GroupError):
+        Group(66, table, inverse, "bad")
+
+
+def test_non_associative_table_with_associative_first_generator_rejected():
+    # loop of order 5 in which every element is its own inverse, so not a
+    # group; times C2, whose generator gets id 1 and associates with all
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+            (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    table = tuple(
+        tuple(loop[a][c] * 2 + (b ^ d) for c in range(5) for d in range(2))
+        for a in range(5) for b in range(2)
+    )
+    inverse = tuple(range(10))
+    assert not is_group_table(10, table, inverse)
+    with pytest.raises(GroupError):
+        Group(10, table, inverse, "bad")
+
+
+_SMALL = [G for G in groups_up_to_order(16) if G.order > 1]
+
+
+@given(st.data())
+def test_group_check_agrees_with_oracle_on_one_changed_entry(data):
+    G = data.draw(st.sampled_from(_SMALL))
+    n = G.order
+    x = data.draw(st.integers(1, n - 1))
+    y = data.draw(st.integers(1, n - 1))
+    rows = [list(r) for r in G.table]
+    rows[x][y] = data.draw(st.integers(0, n - 1))
+    table = tuple(map(tuple, rows))
+    try:
+        Group(n, table, G.inverse)
+        accepted = True
+    except GroupError:
+        accepted = False
+    assert accepted == is_group_table(n, table, G.inverse)
+
+
+def _constructions():
+    """The catalog plus every named construction, with the products,
+    quotients and subgroups built from them."""
+    S4 = symmetric_group(4)
+    V = full_subgroup(direct_product(make_cyclic(2), make_cyclic(2)).group)
+    yield from groups_up_to_order(16)
+    yield from (symmetric_group(n) for n in (1, 2, 3, 4))
+    yield from (dihedral_group(n) for n in (1, 2, 3, 9))
+    yield from (cyclic_extension(16, t, r) for t, r in ((0, 7), (8, 15), (0, 9)))
+    yield group_from_permutations(4, [(1, 2, 0, 3), (0, 2, 3, 1)], "A4p")
+    yield semidirect_product(make_cyclic(7), make_cyclic(3),
+                             ((0, 1, 2, 3, 4, 5, 6), (0, 2, 4, 6, 1, 3, 5),
+                              (0, 4, 1, 5, 2, 6, 3)))
+    yield direct_product(S4, make_cyclic(2)).group
+    for N in normal_subgroups(S4):
+        yield quotient(S4, N)[0]
+    lat = enumerate_subgroups(S4)
+    for c in range(lat.n_classes()):
+        yield subgroup_embedding(lat.class_rep(c)).source
+    yield relabel(V.parent, "V")
+
+
+def test_constructions_pass_the_oracle():
+    for G in _constructions():
+        assert is_group_table(G.order, G.table, G.inverse), G.label
+
+
+def test_derived_maps_and_subgroups_pass_the_public_checks():
+    """Values built without checks are accepted by the public constructors."""
+    S3, C2 = symmetric_group(3), make_cyclic(2)
+    P = direct_product(S3, dihedral_group(4))
+    maps = [P.proj1, P.proj2, P.inj1, P.inj2, P.proj2.compose(P.inj2)]
+    subs = [trivial_subgroup(S3), full_subgroup(S3), subgroup_generated(S3, [1])]
+    for G in (symmetric_group(4), quaternion_group(), dicyclic_3()):
+        for N in normal_subgroups(G):
+            _, pi = quotient(G, N)
+            maps.append(pi)
+            subs += [kernel(pi), image(pi)]
+        lat = enumerate_subgroups(G)
+        for c in range(lat.n_classes()):
+            maps.append(subgroup_embedding(lat.class_rep(c)))
+            subs.append(lat.class_rep(c))
+        maps += inner_automorphisms(G)
+    maps += homomorphisms(S3, C2) + [f.inverse_map() for f in isomorphisms(S3, S3)]
+    for f in maps:
+        Homomorphism(f.source, f.target, f.image)
+    for S in subs:
+        Subgroup(S.parent, S.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +442,16 @@ def test_cached_constructions_keep_their_labels():
     assert direct_product(make_cyclic(2, "B"), C3).group.label == "BxC3"
     assert subgroup_embedding(full_subgroup(make_cyclic(2, "A"))).source.label == "A|2"
     assert subgroup_embedding(full_subgroup(make_cyclic(2, "B"))).source.label == "B|2"
+
+
+def test_relabelled_constructions_share_their_tables():
+    C3 = make_cyclic(3)
+    PA = direct_product(make_cyclic(2, "A"), C3)
+    PB = direct_product(make_cyclic(2, "B"), C3)
+    assert PA.group.table is PB.group.table
+    assert PB.proj1.source is PB.group and PB.proj1.target.label == "B"
+    D8 = dihedral_group(4)
+    assert D8.label == "D8" and relabel(D8, "X").table is D8.table
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import pytest
 
 from bgroups.burnside import m_const
 from bgroups.groups import (
+    GroupError,
     Homomorphism,
     alternating_4,
     dicyclic_3,
     dihedral_group,
     direct_product,
+    full_subgroup,
     kernel,
     make_cyclic,
     mask_of,
@@ -340,6 +342,22 @@ def test_classify_klein_four_top_class_has_no_extension():
     P = direct_product(make_cyclic(2), K)
     y = GroupOverK(P.group, Homomorphism(P.group, K, tuple(i % 4 for i in range(8))))
     assert not (is_bk_group(y) and is_p_persistent(y, 2))
+
+
+def test_classify_labels_come_from_k():
+    # the lattice cache returns the lattice of the first equal group, "A"
+    enumerate_subgroups(make_cyclic(4, "A"))
+    out = classify_p_persistent_bk(make_cyclic(4, "B"), 2)
+    assert [x.label for x, _ in out] == [
+        "(B|1,incl)", "Cp2x(B|1,incl)", "(B|2,incl)", "Cpx(B|2,incl)",
+        "(B|4,incl)", "Cpx(B|4,incl)",
+    ]
+    assert all(x.K.label == "B" for x, _ in out)
+
+
+def test_embedding_over_rejects_a_foreign_subgroup():
+    with pytest.raises(GroupError):
+        embedding_over(make_cyclic(4), full_subgroup(make_cyclic(2)))
 
 
 @pytest.mark.parametrize("K", [make_cyclic(2), make_cyclic(4),

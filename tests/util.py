@@ -32,6 +32,16 @@ from bgroups.ideals import ideal_eval
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
 
 
+def is_group_table(order, table, inverse) -> bool:
+    """Brute-force reference for the group check: the identity and inverse
+    laws, and associativity over all order^3 triples."""
+    r = range(order)
+    t = table
+    return all(
+        t[0][x] == x and t[x][0] == x and t[x][inverse[x]] == 0 for x in r
+    ) and all(t[t[a][b]][c] == t[a][t[b][c]] for a in r for b in r for c in r)
+
+
 def klein_four():
     return direct_product(make_cyclic(2), make_cyclic(2)).group
 
