@@ -42,6 +42,7 @@ from .overk import (
     CASE_EMBEDDING,
     GroupOverK,
     beta_k_subgroup,
+    classify_p_persistent_bk,
     is_bk_group,
     is_isomorphic,
     kernel_m_constants,
@@ -49,7 +50,7 @@ from .overk import (
     quotient_over_k,
 )
 from .specdoc import GroupSpecDocument, SpecError, load_spec
-from .subgroups import OrderBoundExceeded, enumerate_subgroups
+from .subgroups import enumerate_subgroups
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -63,13 +64,8 @@ class MathPreconditionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    max_order: int = 128
-    validate: bool = True
-    fmt: str = "text"
-    check: bool = True
-    out: str | None = None
+class OrderBoundExceeded(GroupError):
+    """Group too large for exhaustive subgroup enumeration."""
 
 
 @dataclass
@@ -138,15 +134,25 @@ def read_report(text: str) -> Report:
 # subcommands
 
 
-def _base_meta(cmd: str, args, cfg: CliConfig) -> dict[str, str]:
+def _base_meta(cmd: str, args) -> dict[str, str]:
     return {
         "report-version": REPORT_VERSION,
         "command": cmd,
         "spec": os.path.basename(args.spec),
-        "max-order": str(cfg.max_order),
-        "validate": str(cfg.validate).lower(),
-        "check": str(cfg.check).lower(),
+        "max-order": str(args.max_order),
+        "validate": str(not args.no_validate).lower(),
+        "check": str(args.check).lower(),
     }
+
+
+def _check_orders(args, *orders: int) -> None:
+    """Refuse, before any work, a command that would enumerate the subgroup
+    lattice of a group larger than --max-order."""
+    largest = max(orders)
+    if largest > args.max_order:
+        raise OrderBoundExceeded(
+            f"group order {largest} exceeds enumeration bound {args.max_order}"
+        )
 
 
 def _parse_subgroup(G: Group, selector: str) -> Subgroup:
@@ -163,12 +169,13 @@ def _parse_subgroup(G: Group, selector: str) -> Subgroup:
     return subgroup_generated(G, elems)
 
 
-def cmd_idempotent(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
+def cmd_idempotent(doc: GroupSpecDocument, args) -> Report:
     G = doc.group(args.group)
+    _check_orders(args, G.order)
     L = _parse_subgroup(G, args.subgroup)
-    lat = enumerate_subgroups(G, order_bound=cfg.max_order)
+    lat = enumerate_subgroups(G)
     e = gluck_idempotent(G, L)
-    report = Report(meta=_base_meta("idempotent", args, cfg))
+    report = Report(meta=_base_meta("idempotent", args))
     report.meta["group"] = f"{G.label} order={G.order}"
     report.meta["subgroup"] = class_label(lat, lat.class_of(L))
     report.meta["subgroup-classes"] = str(lat.n_classes())
@@ -181,7 +188,7 @@ def cmd_idempotent(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
     report.tables["marks"] = [
         [class_label(lat, c), rat(marks[c])] for c in range(lat.n_classes())
     ]
-    if cfg.check:
+    if args.check:
         indicator = tuple(
             Fraction(1 if c == lat.class_of(L) else 0)
             for c in range(lat.n_classes())
@@ -199,10 +206,11 @@ def _over_k(doc: GroupSpecDocument, args) -> GroupOverK:
     return GroupOverK(L, phi, label=args.l)
 
 
-def cmd_beta_k(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
+def cmd_beta_k(doc: GroupSpecDocument, args) -> Report:
     x = _over_k(doc, args)
-    lat = enumerate_subgroups(x.L, order_bound=cfg.max_order)
-    report = Report(meta=_base_meta("beta-k", args, cfg))
+    _check_orders(args, x.L.order)
+    lat = enumerate_subgroups(x.L)
+    report = Report(meta=_base_meta("beta-k", args))
     report.meta["k"] = f"{x.K.label} order={x.K.order}"
     report.meta["l"] = f"{x.L.label} order={x.L.order}"
     report.meta["kernel-order"] = str(kernel(x.phi).order)
@@ -218,19 +226,21 @@ def cmd_beta_k(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
     report.meta["beta-image-order"] = str(
         len({b.phi.image[a] for a in range(b.L.order)})
     )
-    if cfg.check:
+    if args.check:
         report.meta["check-beta-is-bk"] = "pass" if is_bk_group(b) else "FAIL"
     return report
 
 
-def cmd_simple(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
+def cmd_simple(doc: GroupSpecDocument, args) -> Report:
     x = _over_k(doc, args)
+    targets = [(name, doc.group(name)) for name in args.targets.split(",") if name]
+    _check_orders(args, x.L.order, *(G.order * x.K.order for _, G in targets))
     if not is_bk_group(x):
         raise MathPreconditionError(
             f"({args.l}, {args.phi}) is not a B_K-group; reduce it with the "
             "beta-k command first"
         )
-    report = Report(meta=_base_meta("simple", args, cfg))
+    report = Report(meta=_base_meta("simple", args))
     report.meta["k"] = f"{x.K.label} order={x.K.order}"
     report.meta["l"] = f"{x.L.label} order={x.L.order}"
     mins = minimal_groups(x)
@@ -238,17 +248,10 @@ def cmd_simple(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
         [f"minimal-{i}", f"order={g.order}"] for i, g in enumerate(mins)
     ]
     report.meta["minimal-order"] = str(mins[0].order if mins else 0)
-    names = [t for t in args.targets.split(",") if t]
-    rows = []
-    for name in names:
-        G = doc.group(name)
-        if G.order * x.K.order > cfg.max_order:
-            raise OrderBoundExceeded(
-                f"product order {G.order * x.K.order} exceeds cap {cfg.max_order}"
-            )
-        rows.append([name, f"order={G.order}", f"dim={simple_dim(x, G)}"])
-    report.tables["dimensions"] = rows
-    if cfg.check:
+    report.tables["dimensions"] = [
+        [name, f"order={G.order}", f"dim={simple_dim(x, G)}"] for name, G in targets
+    ]
+    if args.check:
         ok = all(
             not is_isomorphic(mins[i], mins[j])
             for i in range(len(mins))
@@ -258,14 +261,17 @@ def cmd_simple(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
     return report
 
 
-def cmd_p_lattice(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
+def cmd_p_lattice(doc: GroupSpecDocument, args) -> Report:
     K = doc.group(args.k)
     p = args.p
-    report = Report(meta=_base_meta("p-lattice", args, cfg))
+    _check_orders(args, K.order)
+    if args.check:  # the check enumerates the lattice of every poset node
+        _check_orders(args, *(x.L.order for x, _ in classify_p_persistent_bk(K, p)))
+    report = Report(meta=_base_meta("p-lattice", args))
     report.meta["k"] = f"{K.label} order={K.order}"
     report.meta["p"] = str(p)
-    lat = enumerate_subgroups(K, order_bound=cfg.max_order)
-    desc = p_ideal_lattice(K, p, verify=cfg.check)
+    lat = enumerate_subgroups(K)
+    desc = p_ideal_lattice(K, p, verify=args.check)
     rows = []
     for ci, (_, kind) in enumerate(desc.components):
         case = p_persistent_case(subgroup_as_group(lat.class_rep(ci)), p)
@@ -275,7 +281,7 @@ def cmd_p_lattice(doc: GroupSpecDocument, args, cfg: CliConfig) -> Report:
     report.meta["c-count"] = str(desc.c_count)
     report.meta["nc-count"] = str(desc.nc_count)
     report.meta["total-ideals"] = str(desc.total_ideals)
-    if cfg.check:
+    if args.check:
         report.meta["verified"] = "pass" if desc.verified else "FAIL"
     else:
         report.meta["verified"] = "skipped"
@@ -296,9 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("spec", help="group specification document")
         p.add_argument("--max-order", type=int, default=128,
-                       help="subgroup-lattice order cap (default 128)")
+                       help="largest group whose subgroup lattice the command "
+                            "enumerates, checked before any work (default %(default)s)")
         p.add_argument("--no-validate", action="store_true",
-                       help="skip the homomorphism check of the spec's hom maps")
+                       help="skip the homomorphism law check of the spec's hom maps")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--check", dest="check", action="store_true", default=True,
                        help="run cross-check oracles (default)")
@@ -343,33 +350,21 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = CliConfig(
-        max_order=args.max_order,
-        validate=not args.no_validate,
-        fmt=args.format,
-        check=args.check,
-        out=args.out,
-    )
     try:
-        try:
-            doc = load_spec(args.spec, cfg.validate)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        report = COMMANDS[args.cmd](doc, args, cfg)
-    except (SpecError, GroupError) as exc:
-        if isinstance(exc, (OrderBoundExceeded, ClosedSetCapExceeded)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+        report = COMMANDS[args.cmd](load_spec(args.spec, not args.no_validate), args)
+    except (OrderBoundExceeded, ClosedSetCapExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (OSError, SpecError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except MathPreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    text = render_text(report) if cfg.fmt == "text" else render_json(report)
+    text = render_text(report) if args.format == "text" else render_json(report)
     sys.stdout.write(text)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return EXIT_OK
 

@@ -17,7 +17,7 @@ ignored.  Every name must be defined before use.
 `h:` followed by the images of all elements of N under the action of h.
 `quotient` defines both the quotient group and the projection map.
 The constructions check their input; `validate=False` skips only the
-homomorphism check of `hom` maps.
+homomorphism law of `hom` maps, whose images are range-checked regardless.
 """
 
 from __future__ import annotations
@@ -216,6 +216,8 @@ def parse_spec(text: str, validate: bool = True) -> GroupSpecDocument:
                     raise SpecError(
                         f"line {lineno}: expected {src.order} images, got {len(img)}"
                     )
+                if any(not 0 <= v < dst.order for v in img):
+                    raise SpecError(f"line {lineno}: image element out of range")
                 doc.homs[name] = (Homomorphism(src, dst, img) if validate
                                   else _trusted(Homomorphism, src, dst, img))
             else:

@@ -4,7 +4,9 @@ table of marks, normal subgroups and complement counts.
 The lattice is the workhorse for every idempotent and m-constant formula;
 the table of marks doubles as an independent oracle for Burnside-ring
 identities.  Subgroup sets are bitmask ints, which keeps closure and
-containment tests cheap at desk scale (order <= 128 by default).
+containment tests cheap at desk scale.  Enumeration takes no size limit and
+keeps one cached lattice per group; a caller that must bound the work (the
+CLI's --max-order) checks the group order before asking for the lattice.
 """
 
 from __future__ import annotations
@@ -15,12 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .groups import Group, GroupError, Subgroup, _trusted, close_subset, mask_of
-
-DEFAULT_ORDER_BOUND = 128
-
-
-class OrderBoundExceeded(GroupError):
-    """Group too large for exhaustive subgroup enumeration."""
 
 
 @dataclass
@@ -154,12 +150,8 @@ def _brute_cyclic_subgroups(G: Group) -> set[int]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_subgroups(G: Group, order_bound: int = DEFAULT_ORDER_BOUND) -> SubgroupLattice:
+def enumerate_subgroups(G: Group) -> SubgroupLattice:
     """All subgroups by bottom-up cyclic extension, with conjugacy classes."""
-    if G.order > order_bound:
-        raise OrderBoundExceeded(
-            f"group order {G.order} exceeds enumeration bound {order_bound}"
-        )
     cyclic = _brute_cyclic_subgroups(G)
     found: set[int] = set(cyclic)
     frontier = list(cyclic)

@@ -190,6 +190,65 @@ def test_p_lattice_enforces_max_order_before_the_census(capsys):
     assert "enumeration bound 16" in capsys.readouterr().err
 
 
+def test_order_bound(tmp_path, capsys):
+    spec = tmp_path / "c6.bspec"
+    spec.write_text("group Z = cyclic 6\n")
+    code = main(["idempotent", str(spec), "--group", "Z", "--subgroup", "full",
+                 "--max-order", "4"])
+    assert code == 3
+    assert "exceeds enumeration bound 4" in capsys.readouterr().err
+
+
+def test_max_order_above_the_default_reaches_every_layer(tmp_path, capsys):
+    spec = tmp_path / "c150.bspec"
+    spec.write_text("group Z = cyclic 150\n")
+    args = ["idempotent", str(spec), "--group", "Z", "--subgroup", "1"]
+    assert main(args) == 3
+    assert "group order 150 exceeds enumeration bound 128" in capsys.readouterr().err
+    code, out = run_cli(args + ["--max-order", "200"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "subgroup-classes: 12" in lines  # one per divisor of 150
+    assert "check-marks-indicator: pass" in lines
+
+
+def test_p_lattice_counts_closed_sets_of_a_large_poset(capsys):
+    code, out = run_cli(["p-lattice", SPEC, "--k", "L", "--p", "2"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "total-ideals: 8503056" in lines  # 3^12 * 2^4
+    assert "verified: pass" in lines
+
+
+def test_p_lattice_check_bounds_the_poset_nodes(capsys):
+    args = ["p-lattice", SPEC, "--k", "C4", "--p", "2", "--max-order", "4"]
+    assert main(args) == 3  # the node C2 x C4 of the check has order 8
+    assert "group order 8 exceeds enumeration bound 4" in capsys.readouterr().err
+    code, out = run_cli(args + ["--no-check"], capsys)
+    assert code == 0 and "verified: skipped" in out
+
+
+def test_simple_bounds_l_before_any_work(capsys):
+    code = main(["simple", SPEC, "--k", "K", "--l", "L", "--phi", "phi",
+                 "--targets", "C2", "--max-order", "20"])
+    assert code == 3
+    assert "group order 24 exceeds enumeration bound 20" in capsys.readouterr().err
+
+
+BAD_IMAGE_SPEC = "group K = cyclic 2\ngroup L = cyclic 4\nhom phi = L -> K images 0 5 0 1\n"
+
+
+def test_unvalidated_spec_still_range_checks_hom_images(tmp_path, capsys):
+    with pytest.raises(SpecError, match="out of range"):
+        parse_spec(BAD_IMAGE_SPEC, validate=False)
+    spec = tmp_path / "bad_image.bspec"
+    spec.write_text(BAD_IMAGE_SPEC)
+    code = main(["beta-k", str(spec), "--k", "K", "--l", "L", "--phi", "phi",
+                 "--no-validate"])
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_exit_code_math_precondition(tmp_path, capsys):
     spec = tmp_path / "notbk.bspec"
     spec.write_text(

@@ -25,7 +25,6 @@ from bgroups.groups import (
     trivial_subgroup,
 )
 from bgroups.subgroups import (
-    OrderBoundExceeded,
     count_complements,
     enumerate_subgroups,
     is_normal_in,
@@ -102,11 +101,6 @@ def test_closed_under_conjugation():
         for S in lat.subgroups:
             for g in range(G.order):
                 assert lat.conjugate_mask(S.mask, g) in masks
-
-
-def test_order_bound():
-    with pytest.raises(OrderBoundExceeded):
-        enumerate_subgroups(make_cyclic(6), order_bound=4)
 
 
 # ---------------------------------------------------------------------------
