@@ -115,11 +115,10 @@ def marks_of(elem: BurnsideElement) -> tuple[Fraction, ...]:
     if elem.basis == IDEMPOTENT:
         # e_Y has indicator marks, so the coefficients are the marks
         return elem.coeffs
-    M = lat.marks()
-    nc = lat.n_classes()
+    terms = [(cy, c) for cy, c in enumerate(elem.coeffs) if c]
     return tuple(
-        sum((elem.coeffs[cy] * M[cx][cy] for cy in range(nc)), Fraction(0))
-        for cx in range(nc)
+        sum((c * row[cy] for cy, c in terms if row[cy]), Fraction(0))
+        for row in lat.marks()
     )
 
 

@@ -116,9 +116,8 @@ class Group:
         gens: list[int] = []
         closed = {0}
         while len(closed) < self.order:
-            g = min(x for x in range(self.order) if x not in closed)
-            gens.append(g)
-            closed = close_subset(self, closed | {g})
+            gens.append(min(x for x in range(self.order) if x not in closed))
+            closed = close_subset(self, gens)
         return tuple(gens)
 
     def __repr__(self):
@@ -236,17 +235,24 @@ def mask_of(elements) -> int:
 
 
 def close_subset(G: Group, elements) -> set[int]:
-    """Closure of a subset (with 0) under the group operation."""
+    """The subgroup generated by `elements`, as a set of element ids.
+
+    A breadth-first walk from the identity that multiplies on the right by
+    each given element.  In a finite group every inverse is a power, so the
+    elements reached are exactly the subgroup generated, in
+    O(|K|·|elements|) table lookups for a result K.
+    """
     t = G.table
-    closed = set(elements) | {0}
-    frontier = list(closed)
-    while frontier:
-        a = frontier.pop()
-        for b in list(closed):
-            for c in (t[a][b], t[b][a]):
-                if c not in closed:
-                    closed.add(c)
-                    frontier.append(c)
+    gens = set(elements)
+    closed = {0}
+    walk = [0]
+    for a in walk:  # walk grows as it is read: breadth-first
+        row = t[a]
+        for g in gens:
+            c = row[g]
+            if c not in closed:
+                closed.add(c)
+                walk.append(c)
     return closed
 
 

@@ -4,9 +4,16 @@ table of marks, normal subgroups and complement counts.
 The lattice is the workhorse for every idempotent and m-constant formula;
 the table of marks doubles as an independent oracle for Burnside-ring
 identities.  Subgroup sets are bitmask ints, which keeps closure and
-containment tests cheap at desk scale.  Enumeration takes no size limit and
-keeps one cached lattice per group; a caller that must bound the work (the
-CLI's --max-order) checks the group order before asking for the lattice.
+containment tests cheap at desk scale.
+
+Enumeration is bottom-up cyclic extension (Neubüser 1960): every subgroup
+found is joined with every cyclic subgroup, and each join is closed from the
+generators recorded for its two parts, so a closure costs O(|K|·|gens|).
+Conjugacy classes are orbits under the group's generating sequence.  Marks
+come from containment counts (Pfeiffer 1997), with |N_G(Y)| read off the
+class size of Y.  Enumeration takes no size limit and keeps one cached
+lattice per group; a caller that must bound the work (the CLI's
+--max-order) checks the group order before asking for the lattice.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ class SubgroupLattice:
 
     _mu: dict[tuple[int, int], int] | None = None
     _marks: list[list[int]] | None = None
-    _normalizers: dict[int, int] | None = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -64,14 +70,8 @@ class SubgroupLattice:
         return out
 
     def normalizer_order(self, i: int) -> int:
-        if self._normalizers is None:
-            self._normalizers = {}
-        if i not in self._normalizers:
-            mask = self.subgroups[i].mask
-            self._normalizers[i] = sum(
-                1 for g in range(self.parent.order) if self.conjugate_mask(mask, g) == mask
-            )
-        return self._normalizers[i]
+        """|N_G(X_i)| = |G| / (size of the conjugacy class of X_i)."""
+        return self.parent.order // self.conj_class.count(self.conj_class[i])
 
     def subgroups_between(self, lo: int, hi: int) -> list[int]:
         """Indices j with subgroup[lo] <= subgroup[j] <= subgroup[hi]."""
@@ -106,83 +106,76 @@ class SubgroupLattice:
     # -- marks --------------------------------------------------------------
 
     def marks(self) -> list[list[int]]:
-        """marks[cX][cY] = number of fixed points of X on G/Y (class reps)."""
+        """marks[cX][cY] = number of fixed points of X on G/Y (class reps).
+
+        X fixes gY exactly when X <= gYg^-1, and each conjugate of Y is
+        gYg^-1 for |N_G(Y)|/|Y| cosets gY, so
+        marks[cX][cY] = |N_G(Y)|/|Y| · #{Y' ~ Y : X <= Y'}.
+        """
         if self._marks is None:
-            G = self.parent
-            t, inv = G.table, G.inverse
-            nc = self.n_classes()
-            M = [[0] * nc for _ in range(nc)]
-            for cy in range(nc):
-                Y = self.class_rep(cy)
-                yelems = Y.elements()
-                ymask = Y.mask
-                # coset reps of Y in G
-                seen = 0
-                cosets = []
-                for g in range(G.order):
-                    if (seen >> g) & 1:
-                        continue
-                    cosets.append(g)
-                    for y in yelems:
-                        seen |= 1 << t[g][y]
-                for cx in range(nc):
-                    X = self.class_rep(cx)
-                    cnt = 0
-                    for g in cosets:
-                        gi = inv[g]
-                        if all((ymask >> t[t[gi][x]][g]) & 1 for x in X.elements()):
-                            cnt += 1
-                    M[cx][cy] = cnt
+            per_conjugate = [self.normalizer_order(r) // self.subgroups[r].order
+                             for r in self.class_reps]  # |N_G(Y)|/|Y|
+            masks = [S.mask for S in self.subgroups]
+            M = []
+            for r in self.class_reps:
+                xm = masks[r]
+                row = [0] * len(per_conjugate)
+                # a subgroup containing X comes at or after X in (order, mask)
+                for m, cy in zip(masks[r:], self.conj_class[r:]):
+                    if m & xm == xm:
+                        row[cy] += 1
+                M.append([cnt * k for cnt, k in zip(row, per_conjugate)])
             self._marks = M
         return self._marks
 
 
-def _brute_cyclic_subgroups(G: Group) -> set[int]:
-    out = set()
+def _brute_cyclic_subgroups(G: Group) -> dict[int, tuple[int, ...]]:
+    """Each cyclic subgroup's mask, with its least generator."""
+    out: dict[int, tuple[int, ...]] = {}
     for a in range(G.order):
         elems = [0]
         x = a
         while x != 0:
             elems.append(x)
             x = G.table[x][a]
-        out.add(mask_of(elems))
+        out.setdefault(mask_of(elems), (a,))
     return out
 
 
 @lru_cache(maxsize=None)
 def enumerate_subgroups(G: Group) -> SubgroupLattice:
-    """All subgroups by bottom-up cyclic extension, with conjugacy classes."""
-    cyclic = _brute_cyclic_subgroups(G)
-    found: set[int] = set(cyclic)
-    frontier = list(cyclic)
+    """All subgroups by bottom-up cyclic extension, with conjugacy classes.
+
+    The generators each subgroup was closed from are kept only while the
+    enumeration runs; the lattice does not store them.
+    """
+    gens = _brute_cyclic_subgroups(G)  # mask -> generators it was closed from
+    frontier = list(gens)
     full = (1 << G.order) - 1
-    cyclic_list = sorted(cyclic)
+    cyclic_list = sorted(gens.items())
     while frontier:
         new: list[int] = []
         for h in frontier:
             if h == full:
                 continue
-            for c in cyclic_list:
+            for c, (a,) in cyclic_list:
                 if c & h == c:
                     continue
-                closed = mask_of(
-                    close_subset(
-                        G,
-                        [i for i in range(G.order) if ((h | c) >> i) & 1],
-                    )
-                )
-                if closed not in found:
-                    found.add(closed)
+                joined = gens[h] + (a,)
+                closed = mask_of(close_subset(G, joined))
+                if closed not in gens:
+                    gens[closed] = joined
                     new.append(closed)
         frontier = new
-    masks = sorted(found, key=lambda m: (m.bit_count(), m))
+    masks = sorted(gens, key=lambda m: (m.bit_count(), m))
     subs = [_trusted(Subgroup, G, m) for m in masks]
     index_of = {m: i for i, m in enumerate(masks)}
 
     lat = SubgroupLattice(G, subs, index_of, [], [])
-    # conjugation orbits
+    # conjugation orbits: the closure under conjugation by generators
     conj_class = [-1] * len(subs)
     class_reps = []
+    generators = G.generating_sequence()
     for i, m in enumerate(masks):
         if conj_class[i] >= 0:
             continue
@@ -192,7 +185,7 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
         stack = [m]
         while stack:
             cur = stack.pop()
-            for g in range(G.order):
+            for g in generators:
                 cm = lat.conjugate_mask(cur, g)
                 if cm not in orbit:
                     orbit.add(cm)

@@ -274,3 +274,20 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "total-ideals: 27" in proc.stdout
+
+
+def test_cli_imports_only_the_standard_library():
+    """The core has no dependencies: importing bgroups.cli in a fresh
+    interpreter loads no new top-level module outside the standard library.
+    Modules already loaded before the import (site hooks) are not counted."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bgroups.cli\n"
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "bgroups" in loaded
+    assert loaded - {"bgroups"} <= sys.stdlib_module_names

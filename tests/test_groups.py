@@ -11,6 +11,7 @@ from bgroups.groups import (
     Homomorphism,
     Subgroup,
     alternating_4,
+    close_subset,
     cyclic_extension,
     dicyclic_3,
     dihedral_group,
@@ -36,7 +37,7 @@ from bgroups.groups import (
 )
 from bgroups.overk import homomorphisms, is_isomorphic, isomorphisms
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
-from util import is_group_table
+from util import is_group_table, pairwise_closure
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,13 @@ def test_group_check_agrees_with_oracle_on_one_changed_entry(data):
     except GroupError:
         accepted = False
     assert accepted == is_group_table(n, table, G.inverse)
+
+
+@given(st.data())
+def test_close_subset_agrees_with_pairwise_closure(data):
+    G = data.draw(st.sampled_from(_SMALL))
+    S = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    assert close_subset(G, S) == pairwise_closure(G, S)
 
 
 def _constructions():

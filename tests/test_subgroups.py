@@ -1,8 +1,10 @@
 """Subgroup lattices, Moebius function, table of marks, complements.
 
 The enumeration is cross-checked against a brute-force oracle (closure of
-every generating set of size <= 3, saturated), and the marks table against
-the count |{g : g^-1 X g <= Y}| / |Y|.
+every generating set of size <= 3, saturated), the marks table against the
+count |{g : g^-1 X g <= Y}| / |Y|, and normalizer orders against a count of
+the elements that conjugate X to itself.  The oracles conjugate and close
+with their own loops over the Cayley table, not with the code they check.
 """
 
 from fractions import Fraction
@@ -12,7 +14,6 @@ import pytest
 from bgroups.groups import (
     Group,
     alternating_4,
-    close_subset,
     dicyclic_3,
     dihedral_group,
     direct_product,
@@ -31,6 +32,7 @@ from bgroups.subgroups import (
     m_constant,
     normal_subgroups,
 )
+from util import pairwise_closure
 
 ORACLE_GROUPS = [
     make_cyclic(12),
@@ -50,7 +52,7 @@ ORACLE_GROUPS = [
 
 def brute_force_subgroups(G: Group) -> set[int]:
     """Close every subset of at most 3 generators, then saturate by joins."""
-    found = {mask_of(close_subset(G, gens))
+    found = {mask_of(pairwise_closure(G, gens))
              for gens in [()]
              + [(a,) for a in range(G.order)]
              + [(a, b) for a in range(G.order) for b in range(a)]
@@ -61,7 +63,7 @@ def brute_force_subgroups(G: Group) -> set[int]:
         changed = False
         for m1 in list(found):
             for m2 in list(found):
-                join = mask_of(close_subset(
+                join = mask_of(pairwise_closure(
                     G, [i for i in range(G.order) if ((m1 | m2) >> i) & 1]))
                 if join not in found:
                     found.add(join)
@@ -75,12 +77,36 @@ def test_enumeration_matches_brute_force(G):
     assert {S.mask for S in lat.subgroups} == brute_force_subgroups(G)
 
 
+def _elementary_abelian(rank: int) -> Group:
+    G = make_cyclic(1)
+    for _ in range(rank):
+        G = direct_product(G, make_cyclic(2)).group
+    return G
+
+
+def _gaussian_binomial_2(n: int, k: int) -> int:
+    """[n k]_2, the number of k-dimensional subspaces of GF(2)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= 2 ** (n - i) - 1
+        den *= 2 ** (i + 1) - 1
+    return num // den
+
+
 def test_counts():
     assert len(enumerate_subgroups(make_cyclic(5))) == 2
     latv = enumerate_subgroups(direct_product(make_cyclic(2), make_cyclic(2)).group)
     assert len(latv) == 5 and latv.n_classes() == 5
     lat3 = enumerate_subgroups(symmetric_group(3))
     assert len(lat3) == 6 and lat3.n_classes() == 4
+    lat5 = enumerate_subgroups(symmetric_group(5))
+    assert (len(lat5), lat5.n_classes()) == (156, 19)
+
+
+def test_counts_elementary_abelian_64():
+    lat = enumerate_subgroups(_elementary_abelian(6))
+    assert len(lat) == lat.n_classes() == 2825
+    assert len(lat) == sum(_gaussian_binomial_2(6, k) for k in range(7))
 
 
 def test_contains_trivial_and_full_and_is_sorted():
@@ -134,15 +160,19 @@ def test_moebius_recursion_identity(G):
 # table of marks
 
 
+def _conjugate(G, elements, g) -> set[int]:
+    """g^-1 x g for each x, from the Cayley table."""
+    t = G.table
+    gi = G.inverse[g]
+    return {t[t[gi][x]][g] for x in elements}
+
+
 def brute_mark(lat, cx, cy) -> int:
     """|{g in G : g^-1 X g <= Y}| / |Y| for class reps X, Y."""
     G = lat.parent
     X, Y = lat.class_rep(cx), lat.class_rep(cy)
-    cnt = sum(
-        1 for g in range(G.order)
-        if lat.conjugate_mask(X.mask, G.inverse[g]) & Y.mask
-        == lat.conjugate_mask(X.mask, G.inverse[g])
-    )
+    xs, ys = X.elements(), set(Y.elements())
+    cnt = sum(1 for g in range(G.order) if _conjugate(G, xs, g) <= ys)
     assert cnt % Y.order == 0
     return cnt // Y.order
 
@@ -163,7 +193,13 @@ def test_marks_s3_c2_entry():
     assert lat.marks()[c2][c2] == 1
 
 
-@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.label)
+MARKS_ORACLE_GROUPS = ORACLE_GROUPS + [
+    direct_product(symmetric_group(4), make_cyclic(2)).group,
+    symmetric_group(5),
+]
+
+
+@pytest.mark.parametrize("G", MARKS_ORACLE_GROUPS, ids=lambda g: g.label)
 def test_marks_against_conjugation_oracle(G):
     lat = enumerate_subgroups(G)
     M = lat.marks()
@@ -171,6 +207,30 @@ def test_marks_against_conjugation_oracle(G):
     for cx in range(nc):
         for cy in range(nc):
             assert M[cx][cy] == brute_mark(lat, cx, cy)
+
+
+def test_marks_abelian_closed_form():
+    """In an abelian group every subgroup is its own class, and X fixes
+    every coset of Y when X <= Y and none otherwise."""
+    G = _elementary_abelian(5)
+    lat = enumerate_subgroups(G)
+    M = lat.marks()
+    assert lat.n_classes() == len(lat) == 374
+    for cx in range(len(lat)):
+        X = lat.class_rep(cx)
+        for cy in range(len(lat)):
+            Y = lat.class_rep(cy)
+            contained = X.mask & Y.mask == X.mask
+            assert M[cx][cy] == (G.order // Y.order if contained else 0)
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.label)
+def test_normalizer_order_against_conjugation_count(G):
+    lat = enumerate_subgroups(G)
+    for i, S in enumerate(lat.subgroups):
+        xs = S.elements()
+        count = sum(1 for g in range(G.order) if _conjugate(G, xs, g) == set(xs))
+        assert lat.normalizer_order(i) == count
 
 
 @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.label)

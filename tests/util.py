@@ -42,6 +42,24 @@ def is_group_table(order, table, inverse) -> bool:
     ) and all(t[t[a][b]][c] == t[a][t[b][c]] for a in r for b in r for c in r)
 
 
+def pairwise_closure(G, elements) -> set[int]:
+    """Reference closure for the enumeration oracle: multiply every pair of
+    elements reached, both ways, until nothing new appears; O(k^2) for a
+    result of k elements.  Kept apart from the library's closure, which the
+    oracle checks."""
+    t = G.table
+    closed = set(elements) | {0}
+    frontier = list(closed)
+    while frontier:
+        a = frontier.pop()
+        for b in list(closed):
+            for c in (t[a][b], t[b][a]):
+                if c not in closed:
+                    closed.add(c)
+                    frontier.append(c)
+    return closed
+
+
 def klein_four():
     return direct_product(make_cyclic(2), make_cyclic(2)).group
 
