@@ -131,16 +131,17 @@ def to_idempotent_basis(elem: BurnsideElement) -> BurnsideElement:
 def to_transitive_basis(elem: BurnsideElement) -> BurnsideElement:
     if elem.basis == TRANSITIVE:
         return elem
-    lat = elem.lattice
-    M = lat.marks()
-    nc = lat.n_classes()
-    target = list(elem.coeffs)
+    M = elem.lattice.marks()
     # classes are ordered by subgroup size, so M is triangular:
     # M[x][y] != 0 forces |X| <= |Y|, with a nonzero diagonal.
-    out = [Fraction(0)] * nc
-    for x in range(nc - 1, -1, -1):
-        s = sum((out[y] * M[x][y] for y in range(x + 1, nc)), Fraction(0))
-        out[x] = Fraction(target[x] - s, M[x][x])
+    out = [Fraction(0)] * len(M)
+    terms: list[tuple[int, Fraction]] = []  # (y, out[y]) for out[y] != 0
+    for x in range(len(M) - 1, -1, -1):
+        row = M[x]
+        s = sum((c * row[y] for y, c in terms if row[y]), Fraction(0))
+        out[x] = Fraction(elem.coeffs[x] - s, row[x])
+        if out[x]:
+            terms.append((x, out[x]))
     return BurnsideElement(elem.group, TRANSITIVE, tuple(out))
 
 

@@ -39,10 +39,11 @@ from .groups import (
 )
 from .ideals import ClosedSetCapExceeded, minimal_groups, p_ideal_lattice, simple_dim
 from .overk import (
+    CASE_CP,
+    CASE_CP2,
     CASE_EMBEDDING,
     GroupOverK,
     beta_k_subgroup,
-    classify_p_persistent_bk,
     is_bk_group,
     is_isomorphic,
     kernel_m_constants,
@@ -265,19 +266,20 @@ def cmd_p_lattice(doc: GroupSpecDocument, args) -> Report:
     K = doc.group(args.k)
     p = args.p
     _check_orders(args, K.order)
-    if args.check:  # the check enumerates the lattice of every poset node
-        _check_orders(args, *(x.L.order for x, _ in classify_p_persistent_bk(K, p)))
+    lat = enumerate_subgroups(K)
+    reps = [lat.class_rep(c) for c in range(lat.n_classes())]
+    cases = [p_persistent_case(subgroup_as_group(H), p) for H in reps]
+    if args.check:  # the check enumerates every node's lattice: H, C_p x H, C_p^2 x H
+        extra = {CASE_CP: p, CASE_CP2: p * p}
+        _check_orders(args, *(H.order * extra.get(c, 1) for H, c in zip(reps, cases)))
     report = Report(meta=_base_meta("p-lattice", args))
     report.meta["k"] = f"{K.label} order={K.order}"
     report.meta["p"] = str(p)
-    lat = enumerate_subgroups(K)
     desc = p_ideal_lattice(K, p, verify=args.check)
-    rows = []
-    for ci, (_, kind) in enumerate(desc.components):
-        case = p_persistent_case(subgroup_as_group(lat.class_rep(ci)), p)
-        cases = [CASE_EMBEDDING] + ([case] if case else [])
-        rows.append([class_label(lat, ci), kind, "+".join(cases)])
-    report.tables["components"] = rows
+    report.tables["components"] = [
+        [class_label(lat, ci), kind, "+".join(filter(None, (CASE_EMBEDDING, cases[ci])))]
+        for ci, (_, kind) in enumerate(desc.components)
+    ]
     report.meta["c-count"] = str(desc.c_count)
     report.meta["nc-count"] = str(desc.nc_count)
     report.meta["total-ideals"] = str(desc.total_ideals)

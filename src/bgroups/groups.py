@@ -1,16 +1,20 @@
 """Explicit finite groups given by Cayley tables.
 
-Element ids are integers 0..order-1 and 0 is always the identity.  Groups,
-homomorphisms and subgroups are frozen dataclasses, hashed and compared by
-their contents with group labels ignored.
+Element ids are integers 0..order-1 and 0 is always the identity.  Each
+distinct Cayley table is interned once, as a `_Table`, in one content-keyed
+map that holds it for the life of the process; nothing else hashes table
+contents.  A `Group` is a `_Table` under a label, so `==` and `hash` mean
+"same contents, labels ignored" without reading the table.  The `_Table`
+owns what is derived from the table alone: the subgroup lattice, generating
+sequence, element orders, over-K word plan, and memos of products and of
+subgroup embeddings.  Homomorphisms and subgroups are frozen dataclasses.
 
 Values are checked where they enter: a direct `Group(...)`,
 `Homomorphism(...)` or `Subgroup(...)` call checks its input in full, and
 the group check is exact at every order (Light's associativity test over a
 generating sequence).  Every value this library derives from checked values
 (products, quotients, subgroups, kernels, compositions, named groups) is
-built by `_trusted` without a second check.  Constructions are memoized in
-process-wide caches.
+built by `_group` or `_trusted` without a second check.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 
 class GroupError(ValueError):
@@ -34,18 +38,44 @@ def _trusted(cls, *fields):
     return obj
 
 
-@dataclass(frozen=True)
+class _Table:
+    """One distinct Cayley table with the data derived from it alone."""
+
+    __slots__ = ("order", "table", "inverse", "lattice", "gens", "orders",
+                 "word_plan", "products", "embeddings")
+
+    def __init__(self, table, inverse):
+        self.order, self.table, self.inverse = len(table), table, inverse
+        self.lattice = self.gens = self.orders = self.word_plan = None
+        self.products = {}  # other factor's _Table -> (product _Table, maps)
+        self.embeddings = {}  # subgroup mask -> (subgroup _Table, elements)
+
+
+_TABLES: dict[tuple[tuple[int, ...], ...], _Table] = {}
+
+
+def _intern(table) -> _Table:
+    """The one `_Table` with these contents, made on first sight."""
+    t = _TABLES.get(table)
+    if t is None:
+        t = _TABLES[table] = _Table(table, tuple(row.index(0) for row in table))
+    return t
+
+
 class Group:
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    label: str = "G"
+    """A finite group: an interned `_Table` under a label.  `order`, `table`
+    and `inverse` are the `_Table`'s own objects."""
 
-    def __post_init__(self):
-        self._validate()
+    __slots__ = ("_t", "order", "table", "inverse", "label")
 
-    def _validate(self) -> None:
-        n, t, inv = self.order, self.table, self.inverse
+    def __init__(self, order: int, table, inverse, label: str = "G"):
+        table = tuple(map(tuple, table))
+        # check on a table of its own, then take the interned one
+        _group(_Table(table, tuple(inverse)), label, self)._validate(order)
+        _group(_intern(table), label, self)
+
+    def _validate(self, n: int) -> None:
+        t, inv = self.table, self.inverse
         if n < 1 or len(t) != n or len(inv) != n or any(len(row) != n for row in t):
             raise GroupError("malformed Cayley table")
         if not all(0 <= x < n for row in (*t, inv) for x in row):
@@ -65,15 +95,14 @@ class Group:
                     if row[y] != tx[ta[y]]:
                         raise GroupError("associativity fails at (%d,%d,%d)" % (x, a, y))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
     def __hash__(self):
-        return hash((self.order, self.table))
+        return hash(self._t)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Group)
-            and self.order == other.order
-            and self.table == other.table
-        )
+        return isinstance(other, Group) and self._t is other._t
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -93,7 +122,9 @@ class Group:
         return k
 
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.element_order(a) for a in range(self.order))
+        if self._t.orders is None:
+            self._t.orders = tuple(self.element_order(a) for a in range(self.order))
+        return self._t.orders
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -102,26 +133,32 @@ class Group:
         )
 
     def is_cyclic(self) -> bool:
-        return any(self.element_order(a) == self.order for a in range(self.order))
+        return self.order in self.element_orders()
 
     def exponent(self) -> int:
-        e = 1
-        for a in range(self.order):
-            o = self.element_order(a)
-            e = e * o // gcd(e, o)
-        return e
+        return lcm(*self.element_orders())
 
     def generating_sequence(self) -> tuple[int, ...]:
         """Deterministic (greedy, smallest-id-first) generating sequence."""
-        gens: list[int] = []
-        closed = {0}
-        while len(closed) < self.order:
-            gens.append(min(x for x in range(self.order) if x not in closed))
-            closed = close_subset(self, gens)
-        return tuple(gens)
+        if self._t.gens is None:
+            gens: list[int] = []
+            closed = {0}
+            while len(closed) < self.order:
+                gens.append(min(x for x in range(self.order) if x not in closed))
+                closed = close_subset(self, gens)
+            self._t.gens = tuple(gens)
+        return self._t.gens
 
     def __repr__(self):
         return f"Group({self.label}, order={self.order})"
+
+
+def _group(t: _Table, label: str, G: Group | None = None) -> Group:
+    """A Group (a new one, or G) on the table t, built without a check."""
+    G = object.__new__(Group) if G is None else G
+    for name, value in zip(Group.__slots__, (t, t.order, t.table, t.inverse, label)):
+        object.__setattr__(G, name, value)
+    return G
 
 
 @dataclass(frozen=True)
@@ -145,9 +182,6 @@ class Homomorphism:
             for b in range(self.source.order):
                 if im[s[a][b]] != t[im[a]][im[b]]:
                     raise GroupError("map is not a homomorphism at (%d,%d)" % (a, b))
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.image))
 
     def __call__(self, a: int) -> int:
         return self.image[a]
@@ -199,9 +233,6 @@ class Subgroup:
             for b in elems:
                 if not (m >> t[a][b]) & 1:
                     raise GroupError("subset not closed under product")
-
-    def __hash__(self):
-        return hash((self.parent, self.mask))
 
     @property
     def order(self) -> int:
@@ -272,14 +303,9 @@ def full_subgroup(G: Group) -> Subgroup:
 # constructions
 
 
-def _inverses(table) -> tuple[int, ...]:
-    """The inverse of each element of a group table: where its row hits 0."""
-    return tuple(row.index(0) for row in table)
-
-
 def relabel(G: Group, label: str) -> Group:
-    """G under another label, sharing its tables."""
-    return _trusted(Group, G.order, G.table, G.inverse, label)
+    """G under another label, sharing its `_Table`."""
+    return _group(G._t, label)
 
 
 @lru_cache(maxsize=None)
@@ -287,11 +313,9 @@ def make_cyclic(n: int, label: str | None = None) -> Group:
     if n < 1:
         raise GroupError("cyclic group order must be >= 1")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    inverse = tuple((-i) % n for i in range(n))
-    return _trusted(Group, n, table, inverse, label or f"C{n}")
+    return _group(_intern(table), label or f"C{n}")
 
 
-@lru_cache(maxsize=None)
 def trivial_group() -> Group:
     return make_cyclic(1, "1")
 
@@ -310,8 +334,21 @@ class Product:
 
 def direct_product(G: Group, H: Group) -> Product:
     """G x H with element id (a, b) -> a*|H| + b."""
-    table, inverse, (p1, p2, i1, i2) = _product_tables(G, H)
-    P = _trusted(Group, len(inverse), table, inverse, f"{G.label}x{H.label}")
+    n, m = G.order, H.order
+    if H._t not in G._t.products:  # the table and maps, once per pair of tables
+        table = tuple(
+            tuple(G.table[a1][a2] * m + H.table[b1][b2] for a2 in range(n) for b2 in range(m))
+            for a1 in range(n)
+            for b1 in range(m)
+        )
+        G._t.products[H._t] = _intern(table), (
+            tuple(i // m for i in range(n * m)),
+            tuple(i % m for i in range(n * m)),
+            tuple(a * m for a in range(n)),
+            tuple(range(m)),
+        )
+    t, (p1, p2, i1, i2) = G._t.products[H._t]
+    P = _group(t, f"{G.label}x{H.label}")
     return Product(
         P,
         _trusted(Homomorphism, P, G, p1),
@@ -319,32 +356,6 @@ def direct_product(G: Group, H: Group) -> Product:
         _trusted(Homomorphism, G, P, i1),
         _trusted(Homomorphism, H, P, i2),
     )
-
-
-# Keyed on group contents only; direct_product labels each call's result.
-@lru_cache(maxsize=None)
-def _product_tables(G: Group, H: Group):
-    n, m = G.order, H.order
-    order = n * m
-    table = tuple(
-        tuple(
-            G.table[a1][a2] * m + H.table[b1][b2]
-            for a2 in range(n)
-            for b2 in range(m)
-        )
-        for a1 in range(n)
-        for b1 in range(m)
-    )
-    inverse = tuple(
-        G.inverse[a] * m + H.inverse[b] for a in range(n) for b in range(m)
-    )
-    images = (
-        tuple(i // m for i in range(order)),
-        tuple(i % m for i in range(order)),
-        tuple(a * m for a in range(n)),
-        tuple(range(m)),
-    )
-    return table, inverse, images
 
 
 def semidirect_product(N: Group, H: Group, action) -> Group:
@@ -377,7 +388,7 @@ def semidirect_product(N: Group, H: Group, action) -> Group:
         for a1 in range(n)
         for b1 in range(m)
     )
-    return _trusted(Group, n * m, table, _inverses(table), f"{N.label}:{H.label}")
+    return _group(_intern(table), f"{N.label}:{H.label}")
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
@@ -395,12 +406,8 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
         reps.append(g)
         for x in nelems:
             coset_of[t[g][x]] = idx
-    q = len(reps)
-    table = tuple(
-        tuple(coset_of[t[reps[i]][reps[j]]] for j in range(q)) for i in range(q)
-    )
-    inverse = tuple(coset_of[G.inverse[reps[i]]] for i in range(q))
-    Q = _trusted(Group, q, table, inverse, f"{G.label}/N{N.order}")
+    table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
+    Q = _group(_intern(table), f"{G.label}/N{N.order}")
     pi = _trusted(Homomorphism, G, Q, tuple(coset_of))
     return Q, pi
 
@@ -458,22 +465,14 @@ def subgroup_embedding(S: Subgroup) -> Homomorphism:
     Elements are relabelled in increasing parent-id order, so the identity
     keeps id 0.  The standalone group is the source of the returned map.
     """
-    table, inverse, elems = _embedding_tables(S)
-    H = _trusted(Group, len(elems), table, inverse, f"{S.parent.label}|{len(elems)}")
-    return _trusted(Homomorphism, H, S.parent, elems)
-
-
-@lru_cache(maxsize=None)  # keyed on contents only, as _product_tables
-def _embedding_tables(S: Subgroup):
     G = S.parent
-    elems = tuple(S.elements())
-    back = {e: i for i, e in enumerate(elems)}
-    k = len(elems)
-    table = tuple(
-        tuple(back[G.table[elems[i]][elems[j]]] for j in range(k)) for i in range(k)
-    )
-    inverse = tuple(back[G.inverse[elems[i]]] for i in range(k))
-    return table, inverse, elems
+    if S.mask not in G._t.embeddings:  # the table, once per subgroup of a table
+        elems = tuple(S.elements())
+        back = {e: i for i, e in enumerate(elems)}
+        table = tuple(tuple(back[G.table[a][b]] for b in elems) for a in elems)
+        G._t.embeddings[S.mask] = _intern(table), elems
+    t, elems = G._t.embeddings[S.mask]
+    return _trusted(Homomorphism, _group(t, f"{G.label}|{t.order}"), G, elems)
 
 
 def subgroup_as_group(S: Subgroup) -> Group:
@@ -492,7 +491,7 @@ def symmetric_group(n: int) -> Group:
     table = tuple(
         tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
     )
-    return _trusted(Group, len(perms), table, _inverses(table), f"S{n}")
+    return _group(_intern(table), f"S{n}")
 
 
 @lru_cache(maxsize=None)
@@ -531,10 +530,9 @@ def cyclic_extension(n: int, t: int, r: int, label: str | None = None) -> Group:
         tuple(mul(i, j, k, l)[0] * 2 + mul(i, j, k, l)[1] for (k, l) in ids)
         for (i, j) in ids
     )
-    return _trusted(Group, 2 * n, table, _inverses(table), label or f"E({n},{t},{r})")
+    return _group(_intern(table), label or f"E({n},{t},{r})")
 
 
-@lru_cache(maxsize=None)
 def quaternion_group() -> Group:
     return cyclic_extension(4, 2, 3, "Q8")
 
@@ -588,4 +586,4 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
     table = tuple(
         tuple(index[tuple(p[q[i]] for i in range(n))] for q in elems) for p in elems
     )
-    return _trusted(Group, m, table, _inverses(table), label)
+    return _group(_intern(table), label)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .groups import (
     Group,
@@ -53,7 +52,7 @@ def trivial_over(K: Group) -> GroupOverK:
 
 def embedding_over(K: Group, H: Subgroup) -> GroupOverK:
     """(H, j_H): a subgroup of K with its inclusion map.  H may come from the
-    cached lattice of a group equal to K; the labels come from K."""
+    lattice shared with a group equal to K; the labels come from K."""
     if H.parent != K:
         raise GroupError("H must be a subgroup of K")
     j = subgroup_embedding(_trusted(Subgroup, K, H.mask))
@@ -64,11 +63,13 @@ def embedding_over(K: Group, H: Subgroup) -> GroupOverK:
 # plain-group homomorphism / isomorphism machinery
 
 
-@lru_cache(maxsize=None)
 def _word_plan(G: Group) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """Greedy generators plus steps (y, x, gen_index) with y = x * gens[i],
     in breadth-first order from the identity, so that any generator-image
-    assignment extends to a full candidate map in one pass."""
+    assignment extends to a full candidate map in one pass.  Kept on G's
+    interned table."""
+    if G._t.word_plan is not None:
+        return G._t.word_plan
     gens = G.generating_sequence()
     steps = []
     known = [0]
@@ -81,7 +82,8 @@ def _word_plan(G: Group) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], .
                 seen.add(y)
                 steps.append((y, x, gi))
                 known.append(y)
-    return gens, tuple(steps)
+    G._t.word_plan = gens, tuple(steps)
+    return G._t.word_plan
 
 
 def _extend_map(G: Group, H: Group, steps, images) -> tuple[int, ...] | None:
@@ -101,12 +103,11 @@ def _extend_map(G: Group, H: Group, steps, images) -> tuple[int, ...] | None:
 def homomorphisms(G: Group, H: Group) -> list[Homomorphism]:
     """All homomorphisms G -> H (brute force over generator images)."""
     gens, steps = _word_plan(G)
-    horders = [H.element_order(h) for h in range(H.order)]
+    gorders, horders = G.element_orders(), H.element_orders()
     out = []
     seen = set()
     candidates_per_gen = [
-        [h for h in range(H.order) if G.element_order(g) % horders[h] == 0]
-        for g in gens
+        [h for h in range(H.order) if gorders[g] % horders[h] == 0] for g in gens
     ]
     for images in itertools.product(*candidates_per_gen):
         m = _extend_map(G, H, steps, images)
@@ -120,12 +121,12 @@ def _isomorphism_images(G: Group, H: Group):
     """Yield the image tuple of every isomorphism G -> H."""
     if G.order != H.order:
         return
-    if sorted(G.element_orders()) != sorted(H.element_orders()):
+    gorders, horders = G.element_orders(), H.element_orders()
+    if sorted(gorders) != sorted(horders):
         return
     gens, steps = _word_plan(G)
-    horders = [H.element_order(h) for h in range(H.order)]
     candidates_per_gen = [
-        [h for h in range(H.order) if horders[h] == G.element_order(g)] for g in gens
+        [h for h in range(H.order) if horders[h] == gorders[g]] for g in gens
     ]
     for images in itertools.product(*candidates_per_gen):
         m = _extend_map(G, H, steps, images)
@@ -292,12 +293,12 @@ def classify_p_persistent_bk(K: Group, p: int) -> list[tuple[GroupOverK, str]]:
     """
     lat = enumerate_subgroups(K)
     out: list[tuple[GroupOverK, str]] = []
-    Cp = make_cyclic(p)
     for c in range(lat.n_classes()):
         H = lat.class_rep(c)
         x = embedding_over(K, H)
         out.append((x, CASE_EMBEDDING))
-        case = p_persistent_case(x.L, p)
+        case = p_persistent_case(x.L, p)  # checks that p is prime
+        Cp = make_cyclic(p)
         if case == CASE_CP:
             P = direct_product(Cp, x.L)
             out.append(

@@ -11,17 +11,15 @@ found is joined with every cyclic subgroup, and each join is closed from the
 generators recorded for its two parts, so a closure costs O(|K|·|gens|).
 Conjugacy classes are orbits under the group's generating sequence.  Marks
 come from containment counts (Pfeiffer 1997), with |N_G(Y)| read off the
-class size of Y.  Enumeration takes no size limit and keeps one cached
-lattice per group; a caller that must bound the work (the CLI's
---max-order) checks the group order before asking for the lattice.
+class size of Y.  Enumeration takes no size limit and keeps one lattice per
+interned table, shared by equal groups; a caller that must bound the work
+(the CLI's --max-order) checks the group order before asking for it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .groups import Group, GroupError, Subgroup, _trusted, close_subset, mask_of
 
@@ -33,6 +31,8 @@ class SubgroupLattice:
     index_of: dict[int, int]  # mask -> position
     conj_class: list[int]  # class id per subgroup
     class_reps: list[int]  # subgroup index of each class representative
+    class_sizes: list[int]  # number of subgroups in each class
+    normal_classes: set[int]  # classes of size one: the normal subgroups
 
     _mu: dict[tuple[int, int], int] | None = None
     _marks: list[list[int]] | None = None
@@ -71,7 +71,7 @@ class SubgroupLattice:
 
     def normalizer_order(self, i: int) -> int:
         """|N_G(X_i)| = |G| / (size of the conjugacy class of X_i)."""
-        return self.parent.order // self.conj_class.count(self.conj_class[i])
+        return self.parent.order // self.class_sizes[self.conj_class[i]]
 
     def subgroups_between(self, lo: int, hi: int) -> list[int]:
         """Indices j with subgroup[lo] <= subgroup[j] <= subgroup[hi]."""
@@ -142,13 +142,15 @@ def _brute_cyclic_subgroups(G: Group) -> dict[int, tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def enumerate_subgroups(G: Group) -> SubgroupLattice:
     """All subgroups by bottom-up cyclic extension, with conjugacy classes.
 
-    The generators each subgroup was closed from are kept only while the
-    enumeration runs; the lattice does not store them.
+    Built once per interned table.  The generators each subgroup was closed
+    from are kept only while the enumeration runs; the lattice does not
+    store them.
     """
+    if G._t.lattice is not None:
+        return G._t.lattice
     gens = _brute_cyclic_subgroups(G)  # mask -> generators it was closed from
     frontier = list(gens)
     full = (1 << G.order) - 1
@@ -171,10 +173,9 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
     subs = [_trusted(Subgroup, G, m) for m in masks]
     index_of = {m: i for i, m in enumerate(masks)}
 
-    lat = SubgroupLattice(G, subs, index_of, [], [])
+    lat = SubgroupLattice(G, subs, index_of, [-1] * len(subs), [], [], set())
     # conjugation orbits: the closure under conjugation by generators
-    conj_class = [-1] * len(subs)
-    class_reps = []
+    conj_class, class_reps = lat.conj_class, lat.class_reps
     generators = G.generating_sequence()
     for i, m in enumerate(masks):
         if conj_class[i] >= 0:
@@ -192,26 +193,21 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
                     stack.append(cm)
         for om in orbit:
             conj_class[index_of[om]] = cid
-    lat.conj_class = conj_class
-    lat.class_reps = class_reps
+        lat.class_sizes.append(len(orbit))
+        if len(orbit) == 1:
+            lat.normal_classes.add(cid)
+    G._t.lattice = lat
     return lat
-
-
-def _normal_classes(lat: SubgroupLattice) -> set[int]:
-    """Classes with a single member: a subgroup is normal iff its
-    conjugacy class has size one."""
-    return {c for c, size in Counter(lat.conj_class).items() if size == 1}
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:
     """Conjugation-invariant subgroups, in canonical lattice order."""
     lat = enumerate_subgroups(G)
-    normal = _normal_classes(lat)
-    return [S for S, c in zip(lat.subgroups, lat.conj_class) if c in normal]
+    return [S for S, c in zip(lat.subgroups, lat.conj_class) if c in lat.normal_classes]
 
 
 def is_normal_in(lat: SubgroupLattice, i: int) -> bool:
-    return lat.conj_class[i] in _normal_classes(lat)
+    return lat.conj_class[i] in lat.normal_classes
 
 
 def count_complements(G: Group, Z: Subgroup) -> int:

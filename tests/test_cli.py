@@ -1,8 +1,10 @@
 """Command-line driver: spec-document parsing, deterministic reports,
 golden-file equality, round-trip reading, and exit codes."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -228,6 +230,21 @@ def test_p_lattice_check_bounds_the_poset_nodes(capsys):
     assert code == 0 and "verified: skipped" in out
 
 
+@pytest.mark.parametrize("p, code, message", [
+    (1009, 3, "group order 4072324 exceeds enumeration bound 128"),  # 1009^2 * |K|
+    (1000000, 2, "p must be prime"),
+])
+def test_p_lattice_check_builds_no_node_to_bound_it(p, code, message):
+    # in a child process with a timeout: building C_p x C_p x H would not end
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgroups.cli", "p-lattice", SPEC, "--k", "K",
+         "--p", str(p)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == code
+    assert message in proc.stderr
+
+
 def test_simple_bounds_l_before_any_work(capsys):
     code = main(["simple", SPEC, "--k", "K", "--l", "L", "--phi", "phi",
                  "--targets", "C2", "--max-order", "20"])
@@ -291,3 +308,31 @@ def test_cli_imports_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "bgroups" in loaded
     assert loaded - {"bgroups"} <= sys.stdlib_module_names
+
+
+def _decorator_name(node) -> str | None:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_no_cache_is_keyed_on_groups():
+    """What is derived from a Cayley table lives on its interned table, so
+    no lru_cache/cache in the core takes a Group or Subgroup argument."""
+    src = os.path.join(HERE, os.pardir, "src", "bgroups")
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not any(
+                _decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list
+            ):
+                continue
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
+                if arg.annotation is not None and re.search(
+                    r"\b(Group|Subgroup)\b", ast.unparse(arg.annotation)
+                ):
+                    offenders.append(f"{name}:{node.name}({arg.arg})")
+    assert offenders == []

@@ -462,6 +462,17 @@ def test_relabelled_constructions_share_their_tables():
     assert D8.label == "D8" and relabel(D8, "X").table is D8.table
 
 
+def test_equal_tables_share_one_table_and_one_lattice():
+    V = direct_product(make_cyclic(2), make_cyclic(2)).group
+    rows = tuple(tuple(list(row)) for row in V.table)  # equal rows, new objects
+    W = Group(4, rows, V.inverse, "W")
+    assert W == V and hash(W) == hash(V) and W.label == "W"
+    assert W.table is V.table and W.inverse is V.inverse
+    assert enumerate_subgroups(W) is enumerate_subgroups(V)
+    with pytest.raises(GroupError):  # an interned table is still checked in full
+        Group(4, rows, (0, 2, 1, 3))
+
+
 # ---------------------------------------------------------------------------
 # inner automorphisms
 
