@@ -96,16 +96,12 @@ def gluck_idempotent(G: Group, L: Subgroup) -> BurnsideElement:
     (1/|N_G(L)|) sum over X <= L of |X| mu(X, L) [G/X]."""
     lat = enumerate_subgroups(G)
     li = lat.index(L)
-    lmask = L.mask
-    coeffs: dict[int, Fraction] = {}
+    totals: dict[int, int] = {}
+    for j, mu in lat.moebius_column(li).items():
+        c = lat.conj_class[j]
+        totals[c] = totals.get(c, 0) + lat.subgroups[j].order * mu
     norm = lat.normalizer_order(li)
-    for j, X in enumerate(lat.subgroups):
-        if X.mask & lmask != X.mask:
-            continue
-        mu = lat.moebius(j, li)
-        if mu:
-            c = lat.conj_class[j]
-            coeffs[c] = coeffs.get(c, Fraction(0)) + Fraction(X.order * mu, norm)
+    coeffs = {c: Fraction(v, norm) for c, v in totals.items()}
     return from_class_coeffs(G, coeffs)
 
 

@@ -6,15 +6,16 @@ map that holds it for the life of the process; nothing else hashes table
 contents.  A `Group` is a `_Table` under a label, so `==` and `hash` mean
 "same contents, labels ignored" without reading the table.  The `_Table`
 owns what is derived from the table alone: the subgroup lattice, generating
-sequence, element orders, over-K word plan, and memos of products and of
-subgroup embeddings.  Homomorphisms and subgroups are frozen dataclasses.
+sequence, element orders, over-K word plan, and memos of products, subgroup
+embeddings and quotients.  Homomorphisms and subgroups are frozen dataclasses.
 
 Values are checked where they enter: a direct `Group(...)`,
-`Homomorphism(...)` or `Subgroup(...)` call checks its input in full, and
-the group check is exact at every order (Light's associativity test over a
-generating sequence).  Every value this library derives from checked values
-(products, quotients, subgroups, kernels, compositions, named groups) is
-built by `_group` or `_trusted` without a second check.
+`Homomorphism(...)` or `Subgroup(...)` call checks its input in full.  Both
+laws are checked exactly on a generating sequence only: associativity by
+Light's test, and the homomorphism law by `_is_hom`.  Every value this
+library derives from checked values (products, quotients, subgroups,
+kernels, compositions, named groups) is built by `_group` or `_trusted`
+without a second check.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ class _Table:
     """One distinct Cayley table with the data derived from it alone."""
 
     __slots__ = ("order", "table", "inverse", "lattice", "gens", "orders",
-                 "word_plan", "products", "embeddings")
+                 "word_plan", "products", "embeddings", "quotients")
 
     def __init__(self, table, inverse):
         self.order, self.table, self.inverse = len(table), table, inverse
         self.lattice = self.gens = self.orders = self.word_plan = None
         self.products = {}  # other factor's _Table -> (product _Table, maps)
         self.embeddings = {}  # subgroup mask -> (subgroup _Table, elements)
+        self.quotients = {}  # normal subgroup mask -> (quotient _Table, cosets)
 
 
 _TABLES: dict[tuple[tuple[int, ...], ...], _Table] = {}
@@ -175,13 +177,9 @@ class Homomorphism:
             raise GroupError("image array has wrong length")
         if not all(0 <= v < self.target.order for v in self.image):
             raise GroupError("image element out of range")
-        if self.image[0] != 0:
-            raise GroupError("homomorphism must fix the identity")
-        s, t, im = self.source.table, self.target.table, self.image
-        for a in range(self.source.order):
-            for b in range(self.source.order):
-                if im[s[a][b]] != t[im[a]][im[b]]:
-                    raise GroupError("map is not a homomorphism at (%d,%d)" % (a, b))
+        t = self.target.table
+        if not _is_hom(self.source, self.image, lambda u, v: t[u][v]):
+            raise GroupError("map is not a homomorphism")
 
     def __call__(self, a: int) -> int:
         return self.image[a]
@@ -256,6 +254,17 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label})"
+
+
+def _is_hom(G: Group, f, mul) -> bool:
+    """f(1) = mul(f(1), f(1)) and f(x·g) = mul(f(x), f(g)) for every x in G
+    and g in G's generating sequence.  Exact for a group law `mul`: f(1) is
+    then the identity, and each y in G is a word g1…gk in the generators, so
+    f(x·y) = f(x)·f(g1)…f(gk) = f(x)·f(y) by induction on k."""
+    t = G.table
+    return f[0] == mul(f[0], f[0]) and all(
+        f[t[x][g]] == mul(f[x], f[g]) for g in G.generating_sequence() for x in range(G.order)
+    )
 
 
 def mask_of(elements) -> int:
@@ -365,19 +374,13 @@ def semidirect_product(N: Group, H: Group, action) -> Group:
     action = tuple(tuple(a) for a in action)
     if len(action) != m:
         raise GroupError("action must assign an automorphism to each element of H")
-    for h in range(m):
-        a = action[h]
-        if sorted(a) != list(range(n)) or a[0] != 0:
-            raise GroupError("action image is not a permutation fixing identity")
-        for x in range(n):
-            for y in range(n):
-                if a[N.table[x][y]] != N.table[a[x]][a[y]]:
-                    raise GroupError("action image is not an automorphism")
-    for h1 in range(m):
-        for h2 in range(m):
-            comp = tuple(action[h1][action[h2][x]] for x in range(n))
-            if comp != action[H.table[h1][h2]]:
-                raise GroupError("action is not a homomorphism to Aut(N)")
+    for a in action:
+        if sorted(a) != list(range(n)):
+            raise GroupError("action image is not a permutation")
+        if not _is_hom(N, a, lambda u, v: N.table[u][v]):
+            raise GroupError("action image is not an automorphism")
+    if not _is_hom(H, action, lambda a, b: tuple(a[x] for x in b)):
+        raise GroupError("action is not a homomorphism to Aut(N)")
     # (n1,h1)(n2,h2) = (n1 * action[h1](n2), h1 h2); id (a,b) -> a*|H| + b
     table = tuple(
         tuple(
@@ -393,23 +396,24 @@ def semidirect_product(N: Group, H: Group, action) -> Group:
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
     """G/N with canonical projection; cosets ordered by minimal member id."""
-    if not is_normal(N):
-        raise GroupError("subgroup is not normal")
-    t = G.table
-    nelems = N.elements()
-    coset_of = [-1] * G.order
-    reps: list[int] = []
-    for g in range(G.order):
-        if coset_of[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for x in nelems:
-            coset_of[t[g][x]] = idx
-    table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
-    Q = _group(_intern(table), f"{G.label}/N{N.order}")
-    pi = _trusted(Homomorphism, G, Q, tuple(coset_of))
-    return Q, pi
+    if N.parent != G:
+        raise GroupError("N must be a subgroup of G")
+    if N.mask not in G._t.quotients:  # the table, once per normal subgroup of a table
+        if not is_normal(N):
+            raise GroupError("subgroup is not normal")
+        t, nelems = G.table, N.elements()
+        coset_of = [-1] * G.order
+        reps: list[int] = []
+        for g in range(G.order):
+            if coset_of[g] < 0:
+                for x in nelems:
+                    coset_of[t[g][x]] = len(reps)
+                reps.append(g)
+        table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
+        G._t.quotients[N.mask] = _intern(table), tuple(coset_of)
+    t, coset_of = G._t.quotients[N.mask]
+    Q = _group(t, f"{G.label}/N{N.order}")
+    return Q, _trusted(Homomorphism, G, Q, coset_of)
 
 
 def kernel(f: Homomorphism) -> Subgroup:
@@ -428,10 +432,24 @@ def is_normal(N: Subgroup) -> bool:
     return all((m >> G.conj(a, g)) & 1 for g in range(G.order) for a in elems)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461  # the least strong pseudoprime to all of them
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
+    """Miller-Rabin to the first 12 prime bases, exact below `_MR_BOUND`
+    (Sorenson & Webster 2017); a larger p is refused."""
+    if p >= _MR_BOUND:
+        raise GroupError(f"p = {p} exceeds the primality-test bound {_MR_BOUND}")
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d·2^s with d odd
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x != 1 and p - 1 not in (pow(x, 1 << r, p) for r in range(s)):
+            return False
+    return True
 
 
 def o_p_subgroup(G: Group, p: int) -> Subgroup:

@@ -13,6 +13,7 @@ from .groups import (
     GroupError,
     Homomorphism,
     Subgroup,
+    _is_hom,
     _trusted,
     direct_product,
     kernel,
@@ -89,15 +90,11 @@ def _word_plan(G: Group) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], .
 def _extend_map(G: Group, H: Group, steps, images) -> tuple[int, ...] | None:
     """Complete a generator-image assignment to a map G -> H, or None if the
     result is not a homomorphism."""
+    s = H.table
     out = [0] * G.order
     for y, x, gi in steps:
-        out[y] = H.table[out[x]][images[gi]]
-    t, s = G.table, H.table
-    for a in range(G.order):
-        for b in range(G.order):
-            if out[t[a][b]] != s[out[a]][out[b]]:
-                return None
-    return tuple(out)
+        out[y] = s[out[x]][images[gi]]
+    return tuple(out) if _is_hom(G, out, lambda u, v: s[u][v]) else None
 
 
 def homomorphisms(G: Group, H: Group) -> list[Homomorphism]:

@@ -11,14 +11,16 @@ found is joined with every cyclic subgroup, and each join is closed from the
 generators recorded for its two parts, so a closure costs O(|K|·|gens|).
 Conjugacy classes are orbits under the group's generating sequence.  Marks
 come from containment counts (Pfeiffer 1997), with |N_G(Y)| read off the
-class size of Y.  Enumeration takes no size limit and keeps one lattice per
-interned table, shared by equal groups; a caller that must bound the work
-(the CLI's --max-order) checks the group order before asking for it.
+class size of Y.  The idempotent and m-constant sums over X <= L walk the
+Moebius column of L, which keeps only the X with mu(X, L) != 0.
+Enumeration takes no size limit and keeps one lattice per interned table,
+shared by equal groups; a caller that must bound the work (the CLI's
+--max-order) checks the group order before asking for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groups import Group, GroupError, Subgroup, _trusted, close_subset, mask_of
@@ -34,7 +36,7 @@ class SubgroupLattice:
     class_sizes: list[int]  # number of subgroups in each class
     normal_classes: set[int]  # classes of size one: the normal subgroups
 
-    _mu: dict[tuple[int, int], int] | None = None
+    _mu_columns: dict[int, dict[int, int]] = field(default_factory=dict)
     _marks: list[list[int]] | None = None
 
     def __len__(self) -> int:
@@ -45,10 +47,6 @@ class SubgroupLattice:
             return self.index_of[S.mask]
         except KeyError:
             raise GroupError("subgroup does not belong to this lattice") from None
-
-    def leq(self, i: int, j: int) -> bool:
-        mi = self.subgroups[i].mask
-        return mi & self.subgroups[j].mask == mi
 
     def class_of(self, S: Subgroup) -> int:
         return self.conj_class[self.index(S)]
@@ -73,35 +71,30 @@ class SubgroupLattice:
         """|N_G(X_i)| = |G| / (size of the conjugacy class of X_i)."""
         return self.parent.order // self.class_sizes[self.conj_class[i]]
 
-    def subgroups_between(self, lo: int, hi: int) -> list[int]:
-        """Indices j with subgroup[lo] <= subgroup[j] <= subgroup[hi]."""
-        mlo = self.subgroups[lo].mask
-        mhi = self.subgroups[hi].mask
-        return [
-            j
-            for j, S in enumerate(self.subgroups)
-            if S.mask & mlo == mlo and S.mask & mhi == S.mask
-        ]
-
     # -- Moebius ------------------------------------------------------------
+
+    def moebius_column(self, j: int) -> dict[int, int]:
+        """{i: mu(X_i, X_j)} for the X_i <= X_j with mu != 0, built once:
+        mu(X_i, X_j) = -sum of mu(Z, X_j) over X_i < Z <= X_j, and each such Z
+        comes after X_i in (order, mask), so it is known by then.  The terms
+        left out are zero, as most are (P. Hall 1936)."""
+        col = self._mu_columns.get(j)
+        if col is None:
+            subs = self.subgroups
+            mj = subs[j].mask
+            col = {j: 1}
+            for i in range(j - 1, -1, -1):
+                mi = subs[i].mask
+                if mi & mj == mi:
+                    mu = -sum(m for z, m in col.items() if subs[z].mask & mi == mi)
+                    if mu:
+                        col[i] = mu
+            self._mu_columns[j] = col
+        return col
 
     def moebius(self, i: int, j: int) -> int:
         """mu(X_i, X_j) in the subgroup poset; 0 unless X_i <= X_j."""
-        if self._mu is None:
-            self._mu = {}
-        if not self.leq(i, j):
-            return 0
-        key = (i, j)
-        if key not in self._mu:
-            if i == j:
-                self._mu[key] = 1
-            else:
-                total = 0
-                for z in self.subgroups_between(i, j):
-                    if z != i:
-                        total += self.moebius(z, j)
-                self._mu[key] = -total
-        return self._mu[key]
+        return self.moebius_column(j).get(i, 0)
 
     # -- marks --------------------------------------------------------------
 
@@ -230,21 +223,13 @@ def m_constant(lat: SubgroupLattice, L: Subgroup, N: Subgroup) -> Fraction:
     L and N are subgroups of the lattice's parent with N normal in L.
     """
     li = lat.index(L)
-    lmask = L.mask
-    nmask = N.mask
-    lorder = L.order
-    norder = N.order
-    if nmask & lmask != nmask:
+    nmask, lorder, norder = N.mask, L.order, N.order
+    if nmask & L.mask != nmask:
         raise GroupError("N must be contained in L")
     total = 0
-    for j, X in enumerate(lat.subgroups):
-        if X.mask & lmask != X.mask:
-            continue
-        inter = (X.mask & nmask).bit_count()
-        if X.order * norder != lorder * inter:  # |XN| != |L|
-            continue
-        mu = lat.moebius(j, li)
-        if mu:
+    for j, mu in lat.moebius_column(li).items():
+        X = lat.subgroups[j]
+        if X.order * norder == lorder * (X.mask & nmask).bit_count():  # |XN| = |L|
             total += X.order * mu
     return Fraction(total, lorder)
 

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import bgroups
 from bgroups.cli import main, read_report, render_text
 from bgroups.groups import Group, GroupError, quotient
 from bgroups.overk import is_isomorphic
@@ -233,6 +234,8 @@ def test_p_lattice_check_bounds_the_poset_nodes(capsys):
 @pytest.mark.parametrize("p, code, message", [
     (1009, 3, "group order 4072324 exceeds enumeration bound 128"),  # 1009^2 * |K|
     (1000000, 2, "p must be prime"),
+    (2**61 - 1, 3, f"group order {(2**61 - 1) ** 2 * 4} exceeds enumeration bound 128"),
+    (10**24, 2, "exceeds the primality-test bound 318665857834031151167461"),
 ])
 def test_p_lattice_check_builds_no_node_to_bound_it(p, code, message):
     # in a child process with a timeout: building C_p x C_p x H would not end
@@ -308,6 +311,14 @@ def test_cli_imports_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "bgroups" in loaded
     assert loaded - {"bgroups"} <= sys.stdlib_module_names
+
+
+def test_public_api_is_pinned():
+    assert bgroups.__all__ == [
+        "Group", "GroupError", "Homomorphism", "Subgroup", "direct_product",
+        "make_cyclic", "quotient", "semidirect_product", "GroupOverK", "beta_k",
+        "is_bk_group", "BurnsideElement", "gluck_idempotent", "m_const",
+    ]
 
 
 def _decorator_name(node) -> str | None:

@@ -1,6 +1,8 @@
 """Core group constructions: Cayley tables, homomorphisms, products,
 quotients, residual subgroups."""
 
+from math import gcd, isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,8 @@ from bgroups.groups import (
     GroupError,
     Homomorphism,
     Subgroup,
+    _MR_BOUND,
+    _is_prime,
     alternating_4,
     close_subset,
     cyclic_extension,
@@ -37,7 +41,7 @@ from bgroups.groups import (
 )
 from bgroups.overk import homomorphisms, is_isomorphic, isomorphisms
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
-from util import is_group_table, pairwise_closure
+from util import is_action, is_group_table, is_homomorphism, pairwise_closure
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +198,35 @@ def test_close_subset_agrees_with_pairwise_closure(data):
     assert close_subset(G, S) == pairwise_closure(G, S)
 
 
+def _valid_maps():
+    """Inner automorphisms, quotient maps and subgroup inclusions of the
+    small groups."""
+    for G in _SMALL:
+        yield from inner_automorphisms(G)
+        for N in normal_subgroups(G):
+            yield quotient(G, N)[1]
+        lat = enumerate_subgroups(G)
+        for c in range(lat.n_classes()):
+            yield subgroup_embedding(lat.class_rep(c))
+
+
+_MAPS = list(_valid_maps())
+
+
+@given(st.data())
+def test_hom_check_agrees_with_oracle_on_one_changed_entry(data):
+    f = data.draw(st.sampled_from(_MAPS))
+    image = list(f.image)
+    image[data.draw(st.integers(0, f.source.order - 1))] = data.draw(
+        st.integers(0, f.target.order - 1))
+    try:
+        Homomorphism(f.source, f.target, tuple(image))
+        accepted = True
+    except GroupError:
+        accepted = False
+    assert accepted == is_homomorphism(f.source, f.target, image)
+
+
 def _constructions():
     """The catalog plus every named construction, with the products,
     quotients and subgroups built from them."""
@@ -321,6 +354,41 @@ def test_semidirect_invalid_action_rejected():
         semidirect_product(make_cyclic(4), C2, ((0, 1, 2, 3), (0, 2, 1, 3)))
 
 
+def _actions():
+    """Valid actions: C_m on C_n by x -> r^h x with r^m = 1 mod n, C3 on
+    C2 x C2 (as in A4), and C2 on S3 and on D8 by conjugation with an
+    involution."""
+    for n in (3, 4, 5, 7, 8, 9):
+        for m in (2, 3, 4, 6):
+            for r in range(1, n):
+                if gcd(r, n) == 1 and pow(r, m, n) == 1:
+                    yield make_cyclic(n), make_cyclic(m), tuple(
+                        tuple(x * pow(r, h, n) % n for x in range(n)) for h in range(m))
+    yield (direct_product(make_cyclic(2), make_cyclic(2)).group, make_cyclic(3),
+           ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 3, 1)))
+    for N in (symmetric_group(3), dihedral_group(4)):
+        g = N.element_orders().index(2)
+        yield N, make_cyclic(2), (tuple(range(N.order)), tuple(N.conj(a, g) for a in range(N.order)))
+
+
+_ACTIONS = list(_actions())
+
+
+@given(st.data())
+def test_action_check_agrees_with_oracle_on_one_changed_entry(data):
+    N, H, action = data.draw(st.sampled_from(_ACTIONS))
+    rows = [list(a) for a in action]
+    rows[data.draw(st.integers(0, H.order - 1))][data.draw(
+        st.integers(0, N.order - 1))] = data.draw(st.integers(0, N.order - 1))
+    action = tuple(map(tuple, rows))
+    try:
+        semidirect_product(N, H, action)
+        accepted = True
+    except GroupError:
+        accepted = False
+    assert accepted == is_action(N, H, action)
+
+
 # ---------------------------------------------------------------------------
 # quotients, kernels, images
 
@@ -360,6 +428,23 @@ def test_quotient_twisted_order2_gives_c3_c4():
     assert N.order == 2 and is_normal(N)
     Q, _ = quotient(L, N)
     assert is_isomorphic(Q, dicyclic_3())
+
+
+def test_quotient_is_built_once_per_table_and_normal_subgroup():
+    S4 = symmetric_group(4)
+    N = next(N for N in normal_subgroups(S4) if N.order == 4)
+    Q1, pi1 = quotient(S4, N)
+    T = relabel(S4, "T")
+    Q2, pi2 = quotient(T, Subgroup(T, N.mask))
+    assert Q1.table is Q2.table and pi1.image is pi2.image
+    assert (Q1.label, Q2.label, pi2.source.label) == ("S4/N4", "T/N4", "T")
+    H = subgroup_generated(S4, [1])  # order 2, not normal
+    for _ in range(2):
+        with pytest.raises(GroupError):
+            quotient(S4, H)
+    C24 = make_cyclic(24)
+    with pytest.raises(GroupError):  # a subgroup of another group
+        quotient(S4, subgroup_generated(C24, [6]))
 
 
 def test_quotient_kernel_roundtrip():
@@ -420,6 +505,22 @@ def test_p_residual_quotients():
 def test_op_requires_prime():
     with pytest.raises(GroupError):
         o_p_subgroup(make_cyclic(6), 4)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(10**4) if _is_prime(n)] == [n for n in range(10**4) if trial(n)]
+
+
+def test_is_prime_on_large_inputs():
+    # strong pseudoprimes to the first 4 and to the first 11 prime bases
+    assert not _is_prime(3215031751) and not _is_prime(3825123056546413051)
+    assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
+    assert not _is_prime((2**31 - 1) * 1000003)
+    with pytest.raises(GroupError, match=f"primality-test bound {_MR_BOUND}"):
+        _is_prime(_MR_BOUND)
 
 
 def test_op_minimality_by_enumeration():

@@ -46,6 +46,7 @@ from bgroups.overk import (
     quotient_over_k,
 )
 from bgroups.subgroups import enumerate_subgroups, m_constant, normal_subgroups
+from util import is_homomorphism
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +61,14 @@ def test_homomorphism_counts():
     # Hom(C6, S3): image must be abelian: 1, the three C2s via sign-like maps,
     # the C3 subgroup -> 1 + 3 + 2 = 6
     assert len(homomorphisms(make_cyclic(6), symmetric_group(3))) == 6
+    # into S3 from V4 or Q8: the trivial map and 3 onto each of the 3 C2s;
+    # from S3: also its 6 automorphisms
+    V, S3 = direct_product(make_cyclic(2), make_cyclic(2)).group, symmetric_group(3)
+    for G, H, count in ((V, S3, 10), (quaternion_group(), S3, 10), (S3, S3, 10),
+                        (dihedral_group(4), make_cyclic(2), 4)):
+        found = homomorphisms(G, H)
+        assert len({f.image for f in found}) == len(found) == count
+        assert all(is_homomorphism(G, H, f.image) for f in found)
 
 
 def test_isomorphism_basics():

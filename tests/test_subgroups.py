@@ -2,9 +2,11 @@
 
 The enumeration is cross-checked against a brute-force oracle (closure of
 every generating set of size <= 3, saturated), the marks table against the
-count |{g : g^-1 X g <= Y}| / |Y|, and normalizer orders against a count of
-the elements that conjugate X to itself.  The oracles conjugate and close
-with their own loops over the Cayley table, not with the code they check.
+count |{g : g^-1 X g <= Y}| / |Y|, normalizer orders against a count of
+the elements that conjugate X to itself, and the Moebius function against
+its defining recursion and the closed forms of elementary abelian and
+cyclic groups.  The oracles conjugate and close with their own loops over
+the Cayley table, not with the code they check.
 """
 
 from fractions import Fraction
@@ -32,7 +34,7 @@ from bgroups.subgroups import (
     m_constant,
     normal_subgroups,
 )
-from util import pairwise_closure
+from util import moebius_oracle, pairwise_closure
 
 ORACLE_GROUPS = [
     make_cyclic(12),
@@ -77,10 +79,10 @@ def test_enumeration_matches_brute_force(G):
     assert {S.mask for S in lat.subgroups} == brute_force_subgroups(G)
 
 
-def _elementary_abelian(rank: int) -> Group:
+def _elementary_abelian(rank: int, p: int = 2) -> Group:
     G = make_cyclic(1)
     for _ in range(rank):
-        G = direct_product(G, make_cyclic(2)).group
+        G = direct_product(G, make_cyclic(p)).group
     return G
 
 
@@ -146,14 +148,78 @@ def test_moebius_klein_four():
 
 @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.label)
 def test_moebius_recursion_identity(G):
+    """The library agrees with the recursion oracle on every pair, and each
+    column holds exactly the nonzero values."""
     lat = enumerate_subgroups(G)
+    want = moebius_oracle(lat)
     n = len(lat)
     for j in range(n):
+        assert lat.moebius_column(j) == {i: want[i, j] for i in range(n) if want.get((i, j))}
         for i in range(n):
-            if not lat.leq(i, j):
-                continue
-            total = sum(lat.moebius(z, j) for z in lat.subgroups_between(i, j))
-            assert total == (1 if i == j else 0)
+            assert lat.moebius(i, j) == want.get((i, j), 0)
+
+
+def _hall_mu(p: int, index: int) -> int:
+    """mu(X, L) for L/X elementary abelian of order index = p^k:
+    (-1)^k p^(k(k-1)/2) (Weisner 1935; P. Hall 1936)."""
+    k = 0
+    while index > 1:
+        index //= p
+        k += 1
+    return (-1) ** k * p ** (k * (k - 1) // 2)
+
+
+@pytest.mark.parametrize("p, rank", [(2, 5), (3, 3)])
+def test_moebius_elementary_abelian_closed_form(p, rank):
+    lat = enumerate_subgroups(_elementary_abelian(rank, p))
+    for j, L in enumerate(lat.subgroups):
+        for i, X in enumerate(lat.subgroups):
+            want = _hall_mu(p, L.order // X.order) if X <= L else 0
+            assert lat.moebius(i, j) == want
+
+
+def test_moebius_elementary_abelian_64_top_column():
+    lat = enumerate_subgroups(_elementary_abelian(6))
+    top = len(lat) - 1
+    assert lat.moebius_column(top) == {
+        i: _hall_mu(2, 64 // X.order) for i, X in enumerate(lat.subgroups)
+    }
+
+
+def test_moebius_2_group_closed_form():
+    """In a 2-group, mu(X, L) is the closed form above when L/X is elementary
+    abelian, and 0 otherwise (P. Hall 1936).  L/X is elementary abelian
+    exactly when X <= L holds the square of every element of L."""
+    G = direct_product(dihedral_group(4), make_cyclic(2)).group
+    lat = enumerate_subgroups(G)
+    for j, L in enumerate(lat.subgroups):
+        squares = mask_of(G.table[a][a] for a in L.elements())
+        for i, X in enumerate(lat.subgroups):
+            elementary = X <= L and squares & X.mask == squares
+            assert lat.moebius(i, j) == (_hall_mu(2, L.order // X.order) if elementary else 0)
+
+
+def _number_mu(m: int) -> int:
+    """The number-theoretic Moebius function, by trial division."""
+    out, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if m > 1 else out
+
+
+def test_moebius_cyclic_closed_form():
+    """mu(C_d, C_n) is the number-theoretic mu(n/d)."""
+    for n in [*range(1, 61), 64, 210]:
+        lat = enumerate_subgroups(make_cyclic(n))
+        for j, L in enumerate(lat.subgroups):
+            for i, X in enumerate(lat.subgroups):
+                want = _number_mu(L.order // X.order) if X <= L else 0
+                assert lat.moebius(i, j) == want
 
 
 # ---------------------------------------------------------------------------

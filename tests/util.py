@@ -60,6 +60,48 @@ def pairwise_closure(G, elements) -> set[int]:
     return closed
 
 
+def is_homomorphism(G, H, image) -> bool:
+    """Brute-force reference for the homomorphism-law check:
+    f(a·b) = f(a)·f(b) over all |G|^2 pairs."""
+    s, t = G.table, H.table
+    r = range(G.order)
+    return all(image[s[a][b]] == t[image[a]][image[b]] for a in r for b in r)
+
+
+def is_action(N, H, action) -> bool:
+    """Brute-force reference for the semidirect-product action check: each
+    action[h] is an automorphism of N, and action[h1·h2] is action[h1] after
+    action[h2] for all pairs h1, h2."""
+    n, m = range(N.order), range(H.order)
+    return all(sorted(a) == list(n) and is_homomorphism(N, N, a) for a in action) and all(
+        tuple(action[h1][action[h2][x]] for x in n) == action[H.table[h1][h2]]
+        for h1 in m
+        for h2 in m
+    )
+
+
+def moebius_oracle(lat) -> dict[tuple[int, int], int]:
+    """Reference Moebius function on every pair (i, j) with X_i <= X_j, by the
+    defining recursion mu(X, X) = 1, mu(X, Y) = -sum of mu(Z, Y) over
+    X < Z <= Y, memoised by pair.  Each interval is found by a scan of the
+    lattice's masks; the lattice's own Moebius code is not called."""
+    masks = [S.mask for S in lat.subgroups]
+    mu: dict[tuple[int, int], int] = {}
+
+    def rec(i, j):
+        if (i, j) not in mu:
+            mi, mj = masks[i], masks[j]
+            between = [z for z, m in enumerate(masks) if z != i and m & mi == mi and m & mj == m]
+            mu[i, j] = 1 if i == j else -sum(rec(z, j) for z in between)
+        return mu[i, j]
+
+    for j, mj in enumerate(masks):
+        for i, mi in enumerate(masks):
+            if mi & mj == mi:
+                rec(i, j)
+    return mu
+
+
 def klein_four():
     return direct_product(make_cyclic(2), make_cyclic(2)).group
 
