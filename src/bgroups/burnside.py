@@ -1,8 +1,13 @@
 """Exact rational Burnside rings and the five elementary biset operations.
 
-Elements are coefficient vectors over conjugacy classes of subgroups, in
+An element is a rational combination of conjugacy classes of subgroups, in
 either the transitive basis [G/X] or the primitive-idempotent basis e_X.
-Conversion between the two goes through the table of marks (triangular
+It is stored sparse and exact: its nonzero terms as integer numerators per
+class, over one positive integer denominator, in canonical form (no zero
+numerator, and the denominator coprime to the numerators), so equal
+elements have equal fields.  Every operation walks the nonzero terms only;
+the dense vector of Fractions, `coeffs`, is derived on first use.
+Conversion between the bases goes through the table of marks (triangular
 solve), so the explicit idempotent formula can be cross-checked against
 the marks characterization instead of being the only path.
 
@@ -13,8 +18,9 @@ leave K alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import gcd, lcm
 
 from .groups import (
     Group,
@@ -31,60 +37,132 @@ from .subgroups import m_const  # re-exported: part of this module's API
 
 TRANSITIVE = "transitive"
 IDEMPOTENT = "idempotent"
+_ZERO = Fraction(0)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
 class BurnsideElement:
-    group: Group
-    basis: str
-    coeffs: tuple[Fraction, ...]  # one per subgroup conjugacy class
+    """sum over (c, n) in `terms` of (n / den) b_c, with b_c the basis element
+    of subgroup class c.  `BurnsideElement(G, basis, coeffs)` checks a dense
+    vector of rationals, one per class; derived elements come from
+    `_element` without a check."""
+
+    __slots__ = ("group", "basis", "terms", "den", "_coeffs")
+
+    def __init__(self, group: Group, basis: str, coeffs) -> None:
+        if not isinstance(group, Group):
+            raise GroupError("a Burnside element needs a Group")
+        _check_basis(basis)
+        try:
+            vec = tuple(Fraction(c) for c in coeffs)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GroupError("coefficients must be rational numbers") from exc
+        n = enumerate_subgroups(group).n_classes()
+        if len(vec) != n:
+            raise GroupError(f"{len(vec)} coefficients for {n} subgroup classes")
+        den = lcm(*(f.denominator for f in vec))
+        nums = {c: f.numerator * (den // f.denominator) for c, f in enumerate(vec) if f}
+        _element(group, basis, nums, den, self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, BurnsideElement):
+            return NotImplemented
+        return (self.terms == other.terms and self.den == other.den
+                and self.basis == other.basis and self.group == other.group)
+
+    def __hash__(self):
+        return hash((self.group, self.basis, self.terms, self.den))
+
+    def __repr__(self):
+        return f"BurnsideElement({self.group!r}, {self.basis!r}, {dict(self.terms)} / {self.den})"
 
     @property
     def lattice(self) -> SubgroupLattice:
         return enumerate_subgroups(self.group)
 
-    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The dense vector, one Fraction per subgroup class."""
+        if self._coeffs is None:
+            vec = [_ZERO] * self.lattice.n_classes()
+            for c, n in self.terms:
+                vec[c] = Fraction(n, self.den)
+            _set(self, "_coeffs", tuple(vec))
+        return self._coeffs
+
+    def _combine(self, other: "BurnsideElement", sign: int) -> "BurnsideElement":
         if self.group != other.group or self.basis != other.basis:
             raise GroupError("cannot add elements over different rings/bases")
-        return BurnsideElement(
-            self.group, self.basis, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        nums = {c: n * fa for c, n in self.terms}
+        for c, n in other.terms:
+            nums[c] = nums.get(c, 0) + n * fb
+        return _element(self.group, self.basis, nums, den)
+
+    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
-        return self + (-1) * other
+        return self._combine(other, -1)
 
     def __rmul__(self, scalar) -> "BurnsideElement":
         s = Fraction(scalar)
-        return BurnsideElement(self.group, self.basis, tuple(s * c for c in self.coeffs))
+        nums = {c: n * s.numerator for c, n in self.terms}
+        return _element(self.group, self.basis, nums, self.den * s.denominator)
 
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.coeffs) if c != 0)
+        return frozenset(c for c, _ in self.terms)
+
+
+def _element(G: Group, basis: str, nums: dict[int, int], den: int,
+             obj: BurnsideElement | None = None) -> BurnsideElement:
+    """The element sum of (nums[c] / den) b_c, in canonical form, built (as a
+    new element, or into obj) without a check; den > 0."""
+    nums = {c: n for c, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {c: n // g for c, n in nums.items()}
+    obj = object.__new__(BurnsideElement) if obj is None else obj
+    _set(obj, "group", G)
+    _set(obj, "basis", basis)
+    _set(obj, "terms", tuple(sorted(nums.items())))
+    _set(obj, "den", den)
+    _set(obj, "_coeffs", None)
+    return obj
+
+
+def _check_basis(basis: str) -> None:
+    if basis not in (TRANSITIVE, IDEMPOTENT):
+        raise GroupError(f"unknown basis {basis!r}")
 
 
 def zero(G: Group, basis: str = TRANSITIVE) -> BurnsideElement:
-    n = enumerate_subgroups(G).n_classes()
-    return BurnsideElement(G, basis, (Fraction(0),) * n)
+    _check_basis(basis)
+    return _element(G, basis, {}, 1)
 
 
 def from_class_coeffs(G: Group, coeffs: dict[int, Fraction], basis: str = TRANSITIVE) -> BurnsideElement:
-    lat = enumerate_subgroups(G)
-    vec = [Fraction(0)] * lat.n_classes()
+    vec = [_ZERO] * enumerate_subgroups(G).n_classes()
     for c, v in coeffs.items():
+        if not 0 <= c < len(vec):
+            raise GroupError(f"no subgroup class {c}")
         vec[c] += Fraction(v)
-    return BurnsideElement(G, basis, tuple(vec))
+    return BurnsideElement(G, basis, vec)
 
 
 def transitive_basis_element(G: Group, X: Subgroup) -> BurnsideElement:
     """[G/X]."""
-    lat = enumerate_subgroups(G)
-    return from_class_coeffs(G, {lat.class_of(X): Fraction(1)})
+    return _element(G, TRANSITIVE, {enumerate_subgroups(G).class_of(X): 1}, 1)
 
 
 def identity_element(G: Group) -> BurnsideElement:
     """[G/G], the identity of the ring."""
-    lat = enumerate_subgroups(G)
-    full = lat.subgroups[-1]
-    return transitive_basis_element(G, full)
+    return _element(G, TRANSITIVE, {enumerate_subgroups(G).conj_class[-1]: 1}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,53 +178,66 @@ def gluck_idempotent(G: Group, L: Subgroup) -> BurnsideElement:
     for j, mu in lat.moebius_column(li).items():
         c = lat.conj_class[j]
         totals[c] = totals.get(c, 0) + lat.subgroups[j].order * mu
-    norm = lat.normalizer_order(li)
-    coeffs = {c: Fraction(v, norm) for c, v in totals.items()}
-    return from_class_coeffs(G, coeffs)
+    return _element(G, TRANSITIVE, totals, lat.normalizer_order(li))
 
 
 def marks_of(elem: BurnsideElement) -> tuple[Fraction, ...]:
     """Fixed-point vector per subgroup class (the mark homomorphism)."""
-    lat = elem.lattice
-    if elem.basis == IDEMPOTENT:
-        # e_Y has indicator marks, so the coefficients are the marks
-        return elem.coeffs
-    terms = [(cy, c) for cy, c in enumerate(elem.coeffs) if c]
-    return tuple(
-        sum((c * row[cy] for cy, c in terms if row[cy]), Fraction(0))
-        for row in lat.marks()
-    )
+    # e_Y has indicator marks, so the coefficients are the marks
+    return to_idempotent_basis(elem).coeffs
 
 
 def to_idempotent_basis(elem: BurnsideElement) -> BurnsideElement:
     if elem.basis == IDEMPOTENT:
         return elem
-    return BurnsideElement(elem.group, IDEMPOTENT, marks_of(elem))
+    cols = elem.lattice.mark_columns()
+    # the mark at X sums n_Y marks[X][Y] over the Y in the support
+    nums: dict[int, int] = {}
+    for y, n in elem.terms:
+        for x, m in cols[y]:
+            nums[x] = nums.get(x, 0) + n * m
+    return _element(elem.group, IDEMPOTENT, nums, elem.den)
 
 
 def to_transitive_basis(elem: BurnsideElement) -> BurnsideElement:
     if elem.basis == TRANSITIVE:
         return elem
-    M = elem.lattice.marks()
-    # classes are ordered by subgroup size, so M is triangular:
-    # M[x][y] != 0 forces |X| <= |Y|, with a nonzero diagonal.
-    out = [Fraction(0)] * len(M)
-    terms: list[tuple[int, Fraction]] = []  # (y, out[y]) for out[y] != 0
-    for x in range(len(M) - 1, -1, -1):
-        row = M[x]
-        s = sum((c * row[y] for y, c in terms if row[y]), Fraction(0))
-        out[x] = Fraction(elem.coeffs[x] - s, row[x])
-        if out[x]:
-            terms.append((x, out[x]))
-    return BurnsideElement(elem.group, TRANSITIVE, tuple(out))
+    cols = elem.lattice.mark_columns()
+    # classes are ordered by subgroup size, so the marks are triangular:
+    # solve marks · u = elem from the top class down, each u[y] != 0 pushing
+    # marks[x][y] u[y] onto the rows x < y.  u and the pushed sums are
+    # numerators over den * scale, and scale grows by the least factor that
+    # keeps the next u[x] an integer.
+    nums = dict(elem.terms)
+    scale = 1
+    out: dict[int, int] = {}
+    pushed: dict[int, int] = {}
+    for x in range(len(cols) - 1, -1, -1):
+        s = nums.get(x, 0) * scale - pushed.pop(x, 0)
+        if not s:
+            continue
+        col = cols[x]
+        d = col[-1][1]  # marks[x][x]
+        f = d // gcd(s, d)
+        if f > 1:
+            scale *= f
+            s *= f
+            out = {y: u * f for y, u in out.items()}
+            pushed = {y: v * f for y, v in pushed.items()}
+        u = out[x] = s // d
+        for y, m in islice(col, len(col) - 1):
+            pushed[y] = pushed.get(y, 0) + m * u
+    return _element(elem.group, TRANSITIVE, out, elem.den * scale)
 
 
 def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     """Ring product; marks multiply pointwise."""
     if a.group != b.group:
         raise GroupError("mismatched ambient groups")
-    pa, pb = marks_of(a), marks_of(b)
-    prod = BurnsideElement(a.group, IDEMPOTENT, tuple(x * y for x, y in zip(pa, pb)))
+    pa, pb = to_idempotent_basis(a), to_idempotent_basis(b)
+    nb = dict(pb.terms)
+    nums = {c: n * nb[c] for c, n in pa.terms if c in nb}
+    prod = _element(a.group, IDEMPOTENT, nums, pa.den * pb.den)
     if a.basis == IDEMPOTENT and b.basis == IDEMPOTENT:
         return prod
     return to_transitive_basis(prod)
@@ -170,10 +261,8 @@ def restrict(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
     lat_h = enumerate_subgroups(H)
     t, inv = G.table, G.inverse
     h_in_g = incl.image
-    coeffs: dict[int, Fraction] = {}
-    for cy, coeff in enumerate(elem.coeffs):
-        if coeff == 0:
-            continue
+    coeffs: dict[int, int] = {}
+    for cy, coeff in elem.terms:
         Y = lat_g.class_rep(cy)
         yelems = Y.elements()
         visited = 0
@@ -191,8 +280,8 @@ def restrict(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
                 if (Y.mask >> t[t[gi][h_in_g[i]]][g]) & 1
             )
             c = lat_h.conj_class[lat_h.index_of[inter]]
-            coeffs[c] = coeffs.get(c, Fraction(0)) + coeff
-    return from_class_coeffs(H, coeffs)
+            coeffs[c] = coeffs.get(c, 0) + coeff
+    return _element(H, TRANSITIVE, coeffs, elem.den)
 
 
 def _push(elem: BurnsideElement, target: Group, push) -> BurnsideElement:
@@ -200,17 +289,25 @@ def _push(elem: BurnsideElement, target: Group, push) -> BurnsideElement:
     elem = to_transitive_basis(elem)
     lat = elem.lattice
     lat_t = enumerate_subgroups(target)
-    coeffs: dict[int, Fraction] = {}
-    for cx, coeff in enumerate(elem.coeffs):
-        if coeff == 0:
-            continue
+    coeffs: dict[int, int] = {}
+    for cx, coeff in elem.terms:
         c = lat_t.conj_class[lat_t.index_of[push(lat.class_rep(cx))]]
-        coeffs[c] = coeffs.get(c, Fraction(0)) + coeff
-    return from_class_coeffs(target, coeffs)
+        coeffs[c] = coeffs.get(c, 0) + coeff
+    return _element(target, TRANSITIVE, coeffs, elem.den)
 
 
 def _image_mask(f: Homomorphism):
-    return lambda X: mask_of(f.image[x] for x in X.elements())
+    image = f.image
+
+    def push(X: Subgroup) -> int:
+        out, m = 0, X.mask
+        while m:  # one step per element of X
+            low = m & -m
+            out |= 1 << image[low.bit_length() - 1]
+            m ^= low
+        return out
+
+    return push
 
 
 def induce(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:

@@ -180,20 +180,13 @@ def cmd_idempotent(doc: GroupSpecDocument, args) -> Report:
     report.meta["group"] = f"{G.label} order={G.order}"
     report.meta["subgroup"] = class_label(lat, lat.class_of(L))
     report.meta["subgroup-classes"] = str(lat.n_classes())
-    rows = [
-        [class_label(lat, c), rat(e.coeffs[c])]
-        for c in range(lat.n_classes())
-    ]
-    report.tables["coefficients"] = rows
+    labels = [class_label(lat, c) for c in range(lat.n_classes())]
     marks = marks_of(e)
-    report.tables["marks"] = [
-        [class_label(lat, c), rat(marks[c])] for c in range(lat.n_classes())
-    ]
+    report.tables["coefficients"] = [[lb, rat(v)] for lb, v in zip(labels, e.coeffs)]
+    report.tables["marks"] = [[lb, rat(v)] for lb, v in zip(labels, marks)]
     if args.check:
-        indicator = tuple(
-            Fraction(1 if c == lat.class_of(L) else 0)
-            for c in range(lat.n_classes())
-        )
+        cl = lat.class_of(L)
+        indicator = tuple(Fraction(1 if c == cl else 0) for c in range(lat.n_classes()))
         report.meta["check-marks-indicator"] = (
             "pass" if marks == indicator else "FAIL"
         )

@@ -11,8 +11,9 @@ found is joined with every cyclic subgroup, and each join is closed from the
 generators recorded for its two parts, so a closure costs O(|K|·|gens|).
 Conjugacy classes are orbits under the group's generating sequence.  Marks
 come from containment counts (Pfeiffer 1997), with |N_G(Y)| read off the
-class size of Y.  The idempotent and m-constant sums over X <= L walk the
-Moebius column of L, which keeps only the X with mu(X, L) != 0.
+class size of Y, and are kept by column, nonzero entries only.  The
+idempotent and m-constant sums over X <= L walk the Moebius column of L,
+which keeps only the X with mu(X, L) != 0.
 Enumeration takes no size limit and keeps one lattice per interned table,
 shared by equal groups; a caller that must bound the work (the CLI's
 --max-order) checks the group order before asking for it.
@@ -37,7 +38,7 @@ class SubgroupLattice:
     normal_classes: set[int]  # classes of size one: the normal subgroups
 
     _mu_columns: dict[int, dict[int, int]] = field(default_factory=dict)
-    _marks: list[list[int]] | None = None
+    _mark_columns: list[list[tuple[int, int]]] | None = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -98,28 +99,40 @@ class SubgroupLattice:
 
     # -- marks --------------------------------------------------------------
 
-    def marks(self) -> list[list[int]]:
-        """marks[cX][cY] = number of fixed points of X on G/Y (class reps).
+    def mark_columns(self) -> list[list[tuple[int, int]]]:
+        """Per class y, the (x, marks[x][y]) with a nonzero mark, by
+        increasing x; the last is the diagonal (y, marks[y][y]).
 
         X fixes gY exactly when X <= gYg^-1, and each conjugate of Y is
         gYg^-1 for |N_G(Y)|/|Y| cosets gY, so
         marks[cX][cY] = |N_G(Y)|/|Y| · #{Y' ~ Y : X <= Y'}.
         """
-        if self._marks is None:
+        if self._mark_columns is None:
             per_conjugate = [self.normalizer_order(r) // self.subgroups[r].order
                              for r in self.class_reps]  # |N_G(Y)|/|Y|
             masks = [S.mask for S in self.subgroups]
-            M = []
-            for r in self.class_reps:
+            cols: list[list[tuple[int, int]]] = [[] for _ in self.class_reps]
+            for x, r in enumerate(self.class_reps):
                 xm = masks[r]
-                row = [0] * len(per_conjugate)
+                count: dict[int, int] = {}
                 # a subgroup containing X comes at or after X in (order, mask)
                 for m, cy in zip(masks[r:], self.conj_class[r:]):
                     if m & xm == xm:
-                        row[cy] += 1
-                M.append([cnt * k for cnt, k in zip(row, per_conjugate)])
-            self._marks = M
-        return self._marks
+                        count[cy] = count.get(cy, 0) + 1
+                for cy, cnt in count.items():
+                    cols[cy].append((x, cnt * per_conjugate[cy]))
+            self._mark_columns = cols
+        return self._mark_columns
+
+    def marks(self) -> list[list[int]]:
+        """marks[cX][cY] = number of fixed points of X on G/Y (class reps):
+        a new dense table, rendered from `mark_columns`."""
+        n = len(self.class_reps)
+        M = [[0] * n for _ in range(n)]
+        for y, col in enumerate(self.mark_columns()):
+            for x, m in col:
+                M[x][y] = m
+        return M
 
 
 def _brute_cyclic_subgroups(G: Group) -> dict[int, tuple[int, ...]]:

@@ -2,6 +2,7 @@
 m-constants, and the five elementary operations (plain and shifted)."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from bgroups.burnside import (
     transport,
     zero,
 )
+from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
     GroupError,
     Homomorphism,
@@ -50,6 +52,7 @@ from bgroups.groups import (
     trivial_subgroup,
 )
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
+from util import DenseBurnside
 
 SMALL_GROUPS = [
     make_cyclic(6),
@@ -135,6 +138,87 @@ def test_basis_roundtrip_s4(coeffs):
     elem_i = BurnsideElement(G, IDEMPOTENT, vec)
     back_i = to_idempotent_basis(to_transitive_basis(elem_i))
     assert back_i.coeffs == vec
+
+
+@pytest.mark.parametrize(
+    "basis,coeffs",
+    [("bogus", (1, 0, 0)), (TRANSITIVE, (1, 0, 0, 0)), (IDEMPOTENT, (1, 0))],
+    ids=["unknown-basis", "too-many-coefficients", "too-few-coefficients"],
+)
+def test_constructor_rejects_malformed_input(basis, coeffs):
+    """C4 has three subgroup classes; anything but one rational per class in
+    a known basis is refused."""
+    with pytest.raises(GroupError):
+        BurnsideElement(make_cyclic(4), basis, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# sparse arithmetic against the dense oracle
+
+CATALOG = groups_up_to_order(12)
+_DENSE: dict[int, DenseBurnside] = {}
+
+
+def _dense(i):
+    if i not in _DENSE:
+        _DENSE[i] = DenseBurnside(enumerate_subgroups(CATALOG[i]))
+    return _DENSE[i]
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def catalog_vectors(draw):
+    """(catalog index, basis, two dense vectors, a scalar); most entries 0."""
+    i = draw(st.integers(0, len(CATALOG) - 1))
+    nc = enumerate_subgroups(CATALOG[i]).n_classes()
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_rationals)
+    vec = st.lists(entry, min_size=nc, max_size=nc).map(tuple)
+    basis = st.sampled_from([TRANSITIVE, IDEMPOTENT])
+    return i, draw(basis), draw(vec), draw(basis), draw(vec), draw(small_rationals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(catalog_vectors())
+def test_sparse_arithmetic_matches_dense_oracle(case):
+    i, ba, a, bb, b, s = case
+    G, dense = CATALOG[i], _dense(i)
+    x, y = BurnsideElement(G, ba, a), BurnsideElement(G, bb, b)
+    assert x.coeffs == a and y.coeffs == b
+    y_as_x = BurnsideElement(G, ba, b)
+    assert (x + y_as_x).coeffs == tuple(p + q for p, q in zip(a, b))
+    assert (x - y_as_x).coeffs == tuple(p - q for p, q in zip(a, b))
+    assert (s * x).coeffs == tuple(s * p for p in a)
+    want, idempotent = dense.multiply(a, ba == IDEMPOTENT, b, bb == IDEMPOTENT)
+    prod = multiply(x, y)
+    assert prod.coeffs == want
+    assert prod.basis == (IDEMPOTENT if idempotent else TRANSITIVE)
+    to_i, to_t = to_idempotent_basis(x), to_transitive_basis(x)
+    assert to_i.basis == IDEMPOTENT and to_t.basis == TRANSITIVE
+    if ba == TRANSITIVE:
+        assert to_i.coeffs == dense.to_idempotent(a) and to_t.coeffs == a
+    else:
+        assert to_t.coeffs == dense.to_transitive(a) and to_i.coeffs == a
+    assert marks_of(x) == to_i.coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(catalog_vectors())
+def test_equal_elements_have_equal_fields(case):
+    """An element built two ways is == and hashes equally, because the
+    sparse form is canonical."""
+    i, ba, a, _, _, s = case
+    G = CATALOG[i]
+    x, z = BurnsideElement(G, ba, a), zero(G, ba)
+    assert z.support() == frozenset()
+    assert x.support() == frozenset(c for c, v in enumerate(a) if v)
+    for same in (2 * x - x, x + z, z + x, s * x - s * x + x, BurnsideElement(G, ba, x.coeffs)):
+        assert same == x and hash(same) == hash(x)
+        assert (same.terms, same.den) == (x.terms, x.den)
+    assert x - x == z and hash(x - x) == hash(z)
+    assert all(n != 0 for _, n in x.terms) and x.den > 0
+    assert gcd(x.den, *(n for _, n in x.terms)) == 1
 
 
 def test_multiply_matches_transitive_combinatorics():

@@ -34,7 +34,7 @@ from bgroups.subgroups import (
     m_constant,
     normal_subgroups,
 )
-from util import moebius_oracle, pairwise_closure
+from util import brute_mark, conjugate_elements, moebius_oracle, pairwise_closure
 
 ORACLE_GROUPS = [
     make_cyclic(12),
@@ -226,23 +226,6 @@ def test_moebius_cyclic_closed_form():
 # table of marks
 
 
-def _conjugate(G, elements, g) -> set[int]:
-    """g^-1 x g for each x, from the Cayley table."""
-    t = G.table
-    gi = G.inverse[g]
-    return {t[t[gi][x]][g] for x in elements}
-
-
-def brute_mark(lat, cx, cy) -> int:
-    """|{g in G : g^-1 X g <= Y}| / |Y| for class reps X, Y."""
-    G = lat.parent
-    X, Y = lat.class_rep(cx), lat.class_rep(cy)
-    xs, ys = X.elements(), set(Y.elements())
-    cnt = sum(1 for g in range(G.order) if _conjugate(G, xs, g) <= ys)
-    assert cnt % Y.order == 0
-    return cnt // Y.order
-
-
 def test_marks_trivial_group():
     assert enumerate_subgroups(make_cyclic(1)).marks() == [[1]]
 
@@ -295,7 +278,7 @@ def test_normalizer_order_against_conjugation_count(G):
     lat = enumerate_subgroups(G)
     for i, S in enumerate(lat.subgroups):
         xs = S.elements()
-        count = sum(1 for g in range(G.order) if _conjugate(G, xs, g) == set(xs))
+        count = sum(1 for g in range(G.order) if conjugate_elements(G, xs, g) == set(xs))
         assert lat.normalizer_order(i) == count
 
 

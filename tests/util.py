@@ -102,6 +102,72 @@ def moebius_oracle(lat) -> dict[tuple[int, int], int]:
     return mu
 
 
+def conjugate_elements(G, elements, g) -> set[int]:
+    """g^-1 x g for each x, from the Cayley table."""
+    t = G.table
+    gi = G.inverse[g]
+    return {t[t[gi][x]][g] for x in elements}
+
+
+def brute_mark(lat, cx, cy) -> int:
+    """|{g in G : g^-1 X g <= Y}| / |Y| for class reps X, Y."""
+    G = lat.parent
+    X, Y = lat.class_rep(cx), lat.class_rep(cy)
+    xs, ys = X.elements(), set(Y.elements())
+    cnt = sum(1 for g in range(G.order) if conjugate_elements(G, xs, g) <= ys)
+    assert cnt % Y.order == 0
+    return cnt // Y.order
+
+
+class DenseBurnside:
+    """Reference Burnside-ring arithmetic on dense Fraction vectors, one
+    entry per subgroup class of lat.  The marks come from `brute_mark`, a
+    fixed-point count, and the idempotent basis is reached by inverting the
+    table of marks with Gauss-Jordan elimination; no code of
+    bgroups.burnside and not the lattice's own marks are used."""
+
+    def __init__(self, lat):
+        n = lat.n_classes()
+        self.marks = [[Fraction(brute_mark(lat, x, y)) for y in range(n)] for x in range(n)]
+        self.inverse = _inverse(self.marks)
+
+    def to_idempotent(self, vec):
+        """The marks of a transitive-basis vector."""
+        return _apply(self.marks, vec)
+
+    def to_transitive(self, vec):
+        return _apply(self.inverse, vec)
+
+    def multiply(self, a, a_idempotent, b, b_idempotent):
+        """(product vector, whether it is in the idempotent basis): marks
+        multiply pointwise, and the product is in the idempotent basis when
+        both factors are."""
+        ma = a if a_idempotent else self.to_idempotent(a)
+        mb = b if b_idempotent else self.to_idempotent(b)
+        prod = tuple(x * y for x, y in zip(ma, mb))
+        both = a_idempotent and b_idempotent
+        return (prod if both else self.to_transitive(prod)), both
+
+
+def _apply(M, vec):
+    return tuple(sum((m * v for m, v in zip(row, vec)), Fraction(0)) for row in M)
+
+
+def _inverse(M):
+    n = len(M)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col][col]
+        rows[col] = [v / p for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
 def klein_four():
     return direct_product(make_cyclic(2), make_cyclic(2)).group
 
