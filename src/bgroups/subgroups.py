@@ -38,6 +38,7 @@ class SubgroupLattice:
     normal_classes: set[int]  # classes of size one: the normal subgroups
 
     _mu_columns: dict[int, dict[int, int]] = field(default_factory=dict)
+    _m_constants: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (L, N) masks
     _mark_columns: list[list[tuple[int, int]]] | None = None
 
     def __len__(self) -> int:
@@ -234,17 +235,23 @@ def m_constant(lat: SubgroupLattice, L: Subgroup, N: Subgroup) -> Fraction:
     """m_{L,N} = (1/|L|) sum over X <= L with XN = L of |X| mu(X, L).
 
     L and N are subgroups of the lattice's parent with N normal in L.
+    Each value is computed once per lattice, keyed by the two masks.
     """
     li = lat.index(L)
-    nmask, lorder, norder = N.mask, L.order, N.order
+    nmask = N.mask
     if nmask & L.mask != nmask:
         raise GroupError("N must be contained in L")
-    total = 0
-    for j, mu in lat.moebius_column(li).items():
-        X = lat.subgroups[j]
-        if X.order * norder == lorder * (X.mask & nmask).bit_count():  # |XN| = |L|
-            total += X.order * mu
-    return Fraction(total, lorder)
+    key = (L.mask, nmask)
+    m = lat._m_constants.get(key)
+    if m is None:
+        lorder, norder = L.order, N.order
+        total = 0
+        for j, mu in lat.moebius_column(li).items():
+            X = lat.subgroups[j]
+            if X.order * norder == lorder * (X.mask & nmask).bit_count():  # |XN| = |L|
+                total += X.order * mu
+        m = lat._m_constants[key] = Fraction(total, lorder)
+    return m
 
 
 def m_const(G: Group, N: Subgroup) -> Fraction:

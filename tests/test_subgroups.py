@@ -15,6 +15,7 @@ import pytest
 
 from bgroups.groups import (
     Group,
+    GroupError,
     alternating_4,
     dicyclic_3,
     dihedral_group,
@@ -355,3 +356,38 @@ def test_m_constant_examples():
     latv = enumerate_subgroups(V)
     assert m_constant(latv, full_subgroup(V), subgroup_generated(V, [1])) == 0
     assert m_constant(latv, full_subgroup(V), full_subgroup(V)) == 0
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.label)
+def test_m_constant_memo_matches_moebius_oracle(G):
+    """Every m_{L,N}, for N normal in L, equals
+    (1/|L|) sum of |X| mu(X, L) over X <= L with XN = L, with mu from the
+    recursion oracle, on the first call and on the memoised second one;
+    the containment check still runs once the value is memoised."""
+    lat = enumerate_subgroups(G)
+    mu = moebius_oracle(lat)
+    t = G.table
+    for li, L in enumerate(lat.subgroups):
+        for N in lat.subgroups:
+            if N.mask & L.mask != N.mask or any(
+                conjugate_elements(G, N.elements(), g) != set(N.elements()) for g in L.elements()
+            ):
+                continue
+            nset = set(N.elements())
+            want = Fraction(
+                sum(
+                    X.order * mu[xi, li]
+                    for xi, X in enumerate(lat.subgroups)
+                    if (xi, li) in mu
+                    and len({t[x][n] for x in X.elements() for n in nset}) == L.order
+                ),
+                L.order,
+            )
+            assert m_constant(lat, L, N) == want
+            assert lat._m_constants[L.mask, N.mask] == want
+            assert m_constant(lat, L, N) == want
+    top, bottom = lat.subgroups[-1], lat.subgroups[0]
+    m_constant(lat, bottom, bottom)
+    if len(lat) > 1:
+        with pytest.raises(GroupError):
+            m_constant(lat, bottom, top)
