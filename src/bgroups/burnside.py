@@ -42,9 +42,9 @@ _set = object.__setattr__
 
 
 class BurnsideElement:
-    """sum over (c, n) in `terms` of (n / den) b_c, with b_c the basis element
-    of subgroup class c.  `BurnsideElement(G, basis, coeffs)` checks a dense
-    vector of rationals, one per class; derived elements come from
+    """The sum of (n / den) b_c over (c, n) in `terms`, with b_c the basis
+    element of subgroup class c.  `BurnsideElement(G, basis, coeffs)` checks
+    a dense vector of rationals, one per class; derived elements come from
     `_element` without a check."""
 
     __slots__ = ("group", "basis", "terms", "den", "_coeffs")
