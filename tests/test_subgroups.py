@@ -363,17 +363,17 @@ def test_m_constant_memo_matches_moebius_oracle(G):
     """Every m_{L,N}, for N normal in L, equals
     (1/|L|) sum of |X| mu(X, L) over X <= L with XN = L, with mu from the
     recursion oracle, on the first call and on the memoised second one;
-    the containment check still runs once the value is memoised."""
+    an N outside L is still refused once the memo is filled."""
     lat = enumerate_subgroups(G)
     mu = moebius_oracle(lat)
     t = G.table
     for li, L in enumerate(lat.subgroups):
         for N in lat.subgroups:
+            nset = set(N.elements())
             if N.mask & L.mask != N.mask or any(
-                conjugate_elements(G, N.elements(), g) != set(N.elements()) for g in L.elements()
+                conjugate_elements(G, nset, g) != nset for g in L.elements()
             ):
                 continue
-            nset = set(N.elements())
             want = Fraction(
                 sum(
                     X.order * mu[xi, li]
