@@ -110,7 +110,7 @@ class BurnsideElement:
         return self._combine(other, -1)
 
     def __rmul__(self, scalar) -> "BurnsideElement":
-        s = Fraction(scalar)
+        s = scalar if type(scalar) is Fraction else Fraction(scalar)
         nums = {c: n * s.numerator for c, n in self.terms}
         return _element(self.group, self.basis, nums, self.den * s.denominator)
 
@@ -127,12 +127,18 @@ def _element(G: Group, basis: str, nums: dict[int, int], den: int,
     if g > 1:
         den //= g
         nums = {c: n // g for c, n in nums.items()}
+    return _build(G, basis, tuple(sorted(nums.items())), den, None, obj)
+
+
+def _build(G: Group, basis: str, terms: tuple, den: int, coeffs,
+           obj: BurnsideElement | None = None) -> BurnsideElement:
+    """The element with these fields, which must already be canonical."""
     obj = object.__new__(BurnsideElement) if obj is None else obj
     _set(obj, "group", G)
     _set(obj, "basis", basis)
-    _set(obj, "terms", tuple(sorted(nums.items())))
+    _set(obj, "terms", terms)
     _set(obj, "den", den)
-    _set(obj, "_coeffs", None)
+    _set(obj, "_coeffs", coeffs)
     return obj
 
 
@@ -171,14 +177,25 @@ def identity_element(G: Group) -> BurnsideElement:
 
 def gluck_idempotent(G: Group, L: Subgroup) -> BurnsideElement:
     """Primitive idempotent e_L in the transitive basis:
-    (1/|N_G(L)|) sum over X <= L of |X| mu(X, L) [G/X]."""
+    (1/|N_G(L)|) sum over X <= L of |X| mu(X, L) [G/X].
+
+    Built once per conjugacy class and kept on the lattice; the Moebius
+    column walked for it is not kept.  A call with G under another label
+    than the kept element's gets an equal element over G, which is kept
+    instead, so a repeat call returns the same object."""
     lat = enumerate_subgroups(G)
     li = lat.index(L)
-    totals: dict[int, int] = {}
-    for j, mu in lat.moebius_column(li).items():
-        c = lat.conj_class[j]
-        totals[c] = totals.get(c, 0) + lat.subgroups[j].order * mu
-    return _element(G, TRANSITIVE, totals, lat.normalizer_order(li))
+    c = lat.conj_class[li]
+    e = lat._idempotents.get(c)
+    if e is None:
+        totals: dict[int, int] = {}
+        for j, mu in lat.moebius_column(li, keep=False).items():
+            cj = lat.conj_class[j]
+            totals[cj] = totals.get(cj, 0) + lat.subgroups[j].order * mu
+        e = lat._idempotents[c] = _element(G, TRANSITIVE, totals, lat.normalizer_order(li))
+    elif e.group.label != G.label:  # equal, under G's label, kept in its place
+        e = lat._idempotents[c] = _build(G, e.basis, e.terms, e.den, e._coeffs)
+    return e
 
 
 def marks_of(elem: BurnsideElement) -> tuple[Fraction, ...]:
@@ -194,7 +211,8 @@ def to_idempotent_basis(elem: BurnsideElement) -> BurnsideElement:
     # the mark at X sums n_Y marks[X][Y] over the Y in the support
     nums: dict[int, int] = {}
     for y, n in elem.terms:
-        for x, m in cols[y]:
+        xs, ms = cols[y]
+        for x, m in zip(xs, ms):
             nums[x] = nums.get(x, 0) + n * m
     return _element(elem.group, IDEMPOTENT, nums, elem.den)
 
@@ -216,8 +234,8 @@ def to_transitive_basis(elem: BurnsideElement) -> BurnsideElement:
         s = nums.get(x, 0) * scale - pushed.pop(x, 0)
         if not s:
             continue
-        col = cols[x]
-        d = col[-1][1]  # marks[x][x]
+        xs, ms = cols[x]
+        d = ms[-1]  # marks[x][x]
         f = d // gcd(s, d)
         if f > 1:
             scale *= f
@@ -225,7 +243,7 @@ def to_transitive_basis(elem: BurnsideElement) -> BurnsideElement:
             out = {y: u * f for y, u in out.items()}
             pushed = {y: v * f for y, v in pushed.items()}
         u = out[x] = s // d
-        for y, m in islice(col, len(col) - 1):
+        for y, m in islice(zip(xs, ms), len(xs) - 1):
             pushed[y] = pushed.get(y, 0) + m * u
     return _element(elem.group, TRANSITIVE, out, elem.den * scale)
 
@@ -284,61 +302,67 @@ def restrict(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
     return _element(H, TRANSITIVE, coeffs, elem.den)
 
 
-def _push(elem: BurnsideElement, target: Group, push) -> BurnsideElement:
-    """Send each [G/X] in elem to [target/Y], where Y has mask push(X)."""
+def _push(elem: BurnsideElement, f: Homomorphism, back: bool = False) -> BurnsideElement:
+    """Send each [X] in elem to [f(X)] over f's target, or, when `back`, to
+    [f^-1(X)] over f's source.  The class maps, one per direction, are kept
+    on f and filled as classes first pass along it."""
     elem = to_transitive_basis(elem)
-    lat = elem.lattice
-    lat_t = enumerate_subgroups(target)
+    if f._biset is None:
+        _set(f, "_biset", ({}, {}))
+    classes = f._biset[back]
+    target = f.source if back else f.target
     coeffs: dict[int, int] = {}
+    lat = lat_t = None
     for cx, coeff in elem.terms:
-        c = lat_t.conj_class[lat_t.index_of[push(lat.class_rep(cx))]]
+        c = classes.get(cx)
+        if c is None:
+            if lat is None:
+                lat, lat_t = elem.lattice, enumerate_subgroups(target)
+            mask = _pushed_mask(f, lat.class_rep(cx).mask, back)
+            c = classes[cx] = lat_t.conj_class[lat_t.index_of[mask]]
         coeffs[c] = coeffs.get(c, 0) + coeff
     return _element(target, TRANSITIVE, coeffs, elem.den)
 
 
-def _image_mask(f: Homomorphism):
+def _pushed_mask(f: Homomorphism, m: int, back: bool) -> int:
+    """The mask of f(X), or of f^-1(X) when `back`, for X with mask m."""
     image = f.image
-
-    def push(X: Subgroup) -> int:
-        out, m = 0, X.mask
-        while m:  # one step per element of X
-            low = m & -m
-            out |= 1 << image[low.bit_length() - 1]
-            m ^= low
-        return out
-
-    return push
+    if back:
+        return mask_of(g for g, v in enumerate(image) if (m >> v) & 1)
+    out = 0
+    while m:  # one step per element of X
+        low = m & -m
+        out |= 1 << image[low.bit_length() - 1]
+        m ^= low
+    return out
 
 
 def induce(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
     """Induction along an injective map H -> G: [H/X] -> [G/X]."""
     if incl.source != elem.group or not incl.is_injective():
         raise GroupError("induction needs an injective map from the element's group")
-    return _push(elem, incl.target, _image_mask(incl))
+    return _push(elem, incl)
 
 
 def inflate(elem: BurnsideElement, proj: Homomorphism) -> BurnsideElement:
     """Inflation along a surjection G -> Q: [Q/Y] -> [G/preimage(Y)]."""
     if proj.target != elem.group or not proj.is_surjective():
         raise GroupError("inflation needs a surjection onto the element's group")
-    G = proj.source
-    return _push(
-        elem, G, lambda Y: mask_of(g for g in range(G.order) if proj.image[g] in Y)
-    )
+    return _push(elem, proj, back=True)
 
 
 def deflate(elem: BurnsideElement, proj: Homomorphism) -> BurnsideElement:
     """Deflation along a surjection G -> Q: [G/X] -> [Q/image(X)]."""
     if proj.source != elem.group or not proj.is_surjective():
         raise GroupError("deflation needs a surjection from the element's group")
-    return _push(elem, proj.target, _image_mask(proj))
+    return _push(elem, proj)
 
 
 def transport(elem: BurnsideElement, iso: Homomorphism) -> BurnsideElement:
     """Relabelling along a group isomorphism."""
     if iso.source != elem.group or not iso.is_bijective():
         raise GroupError("transport needs an isomorphism from the element's group")
-    return _push(elem, iso.target, _image_mask(iso))
+    return _push(elem, iso)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,16 @@ contents.  A `Group` is a `_Table` under a label, so `==` and `hash` mean
 "same contents, labels ignored" without reading the table.  The `_Table`
 owns what is derived from the table alone: the subgroup lattice, generating
 sequence, element orders, over-K word plan, and memos of products, subgroup
-embeddings and quotients.  Homomorphisms and subgroups are frozen dataclasses.
+embeddings (one map per subgroup and parent label) and quotients.
+Homomorphisms and subgroups are frozen dataclasses; a `Subgroup` is slotted,
+and a `Homomorphism` carries the biset class maps of `burnside` outside its
+fields.
 
 Values are checked where they enter: a direct `Group(...)`,
 `Homomorphism(...)` or `Subgroup(...)` call checks its input in full.  Both
 laws are checked exactly on a generating sequence only: associativity by
-Light's test, and the homomorphism law by `_is_hom`.  Every value this
+Light's test, and the homomorphism law by `_is_hom`; a subgroup mask is
+checked by closing greedily chosen generators inside it.  Every value this
 library derives from checked values (products, quotients, subgroups,
 kernels, compositions, named groups) is built by `_group` or `_trusted`
 without a second check.
@@ -30,12 +34,17 @@ class GroupError(ValueError):
     """Raised when a construction precondition fails."""
 
 
+_setattr = object.__setattr__  # past a frozen dataclass's __setattr__
+
+
 def _trusted(cls, *fields):
     """A `cls` value built from `fields` without running its checks; only
-    for values derived from values that were already checked."""
+    for values derived from values that were already checked.  The fields
+    are set one at a time: filling the instance `__dict__` in one update
+    would make it a real dict, which is larger and slower to read."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, fields):
-        object.__setattr__(obj, name, value)
+        _setattr(obj, name, value)
     return obj
 
 
@@ -49,7 +58,7 @@ class _Table:
         self.order, self.table, self.inverse = len(table), table, inverse
         self.lattice = self.gens = self.orders = self.word_plan = None
         self.products = {}  # other factor's _Table -> (product _Table, maps)
-        self.embeddings = {}  # subgroup mask -> (subgroup _Table, elements)
+        self.embeddings = {}  # subgroup mask -> (subgroup _Table, elements, {label: map})
         self.quotients = {}  # normal subgroup mask -> (quotient _Table, cosets)
 
 
@@ -159,15 +168,23 @@ def _group(t: _Table, label: str, G: Group | None = None) -> Group:
     """A Group (a new one, or G) on the table t, built without a check."""
     G = object.__new__(Group) if G is None else G
     for name, value in zip(Group.__slots__, (t, t.order, t.table, t.inverse, label)):
-        object.__setattr__(G, name, value)
+        _setattr(G, name, value)
     return G
 
 
 @dataclass(frozen=True)
 class Homomorphism:
+    """A map of groups given by the image of each source element.
+
+    `_biset` is not a field: it holds the class maps that the biset
+    operations of `burnside` fill lazily along this map, so it takes no part
+    in `==`, `hash` or `repr`."""
+
     source: Group
     target: Group
     image: tuple[int, ...]
+
+    _biset = None
 
     def __post_init__(self):
         self._validate()
@@ -209,7 +226,7 @@ class Homomorphism:
         return _trusted(Homomorphism, self.target, self.source, tuple(inv))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subgroup:
     parent: Group
     mask: int  # bitset over parent element ids
@@ -218,27 +235,46 @@ class Subgroup:
         self._validate()
 
     def _validate(self) -> None:
-        if not self.mask & 1:
-            raise GroupError("subgroup must contain the identity")
-        if self.mask >> self.parent.order:
-            raise GroupError("mask has elements outside the parent")
-        elems = self.elements()
-        t, inv = self.parent.table, self.parent.inverse
+        """Close greedily chosen members of the mask: the least member not yet
+        reached joins the generators, and the walk multiplies on the right by
+        the generators, failing at the first product outside the mask.  Each
+        new generator at least doubles the subgroup reached, so there are at
+        most log2|S| of them and the walk costs O(|S|·log|S|) lookups.  In a
+        finite group the walk reaches the subgroup generated, so it ends at
+        the mask exactly when the mask is a subgroup."""
         m = self.mask
-        for a in elems:
-            if not (m >> inv[a]) & 1:
-                raise GroupError("subset not closed under inverse")
-            for b in elems:
-                if not (m >> t[a][b]) & 1:
-                    raise GroupError("subset not closed under product")
+        if not m & 1:
+            raise GroupError("subgroup must contain the identity")
+        if m >> self.parent.order:
+            raise GroupError("mask has elements outside the parent")
+        t = self.parent.table
+        walk, reached, gens = [0], 1, []
+        while reached != m:
+            rest = m & ~reached
+            gens.append((rest & -rest).bit_length() - 1)
+            old = len(walk)  # already multiplied by every generator but the new one
+            for i, a in enumerate(walk):  # walk grows as it is read
+                row = t[a]
+                for g in gens if i >= old else gens[-1:]:
+                    c = row[g]
+                    if not (reached >> c) & 1:
+                        if not (m >> c) & 1:
+                            raise GroupError("subset not closed under product")
+                        reached |= 1 << c
+                        walk.append(c)
 
     @property
     def order(self) -> int:
         return self.mask.bit_count()
 
     def elements(self) -> list[int]:
-        m = self.mask
-        return [i for i in range(self.parent.order) if (m >> i) & 1]
+        """The member ids, ascending: one step per set bit of the mask."""
+        out, m = [], self.mask
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return out
 
     def __contains__(self, a: int) -> bool:
         return bool((self.mask >> a) & 1)
@@ -358,7 +394,8 @@ def direct_product(G: Group, H: Group) -> Product:
         )
     t, (p1, p2, i1, i2) = G._t.products[H._t]
     P = _group(t, f"{G.label}x{H.label}")
-    return Product(
+    return _trusted(
+        Product,
         P,
         _trusted(Homomorphism, P, G, p1),
         _trusted(Homomorphism, P, H, p2),
@@ -482,15 +519,21 @@ def subgroup_embedding(S: Subgroup) -> Homomorphism:
 
     Elements are relabelled in increasing parent-id order, so the identity
     keeps id 0.  The standalone group is the source of the returned map.
+    The table is built once per subgroup of a table, and the map once per
+    subgroup and parent label, so a repeat call returns the same object.
     """
     G = S.parent
-    if S.mask not in G._t.embeddings:  # the table, once per subgroup of a table
+    entry = G._t.embeddings.get(S.mask)
+    if entry is None:
         elems = tuple(S.elements())
         back = {e: i for i, e in enumerate(elems)}
         table = tuple(tuple(back[G.table[a][b]] for b in elems) for a in elems)
-        G._t.embeddings[S.mask] = _intern(table), elems
-    t, elems = G._t.embeddings[S.mask]
-    return _trusted(Homomorphism, _group(t, f"{G.label}|{t.order}"), G, elems)
+        entry = G._t.embeddings[S.mask] = _intern(table), elems, {}
+    t, elems, maps = entry
+    f = maps.get(G.label)
+    if f is None:
+        f = maps[G.label] = _trusted(Homomorphism, _group(t, f"{G.label}|{t.order}"), G, elems)
+    return f
 
 
 def subgroup_as_group(S: Subgroup) -> Group:

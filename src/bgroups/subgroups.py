@@ -11,9 +11,12 @@ found is joined with every cyclic subgroup, and each join is closed from the
 generators recorded for its two parts, so a closure costs O(|K|·|gens|).
 Conjugacy classes are orbits under the group's generating sequence.  Marks
 come from containment counts (Pfeiffer 1997), with |N_G(Y)| read off the
-class size of Y, and are kept by column, nonzero entries only.  The
-idempotent and m-constant sums over X <= L walk the Moebius column of L,
-which keeps only the X with mu(X, L) != 0.
+class size of Y, and are kept by column, nonzero entries only, each column
+packed as a tuple of classes and a tuple of marks.  The idempotent and
+m-constant sums over X <= L walk the Moebius column of L, which keeps only
+the X with mu(X, L) != 0.  The lattice keeps the m-constants and Glück's
+idempotent e_L per class (filled by `burnside.gluck_idempotent`); a column
+walked only for an idempotent is not kept.
 Enumeration takes no size limit and keeps one lattice per interned table,
 shared by equal groups; a caller that must bound the work (the CLI's
 --max-order) checks the group order before asking for it.
@@ -39,7 +42,8 @@ class SubgroupLattice:
 
     _mu_columns: dict[int, dict[int, int]] = field(default_factory=dict)
     _m_constants: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (L, N) masks
-    _mark_columns: list[list[tuple[int, int]]] | None = None
+    _mark_columns: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
+    _idempotents: dict = field(default_factory=dict)  # class -> e_L, filled by burnside
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -75,11 +79,13 @@ class SubgroupLattice:
 
     # -- Moebius ------------------------------------------------------------
 
-    def moebius_column(self, j: int) -> dict[int, int]:
-        """{i: mu(X_i, X_j)} for the X_i <= X_j with mu != 0, built once:
+    def moebius_column(self, j: int, keep: bool = True) -> dict[int, int]:
+        """{i: mu(X_i, X_j)} for the X_i <= X_j with mu != 0:
         mu(X_i, X_j) = -sum of mu(Z, X_j) over X_i < Z <= X_j, and each such Z
         comes after X_i in (order, mask), so it is known by then.  The terms
-        left out are zero, as most are (P. Hall 1936)."""
+        left out are zero, as most are (P. Hall 1936).  A column is kept once
+        built, unless `keep` is false: a caller that keeps what it derives
+        from the column passes that.  A kept column is returned either way."""
         col = self._mu_columns.get(j)
         if col is None:
             subs = self.subgroups
@@ -91,7 +97,8 @@ class SubgroupLattice:
                     mu = -sum(m for z, m in col.items() if subs[z].mask & mi == mi)
                     if mu:
                         col[i] = mu
-            self._mu_columns[j] = col
+            if keep:
+                self._mu_columns[j] = col
         return col
 
     def moebius(self, i: int, j: int) -> int:
@@ -100,9 +107,10 @@ class SubgroupLattice:
 
     # -- marks --------------------------------------------------------------
 
-    def mark_columns(self) -> list[list[tuple[int, int]]]:
-        """Per class y, the (x, marks[x][y]) with a nonzero mark, by
-        increasing x; the last is the diagonal (y, marks[y][y]).
+    def mark_columns(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per class y, the classes x with a nonzero marks[x][y], by
+        increasing x, and those marks: two tuples, whose last entries are y
+        and the diagonal marks[y][y].
 
         X fixes gY exactly when X <= gYg^-1, and each conjugate of Y is
         gYg^-1 for |N_G(Y)|/|Y| cosets gY, so
@@ -112,7 +120,8 @@ class SubgroupLattice:
             per_conjugate = [self.normalizer_order(r) // self.subgroups[r].order
                              for r in self.class_reps]  # |N_G(Y)|/|Y|
             masks = [S.mask for S in self.subgroups]
-            cols: list[list[tuple[int, int]]] = [[] for _ in self.class_reps]
+            xs: list[list[int]] = [[] for _ in self.class_reps]
+            ms: list[list[int]] = [[] for _ in self.class_reps]
             for x, r in enumerate(self.class_reps):
                 xm = masks[r]
                 count: dict[int, int] = {}
@@ -121,8 +130,9 @@ class SubgroupLattice:
                     if m & xm == xm:
                         count[cy] = count.get(cy, 0) + 1
                 for cy, cnt in count.items():
-                    cols[cy].append((x, cnt * per_conjugate[cy]))
-            self._mark_columns = cols
+                    xs[cy].append(x)
+                    ms[cy].append(cnt * per_conjugate[cy])
+            self._mark_columns = [(tuple(x), tuple(m)) for x, m in zip(xs, ms)]
         return self._mark_columns
 
     def marks(self) -> list[list[int]]:
@@ -130,8 +140,8 @@ class SubgroupLattice:
         a new dense table, rendered from `mark_columns`."""
         n = len(self.class_reps)
         M = [[0] * n for _ in range(n)]
-        for y, col in enumerate(self.mark_columns()):
-            for x, m in col:
+        for y, (xs, ms) in enumerate(self.mark_columns()):
+            for x, m in zip(xs, ms):
                 M[x][y] = m
         return M
 

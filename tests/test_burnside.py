@@ -44,6 +44,7 @@ from bgroups.groups import (
     mask_of,
     quaternion_group,
     quotient,
+    relabel,
     subgroup_as_group,
     subgroup_embedding,
     subgroup_generated,
@@ -52,7 +53,7 @@ from bgroups.groups import (
     trivial_subgroup,
 )
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
-from util import DenseBurnside
+from util import DenseBurnside, brute_mark, idempotent_corpus, moebius_oracle
 
 SMALL_GROUPS = [
     make_cyclic(6),
@@ -108,6 +109,58 @@ def test_idempotents_orthogonal_and_complete(G):
             prod = multiply(ei, ej)
             assert prod.coeffs == (ei.coeffs if i == j else zero(G).coeffs)
     assert total.coeffs == identity_element(G).coeffs
+
+
+def _normaliser_order(G, mask):
+    """|N_G(X)| by conjugating every element of X by every g."""
+    t, inv = G.table, G.inverse
+    xs = [x for x in range(G.order) if (mask >> x) & 1]
+    return sum(all((mask >> t[t[g][x]][inv[g]]) & 1 for x in xs) for g in range(G.order))
+
+
+@pytest.mark.parametrize("G", idempotent_corpus(), ids=lambda g: g.label)
+def test_idempotent_memo_matches_moebius_oracle(G):
+    """e_L = (1/|N_G(L)|) sum |X| mu(X, L) [G/X], with mu from the reference
+    recursion, for a class representative and a conjugate of it; a repeat
+    call returns the kept element, and the table under another label gets an
+    equal element over the relabelled group."""
+    lat = enumerate_subgroups(G)
+    mu = moebius_oracle(lat)
+    nc = lat.n_classes()
+    H = relabel(G, G.label + "'")
+    for c in range(nc):
+        L = lat.class_rep(c)
+        li = lat.index_of[L.mask]
+        sums = [0] * nc
+        for (i, j), m in mu.items():
+            if j == li:
+                sums[lat.conj_class[i]] += lat.subgroups[i].order * m
+        norm = _normaliser_order(G, L.mask)
+        want = tuple(Fraction(x, norm) for x in sums)
+        e = gluck_idempotent(G, L)
+        assert e.coeffs == want
+        assert gluck_idempotent(G, L) is e
+        conjugates = [S for S, k in zip(lat.subgroups, lat.conj_class) if k == c and S != L]
+        for S in conjugates[:1]:
+            assert gluck_idempotent(G, S).coeffs == want
+        f = gluck_idempotent(H, Subgroup(H, L.mask))
+        assert f == e and f.coeffs == e.coeffs
+        assert f.group.label == H.label and e.group.label == G.label
+
+
+@pytest.mark.parametrize("G", SMALL_GROUPS, ids=lambda g: g.label)
+def test_packed_mark_columns_match_brute_marks(G):
+    """Each mark column is a (classes, marks) pair of tuples, and marks(),
+    marks_of of each [G/Y] and the columns agree with the fixed-point count."""
+    lat = enumerate_subgroups(G)
+    nc = lat.n_classes()
+    M = lat.marks()
+    for y, (xs, ms) in enumerate(lat.mark_columns()):
+        assert type(xs) is tuple and type(ms) is tuple and xs[-1] == y
+        want = [brute_mark(lat, x, y) for x in range(nc)]
+        assert [M[x][y] for x in range(nc)] == want
+        assert marks_of(transitive_basis_element(G, lat.class_rep(y))) == tuple(map(Fraction, want))
+        assert dict(zip(xs, ms)) == {x: m for x, m in enumerate(want) if m}
 
 
 def test_marks_of_identity_and_zero():
@@ -413,6 +466,60 @@ def test_biset_operation_preconditions(op, G, f, message):
     with pytest.raises(GroupError) as info:
         op(identity_element(G), f)
     assert str(info.value) == message
+
+
+def _fresh(f):
+    """An equal map built anew, with no class map filled."""
+    return Homomorphism(f.source, f.target, f.image)
+
+
+def _memo_cases():
+    from bgroups.overk import isomorphisms
+
+    for G in SMALL_GROUPS + [symmetric_group(4), direct_product(make_cyclic(4), make_cyclic(2)).group]:
+        for N in normal_subgroups(G):
+            yield pytest.param(G, quotient(G, N)[1], "quotient", id=f"{G.label}/N{N.mask:x}")
+        yield pytest.param(G, next(isomorphisms(G, G)), "automorphism", id=f"{G.label}-auto")
+
+
+@pytest.mark.parametrize("G,f,kind", _memo_cases())
+def test_class_maps_on_a_map_never_leak(G, f, kind):
+    """Deflating, inflating and transporting along one map object agrees with
+    the same operation along a fresh equal map, before and after the map's
+    class maps fill, and the filled maps change neither == nor hash."""
+    key = (f.source, f.target, f.image)
+    assert f == _fresh(f) and hash(f) == hash(_fresh(f))
+    lat = enumerate_subgroups(G)
+    sources = [gluck_idempotent(G, lat.class_rep(c)) for c in range(lat.n_classes())]
+    sources += [transitive_basis_element(G, lat.class_rep(c)) for c in range(lat.n_classes())]
+    sources.append(Fraction(2, 3) * sources[0] + sources[-1])
+    if kind == "quotient":
+        latq = enumerate_subgroups(f.target)
+        targets = [gluck_idempotent(f.target, latq.class_rep(c)) for c in range(latq.n_classes())]
+        for _ in range(2):  # the second pass reads the filled maps
+            for e in sources:
+                assert deflate(e, f) == deflate(e, _fresh(f))
+            for e in targets:
+                assert inflate(e, f) == inflate(e, _fresh(f))
+    else:
+        for _ in range(2):
+            for e in sources:
+                assert transport(e, f) == transport(e, _fresh(f))
+    assert f._biset is not None
+    assert (f.source, f.target, f.image) == key
+    assert f == _fresh(f) and hash(f) == hash(_fresh(f)) and repr(f) == repr(_fresh(f))
+
+
+def test_one_embedding_per_subgroup_and_parent_label():
+    """The map is kept per subgroup and parent label: each label gets a
+    source under its own label, and a repeat call returns the same object."""
+    A, B = make_cyclic(6, "A"), make_cyclic(6, "B")
+    S = Subgroup(A, 0b001001)
+    fa, fb = subgroup_embedding(S), subgroup_embedding(Subgroup(B, S.mask))
+    assert fa.source.label == "A|2" and fb.source.label == "B|2"
+    assert fa.target.label == "A" and fb.target.label == "B"
+    assert fa == fb and fa.source.table is fb.source.table
+    assert subgroup_embedding(S) is fa and subgroup_embedding(Subgroup(B, S.mask)) is fb
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,68 @@ def test_close_subset_agrees_with_pairwise_closure(data):
     assert close_subset(G, S) == pairwise_closure(G, S)
 
 
+def _subgroup_masks(G):
+    return [S.mask for S in enumerate_subgroups(G).subgroups]
+
+
+@st.composite
+def _group_and_mask(draw):
+    """A catalog group of order <= 16 with a random mask, a subgroup's mask
+    with one bit flipped, the union of two subgroups' masks, or a subgroup K
+    with one coset Kg added."""
+    G = draw(st.sampled_from(_SMALL))
+    n = G.order
+    kind = draw(st.sampled_from(("random", "flip", "union", "coset")))
+    if kind == "random":
+        return G, draw(st.integers(0, (1 << n) - 1))
+    subs = _subgroup_masks(G)
+    m = draw(st.sampled_from(subs))
+    if kind == "flip":
+        return G, m ^ (1 << draw(st.integers(0, n - 1)))
+    if kind == "union":
+        return G, m | draw(st.sampled_from(subs))
+    g = draw(st.integers(0, n - 1))
+    return G, m | sum(1 << G.table[k][g] for k in range(n) if (m >> k) & 1)
+
+
+@given(_group_and_mask())
+def test_subgroup_check_agrees_with_pairwise_closure(case):
+    """Subgroup(G, mask) raises exactly when the mask lacks the identity or
+    is not closed by the reference closure; elements() lists the set bits
+    in ascending order."""
+    G, mask = case
+    bits = [x for x in range(G.order) if (mask >> x) & 1]
+    closed = sum(1 << x for x in pairwise_closure(G, bits))
+    try:
+        S = Subgroup(G, mask)
+        accepted = True
+    except GroupError:
+        accepted = False
+    assert accepted == (bool(mask & 1) and closed == mask)
+    if accepted:
+        assert S.elements() == bits
+
+
+def test_subgroup_check_agrees_with_pairwise_closure_on_every_small_mask():
+    for G in groups_up_to_order(8):
+        for mask in range(1 << G.order):
+            bits = [x for x in range(G.order) if (mask >> x) & 1]
+            closed = sum(1 << x for x in pairwise_closure(G, bits))
+            try:
+                Subgroup(G, mask)
+                accepted = True
+            except GroupError:
+                accepted = False
+            assert accepted == (bool(mask & 1) and closed == mask), (G.label, bin(mask))
+
+
+def test_every_lattice_subgroup_passes_the_subgroup_check():
+    for G in groups_up_to_order(16):
+        for S in enumerate_subgroups(G).subgroups:
+            assert Subgroup(G, S.mask) == S
+            assert S.elements() == [x for x in range(G.order) if (S.mask >> x) & 1]
+
+
 def _valid_maps():
     """Inner automorphisms, quotient maps and subgroup inclusions of the
     small groups."""
