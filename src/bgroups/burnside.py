@@ -29,6 +29,7 @@ from .groups import (
     Subgroup,
     _trusted,
     direct_product,
+    elements_of,
     mask_of,
     subgroup_embedding,
 )
@@ -329,12 +330,7 @@ def _pushed_mask(f: Homomorphism, m: int, back: bool) -> int:
     image = f.image
     if back:
         return mask_of(g for g, v in enumerate(image) if (m >> v) & 1)
-    out = 0
-    while m:  # one step per element of X
-        low = m & -m
-        out |= 1 << image[low.bit_length() - 1]
-        m ^= low
-    return out
+    return mask_of([image[a] for a in elements_of(m)])
 
 
 def induce(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:

@@ -32,6 +32,7 @@ from .groups import (
     GroupError,
     Subgroup,
     full_subgroup,
+    greedy_generators,
     kernel,
     subgroup_as_group,
     subgroup_generated,
@@ -81,18 +82,9 @@ def rat(f: Fraction) -> str:
 
 def class_label(lat, c: int) -> str:
     """Stable label for a subgroup class: order plus a canonical generating
-    word (greedy minimal generators of the deterministic class rep)."""
+    word (the greedy generators of the deterministic class rep)."""
     rep = lat.class_rep(c)
-    G = lat.parent
-    gens: list[int] = []
-    have = subgroup_generated(G, []).mask
-    for x in rep.elements():
-        if not (have >> x) & 1:
-            gens.append(x)
-            have = subgroup_generated(G, gens).mask
-        if have == rep.mask:
-            break
-    return f"{rep.order}<{','.join(map(str, gens))}>"
+    return f"{rep.order}<{','.join(map(str, greedy_generators(lat.parent, rep.mask)))}>"
 
 
 def render_text(report: Report) -> str:

@@ -15,11 +15,13 @@ fields.
 Values are checked where they enter: a direct `Group(...)`,
 `Homomorphism(...)` or `Subgroup(...)` call checks its input in full.  Both
 laws are checked exactly on a generating sequence only: associativity by
-Light's test, and the homomorphism law by `_is_hom`; a subgroup mask is
-checked by closing greedily chosen generators inside it.  Every value this
-library derives from checked values (products, quotients, subgroups,
-kernels, compositions, named groups) is built by `_group` or `_trusted`
-without a second check.
+Light's test, and the homomorphism law by `_is_hom`.  One greedy walk,
+`greedy_generators`, chooses the generating sequence of a group, checks a
+subgroup mask by closing the generators it chooses inside it, and gives the
+CLI's class labels their generator words.  Every value this library derives
+from checked values (products, quotients, subgroups, kernels, compositions,
+named groups) is built by `_group` or `_trusted` without a second check.
+Masks are ints over element ids; `mask_of` and `elements_of` convert.
 """
 
 from __future__ import annotations
@@ -152,12 +154,7 @@ class Group:
     def generating_sequence(self) -> tuple[int, ...]:
         """Deterministic (greedy, smallest-id-first) generating sequence."""
         if self._t.gens is None:
-            gens: list[int] = []
-            closed = {0}
-            while len(closed) < self.order:
-                gens.append(min(x for x in range(self.order) if x not in closed))
-                closed = close_subset(self, gens)
-            self._t.gens = tuple(gens)
+            self._t.gens = greedy_generators(self, (1 << self.order) - 1)
         return self._t.gens
 
     def __repr__(self):
@@ -235,46 +232,20 @@ class Subgroup:
         self._validate()
 
     def _validate(self) -> None:
-        """Close greedily chosen members of the mask: the least member not yet
-        reached joins the generators, and the walk multiplies on the right by
-        the generators, failing at the first product outside the mask.  Each
-        new generator at least doubles the subgroup reached, so there are at
-        most log2|S| of them and the walk costs O(|S|·log|S|) lookups.  In a
-        finite group the walk reaches the subgroup generated, so it ends at
-        the mask exactly when the mask is a subgroup."""
         m = self.mask
         if not m & 1:
             raise GroupError("subgroup must contain the identity")
         if m >> self.parent.order:
             raise GroupError("mask has elements outside the parent")
-        t = self.parent.table
-        walk, reached, gens = [0], 1, []
-        while reached != m:
-            rest = m & ~reached
-            gens.append((rest & -rest).bit_length() - 1)
-            old = len(walk)  # already multiplied by every generator but the new one
-            for i, a in enumerate(walk):  # walk grows as it is read
-                row = t[a]
-                for g in gens if i >= old else gens[-1:]:
-                    c = row[g]
-                    if not (reached >> c) & 1:
-                        if not (m >> c) & 1:
-                            raise GroupError("subset not closed under product")
-                        reached |= 1 << c
-                        walk.append(c)
+        greedy_generators(self.parent, m)
 
     @property
     def order(self) -> int:
         return self.mask.bit_count()
 
     def elements(self) -> list[int]:
-        """The member ids, ascending: one step per set bit of the mask."""
-        out, m = [], self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        """The member ids, ascending."""
+        return elements_of(self.mask)
 
     def __contains__(self, a: int) -> bool:
         return bool((self.mask >> a) & 1)
@@ -308,6 +279,43 @@ def mask_of(elements) -> int:
     for e in elements:
         m |= 1 << e
     return m
+
+
+def elements_of(mask: int) -> list[int]:
+    """The set bits of a mask, ascending: one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def greedy_generators(G: Group, mask: int) -> tuple[int, ...]:
+    """Greedy generators of the subgroup with this mask, which must contain
+    the identity: the least member not yet reached joins the generators, and
+    a walk from the identity multiplies on the right by the generators,
+    raising at the first product outside the mask.  Each new generator at
+    least doubles the subgroup reached, so there are at most log2|S| of them
+    and the walk costs O(|S|·log|S|) lookups.  In a finite group the walk
+    reaches the subgroup generated, so it ends at the mask exactly when the
+    mask is a subgroup."""
+    t = G.table
+    walk, reached, gens = [0], 1, []
+    while reached != mask:
+        rest = mask & ~reached
+        gens.append((rest & -rest).bit_length() - 1)
+        old = len(walk)  # already multiplied by every generator but the new one
+        for i, a in enumerate(walk):  # walk grows as it is read
+            row = t[a]
+            for g in gens if i >= old else gens[-1:]:
+                c = row[g]
+                if not (reached >> c) & 1:
+                    if not (mask >> c) & 1:
+                        raise GroupError("subset not closed under product")
+                    reached |= 1 << c
+                    walk.append(c)
+    return tuple(gens)
 
 
 def close_subset(G: Group, elements) -> set[int]:

@@ -11,8 +11,6 @@ from .catalog import groups_up_to_order
 from .groups import (
     Group,
     GroupError,
-    Homomorphism,
-    Subgroup,
     direct_product,
     kernel,
     quotient,
@@ -139,23 +137,6 @@ def _product_pairs(G: Group, K: Group):
         X = lat.class_rep(c)
         out.append((c, X, pair_from_subgroup(X, P.proj2)))
     return lat, out
-
-
-def second_projection(parent: Group, K: Group):
-    """The projection G x K -> K of a canonical product group.
-
-    Relies on the deterministic id layout of direct_product; the
-    homomorphism check rejects parents that were not built that way.
-    """
-    if parent.order % K.order != 0:
-        raise GroupError("parent is not a product with K")
-    return Homomorphism(parent, K, tuple(i % K.order for i in range(parent.order)))
-
-
-def ideal_membership(X: Subgroup, bk: GroupOverK) -> bool:
-    """Does e_X over G x K lie in the ideal of bk?  True iff (X,p2) ->> bk."""
-    p2 = second_projection(X.parent, bk.K)
-    return is_quotient_over_k(pair_from_subgroup(X, p2), bk)
 
 
 def ideal_eval(bk: GroupOverK, G: Group) -> IdealEvaluation:

@@ -1,6 +1,10 @@
 """Groups over a fixed group K: morphisms up to inner automorphisms of K,
 quotient and isomorphism testing, B_K-group detection, beta_K, and the
 classification of p-persistent B_K-groups.
+
+One search, `_hom_images`, finds both the homomorphisms and the
+isomorphisms between two groups, by brute force over the images of the
+source's generators.
 """
 
 from __future__ import annotations
@@ -87,58 +91,42 @@ def _word_plan(G: Group) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], .
     return G._t.word_plan
 
 
-def _extend_map(G: Group, H: Group, steps, images) -> tuple[int, ...] | None:
-    """Complete a generator-image assignment to a map G -> H, or None if the
-    result is not a homomorphism."""
+def _hom_images(G: Group, H: Group, iso: bool = False):
+    """Yield the image tuple of every homomorphism G -> H, or with `iso` of
+    every isomorphism, by brute force over the images of G's generators: an
+    image h of a generator g needs ord h | ord g, or ord h = ord g with
+    `iso`.  Each assignment of images extends to at most one map, and
+    distinct assignments give distinct maps, so no map is yielded twice."""
+    gorders, horders = G.element_orders(), H.element_orders()
+    if iso and (G.order != H.order or sorted(gorders) != sorted(horders)):
+        return
+    gens, steps = _word_plan(G)
     s = H.table
-    out = [0] * G.order
-    for y, x, gi in steps:
-        out[y] = s[out[x]][images[gi]]
-    return tuple(out) if _is_hom(G, out, lambda u, v: s[u][v]) else None
+    candidates_per_gen = [
+        [h for h, o in enumerate(horders) if (o == gorders[g] if iso else gorders[g] % o == 0)]
+        for g in gens
+    ]
+    for images in itertools.product(*candidates_per_gen):
+        out = [0] * G.order
+        for y, x, gi in steps:
+            out[y] = s[out[x]][images[gi]]
+        if _is_hom(G, out, lambda u, v: s[u][v]) and (not iso or len(set(out)) == G.order):
+            yield tuple(out)
 
 
 def homomorphisms(G: Group, H: Group) -> list[Homomorphism]:
-    """All homomorphisms G -> H (brute force over generator images)."""
-    gens, steps = _word_plan(G)
-    gorders, horders = G.element_orders(), H.element_orders()
-    out = []
-    seen = set()
-    candidates_per_gen = [
-        [h for h in range(H.order) if gorders[g] % horders[h] == 0] for g in gens
-    ]
-    for images in itertools.product(*candidates_per_gen):
-        m = _extend_map(G, H, steps, images)
-        if m is not None and m not in seen:
-            seen.add(m)
-            out.append(_trusted(Homomorphism, G, H, m))
-    return out
-
-
-def _isomorphism_images(G: Group, H: Group):
-    """Yield the image tuple of every isomorphism G -> H."""
-    if G.order != H.order:
-        return
-    gorders, horders = G.element_orders(), H.element_orders()
-    if sorted(gorders) != sorted(horders):
-        return
-    gens, steps = _word_plan(G)
-    candidates_per_gen = [
-        [h for h in range(H.order) if horders[h] == gorders[g]] for g in gens
-    ]
-    for images in itertools.product(*candidates_per_gen):
-        m = _extend_map(G, H, steps, images)
-        if m is not None and len(set(m)) == G.order:
-            yield m
+    """All homomorphisms G -> H."""
+    return [_trusted(Homomorphism, G, H, m) for m in _hom_images(G, H)]
 
 
 def isomorphisms(G: Group, H: Group):
     """Yield all isomorphisms G -> H."""
-    for m in _isomorphism_images(G, H):
+    for m in _hom_images(G, H, iso=True):
         yield _trusted(Homomorphism, G, H, m)
 
 
 def is_isomorphic(G: Group, H: Group) -> bool:
-    return next(_isomorphism_images(G, H), None) is not None
+    return next(_hom_images(G, H, iso=True), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +152,7 @@ def is_isomorphic_over_k(x: GroupOverK, y: GroupOverK) -> bool:
     conj = _conjugates(x.phi)
     return any(
         tuple(y.phi.image[b] for b in f) in conj
-        for f in _isomorphism_images(x.L, y.L)
+        for f in _hom_images(x.L, y.L, iso=True)
     )
 
 

@@ -9,14 +9,15 @@ containment tests cheap at desk scale.
 Enumeration is bottom-up cyclic extension (Neubüser 1960): every subgroup
 found is joined with every cyclic subgroup, and each join is closed from the
 generators recorded for its two parts, so a closure costs O(|K|·|gens|).
-Conjugacy classes are orbits under the group's generating sequence.  Marks
-come from containment counts (Pfeiffer 1997), with |N_G(Y)| read off the
-class size of Y, and are kept by column, nonzero entries only, each column
-packed as a tuple of classes and a tuple of marks.  The idempotent and
-m-constant sums over X <= L walk the Moebius column of L, which keeps only
-the X with mu(X, L) != 0.  The lattice keeps the m-constants and Glück's
-idempotent e_L per class (filled by `burnside.gluck_idempotent`); a column
-walked only for an idempotent is not kept.
+Conjugacy classes are orbits under the group's generating sequence; the
+normal subgroups are the classes of size one.  Marks come from containment
+counts (Pfeiffer 1997), with |N_G(Y)| read off the class size of Y, and are
+kept by column, nonzero entries only, each column packed as a tuple of
+classes and a tuple of marks.  The idempotent and m-constant sums over
+X <= L walk the Moebius column of L, which keeps only the X with
+mu(X, L) != 0.  The lattice keeps the m-constants and Glück's idempotent
+e_L per class (filled by `burnside.gluck_idempotent`); a column walked only
+for an idempotent is not kept.
 Enumeration takes no size limit and keeps one lattice per interned table,
 shared by equal groups; a caller that must bound the work (the CLI's
 --max-order) checks the group order before asking for it.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import Group, GroupError, Subgroup, _trusted, close_subset, mask_of
+from .groups import Group, GroupError, Subgroup, _trusted, close_subset, elements_of, mask_of
 
 
 @dataclass
@@ -37,8 +38,7 @@ class SubgroupLattice:
     index_of: dict[int, int]  # mask -> position
     conj_class: list[int]  # class id per subgroup
     class_reps: list[int]  # subgroup index of each class representative
-    class_sizes: list[int]  # number of subgroups in each class
-    normal_classes: set[int]  # classes of size one: the normal subgroups
+    class_sizes: list[int]  # number of subgroups in each class; 1: normal
 
     _mu_columns: dict[int, dict[int, int]] = field(default_factory=dict)
     _m_constants: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (L, N) masks
@@ -64,14 +64,9 @@ class SubgroupLattice:
         return len(self.class_reps)
 
     def conjugate_mask(self, mask: int, g: int) -> int:
-        G = self.parent
-        out = 0
-        m = mask
-        while m:
-            a = (m & -m).bit_length() - 1
-            out |= 1 << G.conj(a, g)
-            m &= m - 1
-        return out
+        t, gi = self.parent.table, self.parent.inverse[g]
+        tg = t[g]
+        return mask_of([t[tg[a]][gi] for a in elements_of(mask)])
 
     def normalizer_order(self, i: int) -> int:
         """|N_G(X_i)| = |G| / (size of the conjugacy class of X_i)."""
@@ -190,7 +185,7 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
     subs = [_trusted(Subgroup, G, m) for m in masks]
     index_of = {m: i for i, m in enumerate(masks)}
 
-    lat = SubgroupLattice(G, subs, index_of, [-1] * len(subs), [], [], set())
+    lat = SubgroupLattice(G, subs, index_of, [-1] * len(subs), [], [])
     # conjugation orbits: the closure under conjugation by generators
     conj_class, class_reps = lat.conj_class, lat.class_reps
     generators = G.generating_sequence()
@@ -211,8 +206,6 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
         for om in orbit:
             conj_class[index_of[om]] = cid
         lat.class_sizes.append(len(orbit))
-        if len(orbit) == 1:
-            lat.normal_classes.add(cid)
     G._t.lattice = lat
     return lat
 
@@ -220,11 +213,12 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
 def normal_subgroups(G: Group) -> list[Subgroup]:
     """Conjugation-invariant subgroups, in canonical lattice order."""
     lat = enumerate_subgroups(G)
-    return [S for S, c in zip(lat.subgroups, lat.conj_class) if c in lat.normal_classes]
+    sizes = lat.class_sizes
+    return [S for S, c in zip(lat.subgroups, lat.conj_class) if sizes[c] == 1]
 
 
 def is_normal_in(lat: SubgroupLattice, i: int) -> bool:
-    return lat.conj_class[i] in lat.normal_classes
+    return lat.class_sizes[lat.conj_class[i]] == 1
 
 
 def count_complements(G: Group, Z: Subgroup) -> int:

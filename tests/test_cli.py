@@ -4,6 +4,7 @@ golden-file equality, round-trip reading, and exit codes."""
 import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,10 +12,23 @@ import sys
 import pytest
 
 import bgroups
-from bgroups.cli import main, read_report, render_text
-from bgroups.groups import Group, GroupError, quotient
-from bgroups.overk import is_isomorphic
-from bgroups.specdoc import SpecError, parse_spec
+from bgroups.burnside import gluck_idempotent
+from bgroups.catalog import groups_up_to_order
+from bgroups.cli import class_label, main, read_report, render_text
+from bgroups.groups import (
+    Group,
+    GroupError,
+    Homomorphism,
+    direct_product,
+    quotient,
+    relabel,
+    subgroup_embedding,
+    symmetric_group,
+)
+from bgroups.overk import GroupOverK, beta_k, classify_p_persistent_bk, is_isomorphic
+from bgroups.specdoc import SpecError, load_spec, parse_spec
+from bgroups.subgroups import enumerate_subgroups
+from util import greedy_generators_oracle
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -25,6 +39,11 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def golden(fname) -> str:
+    with open(os.path.join(GOLDEN, fname), "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +136,71 @@ GOLDEN_CASES = [
 def test_golden_output(fname, args, capsys):
     code, out = run_cli(args, capsys)
     assert code == 0
-    with open(os.path.join(GOLDEN, fname), "r", encoding="utf-8") as fh:
-        assert out == fh.read()
+    assert out == golden(fname)
+
+
+@pytest.mark.parametrize("fname,args", GOLDEN_CASES, ids=[f for f, _ in GOLDEN_CASES])
+def test_golden_output_in_a_fresh_process(fname, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(HERE, os.pardir, "src"), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys; from bgroups.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == golden(fname)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_golden_output_after_the_other_commands(seed, capsys):
+    """Each golden command, run in-process after the others in a seeded
+    order, still prints its golden file byte for byte."""
+    cases = list(GOLDEN_CASES)
+    random.Random(seed).shuffle(cases)
+    for fname, args in cases:
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert out == golden(fname), (seed, fname)
+
+
+def _use_under_other_labels(doc) -> None:
+    """Use every table of the spec first under another label: build the
+    lattice, each class's idempotent and embedding for each spec group and
+    for its product with K, beta_K of (L, phi), and the p = 2
+    classification over C4."""
+    other = {name: relabel(G, "Other" + name) for name, G in doc.groups.items()}
+    K = other["K"]
+    products = [direct_product(G, K).group for G in other.values()]
+    for G in list(other.values()) + products:
+        lat = enumerate_subgroups(G)
+        for c in range(lat.n_classes()):
+            gluck_idempotent(G, lat.class_rep(c))
+            subgroup_embedding(lat.class_rep(c))
+    phi = Homomorphism(other["L"], K, doc.hom("phi").image)
+    beta_k(GroupOverK(other["L"], phi, "OtherPair"))
+    classify_p_persistent_bk(other["C4"], 2)
+
+
+@pytest.mark.parametrize("fname,args", GOLDEN_CASES, ids=[f for f, _ in GOLDEN_CASES])
+def test_golden_output_after_use_under_other_labels(fname, args, capsys):
+    _use_under_other_labels(load_spec(SPEC))
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert out == golden(fname)
+
+
+def test_class_labels_match_the_greedy_oracle():
+    """The generator word of each class label is the greedy choice made with
+    the brute-force closure, over every class of the catalog groups up to
+    order 16 and S4."""
+    for G in groups_up_to_order(16) + [symmetric_group(4)]:
+        lat = enumerate_subgroups(G)
+        for c in range(lat.n_classes()):
+            rep = lat.class_rep(c)
+            members = [x for x in range(G.order) if (rep.mask >> x) & 1]
+            word = ",".join(map(str, greedy_generators_oracle(G, members)))
+            assert class_label(lat, c) == f"{rep.order}<{word}>", (G, c)
 
 
 def test_repeated_runs_are_byte_identical(capsys):
@@ -347,3 +429,48 @@ def test_no_cache_is_keyed_on_groups():
                 ):
                     offenders.append(f"{name}:{node.name}({arg.arg})")
     assert offenders == []
+
+
+def _imports_and_uses(tree):
+    """The names a module binds by import, with the module each comes from
+    ("" for a plain import), and the names it reads: every Name, the base of
+    every attribute chain, and each string of a module-level `__all__`."""
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.module or ""
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = ""
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return imported, used
+
+
+def test_every_import_is_used_or_reexported():
+    """Each name a bgroups module imports is read in that module, or is
+    imported from it by another bgroups module (a re-export such as
+    `burnside.m_const`)."""
+    src = os.path.join(HERE, os.pardir, "src", "bgroups")
+    modules = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                modules[name[:-3]] = _imports_and_uses(ast.parse(fh.read()))
+    reexported = {
+        (source, bound)
+        for imported, _ in modules.values()
+        for bound, source in imported.items()
+    }
+    unused = [
+        f"{mod}.{bound}"
+        for mod, (imported, used) in modules.items()
+        for bound in imported
+        if bound not in used and (mod, bound) not in reexported
+    ]
+    assert unused == []

@@ -41,7 +41,13 @@ from bgroups.groups import (
 )
 from bgroups.overk import homomorphisms, is_isomorphic, isomorphisms
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
-from util import is_action, is_group_table, is_homomorphism, pairwise_closure
+from util import (
+    greedy_generators_oracle,
+    is_action,
+    is_group_table,
+    is_homomorphism,
+    pairwise_closure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +257,11 @@ def test_subgroup_check_agrees_with_pairwise_closure_on_every_small_mask():
             except GroupError:
                 accepted = False
             assert accepted == (bool(mask & 1) and closed == mask), (G.label, bin(mask))
+
+
+def test_generating_sequence_matches_the_greedy_oracle():
+    for G in groups_up_to_order(16) + [symmetric_group(4)]:
+        assert list(G.generating_sequence()) == greedy_generators_oracle(G, range(G.order)), G
 
 
 def test_every_lattice_subgroup_passes_the_subgroup_check():

@@ -22,7 +22,6 @@ from bgroups.ideals import (
     build_bk_poset,
     closed_subsets,
     ideal_eval,
-    ideal_membership,
     minimal_groups,
     p_ideal_lattice,
     simple_dim,
@@ -101,7 +100,8 @@ def test_ideal_membership_of_graph_subgroup():
     for c in range(latk.n_classes()):
         bk = embedding_over(K, latk.class_rep(c))
         X = graph_subgroup(bk)
-        assert ideal_membership(X, bk)
+        lat = enumerate_subgroups(X.parent)
+        assert lat.class_of(X) in ideal_eval(bk, bk.L).basis_classes
 
 
 def test_ideal_membership_trivial_bk():
@@ -111,10 +111,11 @@ def test_ideal_membership_trivial_bk():
     G = symmetric_group(3)
     P = direct_product(G, K)
     lat = enumerate_subgroups(P.group)
+    basis = ideal_eval(bk, G).basis_classes
     for c in range(lat.n_classes()):
         X = lat.class_rep(c)
         img = {P.proj2.image[x] for x in X.elements()}
-        assert ideal_membership(X, bk) == (img == {0})
+        assert (c in basis) == (img == {0})
 
 
 def test_ideal_membership_trivial_bk_over_trivial_k_always_true():
@@ -124,7 +125,7 @@ def test_ideal_membership_trivial_bk_over_trivial_k_always_true():
     P = direct_product(G, K)
     lat = enumerate_subgroups(P.group)
     for c in range(lat.n_classes()):
-        assert ideal_membership(lat.class_rep(c), bk)
+        assert is_quotient_over_k(pair_from_subgroup(lat.class_rep(c), P.proj2), bk)
 
 
 def test_ideal_membership_requires_image_conjugacy():
@@ -134,11 +135,12 @@ def test_ideal_membership_requires_image_conjugacy():
     G = make_cyclic(2)
     P = direct_product(G, K)
     lat = enumerate_subgroups(P.group)
+    basis = ideal_eval(bk, G).basis_classes
     for c in range(lat.n_classes()):
         X = lat.class_rep(c)
         img = {P.proj2.image[x] for x in X.elements()}
         if len(img) < 4:
-            assert not ideal_membership(X, bk)
+            assert c not in basis
 
 
 def test_reduction_consistency():
@@ -155,7 +157,10 @@ def test_reduction_consistency():
             X = lat.class_rep(c)
             pair = pair_from_subgroup(X, P.proj2)
             reduced = graph_subgroup(pair)
-            assert ideal_membership(X, bk) == ideal_membership(reduced, bk)
+            p2 = direct_product(pair.L, K).proj2
+            assert is_quotient_over_k(pair, bk) == is_quotient_over_k(
+                pair_from_subgroup(reduced, p2), bk
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 B_K-group detection, beta_K, p-persistence, and the classification of
 p-persistent B_K-groups."""
 
+import itertools
+
 import pytest
 
 from bgroups.burnside import m_const
+from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
     GroupError,
     Homomorphism,
@@ -84,6 +87,37 @@ def test_isomorphisms_are_bijective_homomorphisms():
     for f in isomorphisms(G, G):
         assert f.is_bijective()
     assert sum(1 for _ in isomorphisms(G, G)) == 24  # |Aut(Q8)| = 24
+
+
+def _brute_homomorphisms(G, H) -> set:
+    """Every one of the |H|^|G| maps G -> H that passes the brute-force
+    homomorphism law."""
+    return {
+        m for m in itertools.product(range(H.order), repeat=G.order)
+        if is_homomorphism(G, H, m)
+    }
+
+
+_BRUTE_LIMIT = 5000  # |H|^|G| maps per pair
+_CATALOG = groups_up_to_order(16)
+
+
+def test_homomorphisms_match_brute_force_on_the_catalog():
+    pairs = [(G, H) for G in _CATALOG for H in _CATALOG if H.order**G.order <= _BRUTE_LIMIT]
+    assert len(pairs) > 100
+    for G, H in pairs:
+        found = [f.image for f in homomorphisms(G, H)]
+        assert len(set(found)) == len(found), (G, H)
+        assert set(found) == _brute_homomorphisms(G, H), (G, H)
+
+
+def test_automorphisms_match_brute_force_on_the_catalog():
+    for G in (G for G in _CATALOG if G.order**G.order <= _BRUTE_LIMIT):
+        found = [f.image for f in isomorphisms(G, G)]
+        assert len(set(found)) == len(found), G
+        assert set(found) == {
+            m for m in _brute_homomorphisms(G, G) if len(set(m)) == G.order
+        }, G
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,19 @@ def pairwise_closure(G, elements) -> set[int]:
     return closed
 
 
+def greedy_generators_oracle(G, members) -> list[int]:
+    """Reference greedy choice of generators for the subgroup on `members`:
+    scan the members in increasing id order and keep each one not yet in the
+    pairwise closure of those kept."""
+    gens: list[int] = []
+    have = pairwise_closure(G, gens)
+    for x in sorted(members):
+        if x not in have:
+            gens.append(x)
+            have = pairwise_closure(G, gens)
+    return gens
+
+
 def is_homomorphism(G, H, image) -> bool:
     """Brute-force reference for the homomorphism-law check:
     f(a·b) = f(a)·f(b) over all |G|^2 pairs."""
