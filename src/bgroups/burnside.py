@@ -11,6 +11,10 @@ Conversion between the bases goes through the table of marks (triangular
 solve), so the explicit idempotent formula can be cross-checked against
 the marks characterization instead of being the only path.
 
+Induction, deflation and transport push each [X] to [f(X)] along one class
+map kept on the homomorphism f; restriction and inflation pull marks back
+along it, as the result's mark at X is the argument's mark at f(X).
+
 The shifted ring over a fixed group K is the plain ring of the direct
 product G x K; the shifted elementary operations act on the G factor and
 leave K alone.
@@ -267,70 +271,45 @@ def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
 
 
 def restrict(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
-    """Restriction along an injective map H -> G; result lives over H.
-
-    [G/X] restricts to the sum over H\\G/X double cosets of [H/(H n gXg^-1)].
-    """
-    elem = to_transitive_basis(elem)
-    G = elem.group
-    if incl.target != G or not incl.is_injective():
+    """Restriction along an injective map H -> G, over H: the mark at
+    X <= H is elem's mark at incl(X)."""
+    if incl.target != elem.group or not incl.is_injective():
         raise GroupError("restriction needs an injective map into the ambient group")
-    H = incl.source
-    lat_g = elem.lattice
-    lat_h = enumerate_subgroups(H)
-    t, inv = G.table, G.inverse
-    h_in_g = incl.image
-    coeffs: dict[int, int] = {}
-    for cy, coeff in elem.terms:
-        Y = lat_g.class_rep(cy)
-        yelems = Y.elements()
-        visited = 0
-        for g in range(G.order):
-            if (visited >> g) & 1:
-                continue
-            for h in h_in_g:
-                hg = t[h][g]
-                for y in yelems:
-                    visited |= 1 << t[hg][y]
-            gi = inv[g]
-            inter = mask_of(
-                i
-                for i in range(H.order)
-                if (Y.mask >> t[t[gi][h_in_g[i]]][g]) & 1
-            )
-            c = lat_h.conj_class[lat_h.index_of[inter]]
-            coeffs[c] = coeffs.get(c, 0) + coeff
-    return _element(H, TRANSITIVE, coeffs, elem.den)
+    return _pull(elem, incl)
 
 
-def _push(elem: BurnsideElement, f: Homomorphism, back: bool = False) -> BurnsideElement:
-    """Send each [X] in elem to [f(X)] over f's target, or, when `back`, to
-    [f^-1(X)] over f's source.  The class maps, one per direction, are kept
-    on f and filled as classes first pass along it."""
-    elem = to_transitive_basis(elem)
+def _class_map(f: Homomorphism, classes) -> dict[int, int]:
+    """f's class map X -> class of f(X), kept on f, with `classes` filled."""
     if f._biset is None:
-        _set(f, "_biset", ({}, {}))
-    classes = f._biset[back]
-    target = f.source if back else f.target
+        _set(f, "_biset", {})
+    cmap = f._biset
+    lat, lat_t = enumerate_subgroups(f.source), enumerate_subgroups(f.target)
+    for cx in classes:
+        if cx not in cmap:
+            mask = mask_of([f.image[a] for a in elements_of(lat.class_rep(cx).mask)])
+            cmap[cx] = lat_t.conj_class[lat_t.index_of[mask]]
+    return cmap
+
+
+def _push(elem: BurnsideElement, f: Homomorphism) -> BurnsideElement:
+    """Send each [X] in elem to [f(X)] over f's target."""
+    elem = to_transitive_basis(elem)
+    cmap = _class_map(f, (cx for cx, _ in elem.terms))
     coeffs: dict[int, int] = {}
-    lat = lat_t = None
     for cx, coeff in elem.terms:
-        c = classes.get(cx)
-        if c is None:
-            if lat is None:
-                lat, lat_t = elem.lattice, enumerate_subgroups(target)
-            mask = _pushed_mask(f, lat.class_rep(cx).mask, back)
-            c = classes[cx] = lat_t.conj_class[lat_t.index_of[mask]]
+        c = cmap[cx]
         coeffs[c] = coeffs.get(c, 0) + coeff
-    return _element(target, TRANSITIVE, coeffs, elem.den)
+    return _element(f.target, TRANSITIVE, coeffs, elem.den)
 
 
-def _pushed_mask(f: Homomorphism, m: int, back: bool) -> int:
-    """The mask of f(X), or of f^-1(X) when `back`, for X with mask m."""
-    image = f.image
-    if back:
-        return mask_of(g for g, v in enumerate(image) if (m >> v) & 1)
-    return mask_of([image[a] for a in elements_of(m)])
+def _pull(elem: BurnsideElement, f: Homomorphism) -> BurnsideElement:
+    """The element over f's source whose mark at X is elem's mark at f(X):
+    restriction along an injection, inflation along a surjection."""
+    marks = to_idempotent_basis(elem)
+    at = dict(marks.terms)
+    cmap = _class_map(f, range(enumerate_subgroups(f.source).n_classes()))
+    nums = {cx: at.get(c, 0) for cx, c in cmap.items()}
+    return to_transitive_basis(_element(f.source, IDEMPOTENT, nums, marks.den))
 
 
 def induce(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
@@ -341,10 +320,11 @@ def induce(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
 
 
 def inflate(elem: BurnsideElement, proj: Homomorphism) -> BurnsideElement:
-    """Inflation along a surjection G -> Q: [Q/Y] -> [G/preimage(Y)]."""
+    """Inflation along a surjection G -> Q, [Q/Y] -> [G/preimage(Y)]: the
+    mark at X <= G is elem's mark at proj(X)."""
     if proj.target != elem.group or not proj.is_surjective():
         raise GroupError("inflation needs a surjection onto the element's group")
-    return _push(elem, proj, back=True)
+    return _pull(elem, proj)
 
 
 def deflate(elem: BurnsideElement, proj: Homomorphism) -> BurnsideElement:

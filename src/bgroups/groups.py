@@ -173,9 +173,10 @@ def _group(t: _Table, label: str, G: Group | None = None) -> Group:
 class Homomorphism:
     """A map of groups given by the image of each source element.
 
-    `_biset` is not a field: it holds the class maps that the biset
-    operations of `burnside` fill lazily along this map, so it takes no part
-    in `==`, `hash` or `repr`."""
+    `_biset` is not a field: it holds this map's class map, from each source
+    subgroup class to the class of its image, which `burnside._class_map`
+    fills lazily for all five biset operations, so it takes no part in `==`,
+    `hash` or `repr`."""
 
     source: Group
     target: Group

@@ -28,7 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import Group, GroupError, Subgroup, _trusted, close_subset, elements_of, mask_of
+from .groups import (
+    Group,
+    GroupError,
+    Subgroup,
+    _trusted,
+    close_subset,
+    elements_of,
+    greedy_generators,
+    mask_of,
+)
 
 
 @dataclass
@@ -239,7 +248,8 @@ def m_constant(lat: SubgroupLattice, L: Subgroup, N: Subgroup) -> Fraction:
     """m_{L,N} = (1/|L|) sum over X <= L with XN = L of |X| mu(X, L).
 
     L and N are subgroups of the lattice's parent with N normal in L.
-    Each value is computed once per lattice, keyed by the two masks.
+    Each value is computed once per lattice, keyed by the two masks; N's
+    normality is checked, against L's greedy generators, only on a miss.
     """
     li = lat.index(L)
     nmask = N.mask
@@ -248,6 +258,9 @@ def m_constant(lat: SubgroupLattice, L: Subgroup, N: Subgroup) -> Fraction:
     key = (L.mask, nmask)
     m = lat._m_constants.get(key)
     if m is None:
+        gens = greedy_generators(lat.parent, L.mask)
+        if any(lat.conjugate_mask(nmask, g) != nmask for g in gens):
+            raise GroupError("N must be normal in L")
         lorder, norder = L.order, N.order
         total = 0
         for j, mu in lat.moebius_column(li).items():

@@ -53,7 +53,14 @@ from bgroups.groups import (
     trivial_subgroup,
 )
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
-from util import DenseBurnside, brute_mark, idempotent_corpus, moebius_oracle
+from util import (
+    DenseBurnside,
+    brute_mark,
+    idempotent_corpus,
+    inflate_oracle,
+    moebius_oracle,
+    restrict_oracle,
+)
 
 SMALL_GROUPS = [
     make_cyclic(6),
@@ -370,7 +377,11 @@ def test_restrict_free_orbit_counts():
 
 
 def test_restriction_commutes_with_marks():
-    """The mark of res(b) at X <= H equals the mark of b at X viewed in G."""
+    """The mark of res(b) at X <= H equals the mark of b at X viewed in G.
+
+    This restates how `restrict` computes its result, so it is no independent
+    check; `test_restrict_and_inflate_match_the_oracles` holds restriction to
+    Mackey's double-coset formula instead."""
     G = symmetric_group(4)
     lat = enumerate_subgroups(G)
     H = next(lat.class_rep(c) for c in range(lat.n_classes()) if lat.class_rep(c).order == 8)
@@ -387,6 +398,40 @@ def test_restriction_commutes_with_marks():
             up = mask_of(incl.image[i] for i in X.elements())
             cg = lat.conj_class[lat.index_of[up]]
             assert rmarks[cx] == bmarks[cg]
+
+
+def _inputs(G):
+    """Every idempotent and every transitive basis element over G, and one
+    rational combination of them."""
+    lat = enumerate_subgroups(G)
+    reps = [lat.class_rep(c) for c in range(lat.n_classes())]
+    out = [gluck_idempotent(G, X) for X in reps] + [transitive_basis_element(G, X) for X in reps]
+    out.append(Fraction(2, 3) * out[0] + out[-1])
+    assert all(e.basis == TRANSITIVE for e in out)
+    return out
+
+
+# the catalog up to order 16 but C2^4, whose 67 classes alone take 1.5 s
+ORACLE_GROUPS = [G for G in groups_up_to_order(16) if G.label != "C2xC2xC2xC2"] + [
+    symmetric_group(4), direct_product(symmetric_group(3), make_cyclic(4)).group]
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.label)
+def test_restrict_and_inflate_match_the_oracles(G):
+    """Restriction from G along each subgroup-class embedding, and inflation
+    to G along each quotient map, of every idempotent, every transitive basis
+    element and one rational combination, equal the double-coset walk and
+    the preimage push of the oracles."""
+    lat = enumerate_subgroups(G)
+    inputs = _inputs(G)
+    for c in range(lat.n_classes()):
+        f = subgroup_embedding(lat.class_rep(c))
+        for e in inputs:
+            assert restrict(e, f).coeffs == restrict_oracle(e.coeffs, f), (c, e)
+    for N in normal_subgroups(G):
+        Q, pi = quotient(G, N)
+        for e in _inputs(Q):
+            assert inflate(e, pi).coeffs == inflate_oracle(e.coeffs, pi), (N, e)
 
 
 def test_induce_relabels_subgroup():
@@ -478,34 +523,43 @@ def _memo_cases():
 
     for G in SMALL_GROUPS + [symmetric_group(4), direct_product(make_cyclic(4), make_cyclic(2)).group]:
         for N in normal_subgroups(G):
-            yield pytest.param(G, quotient(G, N)[1], "quotient", id=f"{G.label}/N{N.mask:x}")
-        yield pytest.param(G, next(isomorphisms(G, G)), "automorphism", id=f"{G.label}-auto")
+            yield pytest.param(quotient(G, N)[1], "quotient", id=f"{G.label}/N{N.mask:x}")
+        yield pytest.param(next(isomorphisms(G, G)), "automorphism", id=f"{G.label}-auto")
+        lat = enumerate_subgroups(G)
+        for c in range(lat.n_classes()):
+            H = lat.class_rep(c)
+            yield pytest.param(subgroup_embedding(H), "embedding", id=f"H{H.mask:x}<{G.label}")
 
 
-@pytest.mark.parametrize("G,f,kind", _memo_cases())
-def test_class_maps_on_a_map_never_leak(G, f, kind):
-    """Deflating, inflating and transporting along one map object agrees with
-    the same operation along a fresh equal map, before and after the map's
-    class maps fill, and the filled maps change neither == nor hash."""
+# per kind of map: the operation that pushes along it, and the one that pulls back
+_OPS = {"quotient": (deflate, inflate), "automorphism": (transport, restrict),
+        "embedding": (induce, restrict)}
+
+
+@pytest.mark.parametrize("f,kind", _memo_cases())
+def test_class_maps_on_a_map_never_leak(f, kind):
+    """Pushing (deflation, transport, induction) and pulling back (inflation,
+    restriction) along one map object agrees with the same operation along a
+    fresh equal map, before and after the map's class map fills, with either
+    operation first.  The class map is one dict, with the same entries
+    whichever operation filled it first, and the filled map changes neither
+    == nor hash."""
     key = (f.source, f.target, f.image)
     assert f == _fresh(f) and hash(f) == hash(_fresh(f))
-    lat = enumerate_subgroups(G)
-    sources = [gluck_idempotent(G, lat.class_rep(c)) for c in range(lat.n_classes())]
-    sources += [transitive_basis_element(G, lat.class_rep(c)) for c in range(lat.n_classes())]
-    sources.append(Fraction(2, 3) * sources[0] + sources[-1])
-    if kind == "quotient":
-        latq = enumerate_subgroups(f.target)
-        targets = [gluck_idempotent(f.target, latq.class_rep(c)) for c in range(latq.n_classes())]
-        for _ in range(2):  # the second pass reads the filled maps
-            for e in sources:
-                assert deflate(e, f) == deflate(e, _fresh(f))
-            for e in targets:
-                assert inflate(e, f) == inflate(e, _fresh(f))
-    else:
-        for _ in range(2):
-            for e in sources:
-                assert transport(e, f) == transport(e, _fresh(f))
-    assert f._biset is not None
+    push, pull = _OPS[kind]
+    runs = [(push, _inputs(f.source)), (pull, _inputs(f.target))]
+    filled = []
+    # two maps that start empty, one per order, then f itself (an embedding
+    # object is shared, so it may be filled already)
+    for g, order in ((_fresh(f), runs), (_fresh(f), runs[::-1]), (f, runs)):
+        for op, elems in order:
+            for _ in range(2):  # the second pass reads the filled map
+                for e in elems:
+                    assert op(e, g) == op(e, _fresh(f))
+        assert type(g._biset) is dict
+        filled.append(g._biset)
+    assert filled[0] == filled[1] == filled[2]
+    assert sorted(filled[0]) == list(range(enumerate_subgroups(f.source).n_classes()))
     assert (f.source, f.target, f.image) == key
     assert f == _fresh(f) and hash(f) == hash(_fresh(f)) and repr(f) == repr(_fresh(f))
 

@@ -2,6 +2,7 @@
 golden-file equality, round-trip reading, and exit codes."""
 
 import ast
+import importlib
 import json
 import os
 import random
@@ -132,7 +133,7 @@ GOLDEN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("fname,args", GOLDEN_CASES, ids=lambda v: str(v[0] if isinstance(v, tuple) else v))
+@pytest.mark.parametrize("fname,args", GOLDEN_CASES, ids=[f for f, _ in GOLDEN_CASES])
 def test_golden_output(fname, args, capsys):
     code, out = run_cli(args, capsys)
     assert code == 0
@@ -213,7 +214,7 @@ def test_repeated_runs_are_byte_identical(capsys):
 # round-trip reader
 
 
-@pytest.mark.parametrize("fname,args", GOLDEN_CASES[:4], ids=lambda v: str(v[0] if isinstance(v, tuple) else v))
+@pytest.mark.parametrize("fname,args", GOLDEN_CASES[:4], ids=[f for f, _ in GOLDEN_CASES[:4]])
 def test_text_report_roundtrip(fname, args, capsys):
     code, out = run_cli(args, capsys)
     assert code == 0
@@ -401,6 +402,34 @@ def test_public_api_is_pinned():
         "make_cyclic", "quotient", "semidirect_product", "GroupOverK", "beta_k",
         "is_bk_group", "BurnsideElement", "gluck_idempotent", "m_const",
     ]
+
+
+def test_every_traced_name_resolves():
+    """Every (module, attribute path) that perfbench/tracing.py times still
+    names an attribute of bgroups, by the rule its install() uses: a method
+    must be defined on its class itself.  TARGETS is read from the file's
+    syntax tree, so nothing is wrapped.  A refactor that drops a traced name
+    fails here, instead of leaving that layer's benchmark metric empty."""
+    path = os.path.join(HERE, os.pardir, "perfbench", "tracing.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    )
+    missing = []
+    for _, short, attr_path in targets:
+        holder = importlib.import_module("bgroups." + short)
+        owner, _, attr = attr_path.rpartition(".")
+        if owner:
+            holder = getattr(holder, owner, None)
+        found = holder is not None and getattr(holder, attr, None) is not None
+        if not found or (owner and attr not in vars(holder)):
+            missing.append(f"{short}.{attr_path}")
+    assert targets
+    assert missing == []
 
 
 def _decorator_name(node) -> str | None:

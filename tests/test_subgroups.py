@@ -358,6 +358,29 @@ def test_m_constant_examples():
     assert m_constant(latv, full_subgroup(V), full_subgroup(V)) == 0
 
 
+def test_m_constant_refuses_a_non_normal_subgroup():
+    """m_{L,N} is defined only for N normal in L: a transposition's C2 in S3,
+    and each non-central C2 of a dihedral subgroup of S4, is refused and
+    leaves no memo entry."""
+    S3 = symmetric_group(3)
+    lat = enumerate_subgroups(S3)
+    C2 = next(S for S in lat.subgroups if S.order == 2)
+    with pytest.raises(GroupError, match="N must be normal in L"):
+        m_constant(lat, full_subgroup(S3), C2)
+    assert (full_subgroup(S3).mask, C2.mask) not in lat._m_constants
+    lat4 = enumerate_subgroups(symmetric_group(4))
+    D8 = next(S for S in lat4.subgroups if S.order == 8)
+    refused = 0
+    for N in lat4.subgroups:
+        if N.order == 2 and N.mask & D8.mask == N.mask:
+            try:
+                m_constant(lat4, D8, N)
+            except GroupError:
+                refused += 1
+                assert (D8.mask, N.mask) not in lat4._m_constants
+    assert refused == 4  # D8 has five subgroups of order 2; only its centre is normal
+
+
 @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.label)
 def test_m_constant_memo_matches_moebius_oracle(G):
     """Every m_{L,N}, for N normal in L, equals

@@ -181,6 +181,47 @@ def _inverse(M):
     return [row[n:] for row in rows]
 
 
+def restrict_oracle(vec, incl):
+    """Reference restriction along an injective map H -> G, by Mackey's
+    formula: [G/Y] restricts to the sum over the double cosets HgY of
+    [H/(H n gYg^-1)].  vec is a dense transitive-basis vector over G's
+    subgroup classes; the result is one over H's.  No code of
+    bgroups.burnside is used."""
+    G, H = incl.target, incl.source
+    lat_g, lat_h = enumerate_subgroups(G), enumerate_subgroups(H)
+    t, inv = G.table, G.inverse
+    out = [Fraction(0)] * lat_h.n_classes()
+    for cy, coeff in enumerate(vec):
+        if not coeff:
+            continue
+        ys = lat_g.class_rep(cy).elements()
+        seen: set[int] = set()
+        for g in range(G.order):
+            if g in seen:
+                continue
+            seen |= {t[t[h][g]][y] for h in incl.image for y in ys}  # the double coset HgY
+            conjugate = {t[t[g][y]][inv[g]] for y in ys}  # gYg^-1
+            inter = mask_of(i for i, x in enumerate(incl.image) if x in conjugate)
+            out[lat_h.conj_class[lat_h.index_of[inter]]] += coeff
+    return tuple(out)
+
+
+def inflate_oracle(vec, proj):
+    """Reference inflation along a surjection G -> Q: [Q/Y] goes to
+    [G/preimage(Y)].  vec is a dense transitive-basis vector over Q's
+    subgroup classes; the result is one over G's.  No code of
+    bgroups.burnside is used."""
+    G, Q = proj.source, proj.target
+    lat_g, lat_q = enumerate_subgroups(G), enumerate_subgroups(Q)
+    out = [Fraction(0)] * lat_g.n_classes()
+    for cy, coeff in enumerate(vec):
+        if coeff:
+            ymask = lat_q.class_rep(cy).mask
+            pre = mask_of(g for g, v in enumerate(proj.image) if (ymask >> v) & 1)
+            out[lat_g.conj_class[lat_g.index_of[pre]]] += coeff
+    return tuple(out)
+
+
 def klein_four():
     return direct_product(make_cyclic(2), make_cyclic(2)).group
 
