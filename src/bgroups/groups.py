@@ -18,9 +18,11 @@ laws are checked exactly on a generating sequence only: associativity by
 Light's test, and the homomorphism law by `_is_hom`.  One greedy walk,
 `greedy_generators`, chooses the generating sequence of a group, checks a
 subgroup mask by closing the generators it chooses inside it, and gives the
-CLI's class labels their generator words.  Every value this library derives
-from checked values (products, quotients, subgroups, kernels, compositions,
-named groups) is built by `_group` or `_trusted` without a second check.
+CLI's class labels their generator words, and `is_normal`, the one
+normality test, conjugates by those generators only.  Every value this
+library derives from checked values (products, quotients, subgroups,
+kernels, compositions, named groups) is built by `_group` or `_trusted`
+without a second check.
 Masks are ints over element ids; `mask_of` and `elements_of` convert.
 """
 
@@ -470,12 +472,20 @@ def image(f: Homomorphism) -> Subgroup:
     return _trusted(Subgroup, f.target, mask_of(set(f.image)))
 
 
-def is_normal(N: Subgroup) -> bool:
-    """Normality by conjugating every element; needs no subgroup lattice."""
-    G = N.parent
-    m = N.mask
-    elems = N.elements()
-    return all((m >> G.conj(a, g)) & 1 for g in range(G.order) for a in elems)
+def conjugate_mask(G: Group, mask: int, g: int) -> int:
+    """The mask of g x g^-1 for each x in `mask`."""
+    t, gi = G.table, G.inverse[g]
+    tg = t[g]
+    return mask_of([t[tg[a]][gi] for a in elements_of(mask)])
+
+
+def is_normal(N: Subgroup, L: Subgroup | None = None) -> bool:
+    """N normal in L, for N <= L (L defaults to N's parent): gNg^-1 = N for
+    each of L's greedy generators g.  Exact, because the g with gNg^-1 = N
+    form a subgroup, the normalizer of N."""
+    G, m = N.parent, N.mask
+    gens = G.generating_sequence() if L is None else greedy_generators(G, L.mask)
+    return all(conjugate_mask(G, m, g) == m for g in gens)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -564,13 +574,9 @@ def symmetric_group(n: int) -> Group:
     return _group(_intern(table), f"S{n}")
 
 
-@lru_cache(maxsize=None)
 def dihedral_group(n: int) -> Group:
     """Dihedral group of order 2n (n >= 1): C_n with the inverting C_2 on top."""
-    Cn = make_cyclic(n)
-    inv_perm = tuple((-i) % n for i in range(n))
-    ident = tuple(range(n))
-    return relabel(semidirect_product(Cn, make_cyclic(2), (ident, inv_perm)), f"D{2*n}")
+    return cyclic_extension(n, 0, -1, f"D{2*n}")
 
 
 @lru_cache(maxsize=None)
@@ -581,10 +587,10 @@ def cyclic_extension(n: int, t: int, r: int, label: str | None = None) -> Group:
     semidihedral and modular 2-groups.  Element (i, j) = a^i b^j has
     id 2*i + j.
     """
+    if n < 1 or (r * r - 1) % n != 0 or (t * (r - 1)) % n != 0:
+        raise GroupError("parameters do not define a group")
     r %= n
     t %= n
-    if (r * r) % n != 1 or (t * (r - 1)) % n != 0:
-        raise GroupError("parameters do not define a group")
 
     def mul(i, j, k, l):
         # a^i b^j a^k b^l

@@ -157,17 +157,16 @@ def is_isomorphic_over_k(x: GroupOverK, y: GroupOverK) -> bool:
 
 
 def quotient_over_k(x: GroupOverK, N: Subgroup) -> GroupOverK:
-    """(L/N, phi/N) for a normal N <= Ker phi."""
-    if N.mask & kernel(x.phi).mask != N.mask:
-        raise GroupError("N must be contained in Ker phi")
+    """(L/N, phi/N) for a normal N <= Ker phi, which holds exactly when phi
+    is constant on the cosets of N: a coset that meets two values raises."""
     Q, pi = quotient(x.L, N)
-    # phi factors through pi: pick any preimage per coset
-    pre = [-1] * Q.order
-    for a in range(x.L.order):
-        if pre[pi.image[a]] < 0:
-            pre[pi.image[a]] = a
-    image = tuple(x.phi.image[pre[q]] for q in range(Q.order))
-    phi_bar = _trusted(Homomorphism, Q, x.K, image)
+    image = [-1] * Q.order
+    for q, v in zip(pi.image, x.phi.image):
+        if image[q] != v:
+            if image[q] >= 0:
+                raise GroupError("N must be contained in Ker phi")
+            image[q] = v
+    phi_bar = _trusted(Homomorphism, Q, x.K, tuple(image))
     return GroupOverK(Q, phi_bar, f"{x.label}/N{N.order}" if x.label else "")
 
 

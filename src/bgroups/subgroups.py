@@ -10,14 +10,15 @@ Enumeration is bottom-up cyclic extension (Neubüser 1960): every subgroup
 found is joined with every cyclic subgroup, and each join is closed from the
 generators recorded for its two parts, so a closure costs O(|K|·|gens|).
 Conjugacy classes are orbits under the group's generating sequence; the
-normal subgroups are the classes of size one.  Marks come from containment
-counts (Pfeiffer 1997), with |N_G(Y)| read off the class size of Y, and are
-kept by column, nonzero entries only, each column packed as a tuple of
-classes and a tuple of marks.  The idempotent and m-constant sums over
-X <= L walk the Moebius column of L, which keeps only the X with
-mu(X, L) != 0.  The lattice keeps the m-constants and Glück's idempotent
-e_L per class (filled by `burnside.gluck_idempotent`); a column walked only
-for an idempotent is not kept.
+normal subgroups are the classes of size one (`groups.is_normal` tests one
+subgroup without a lattice).  Marks come from containment counts (Pfeiffer
+1997), with |N_G(Y)| read off the class size of Y, and are kept by column,
+nonzero entries only, each column packed as a tuple of classes and a tuple
+of marks.  The idempotent and m-constant sums over X <= L walk the Moebius
+column of L, which keeps only the X with mu(X, L) != 0.  The lattice keeps
+the m-constants and Glück's idempotent e_L per class (filled by
+`burnside.gluck_idempotent`); a column walked only for an idempotent is not
+kept.
 Enumeration takes no size limit and keeps one lattice per interned table,
 shared by equal groups; a caller that must bound the work (the CLI's
 --max-order) checks the group order before asking for it.
@@ -34,8 +35,8 @@ from .groups import (
     Subgroup,
     _trusted,
     close_subset,
-    elements_of,
-    greedy_generators,
+    conjugate_mask,
+    is_normal,
     mask_of,
 )
 
@@ -71,11 +72,6 @@ class SubgroupLattice:
 
     def n_classes(self) -> int:
         return len(self.class_reps)
-
-    def conjugate_mask(self, mask: int, g: int) -> int:
-        t, gi = self.parent.table, self.parent.inverse[g]
-        tg = t[g]
-        return mask_of([t[tg[a]][gi] for a in elements_of(mask)])
 
     def normalizer_order(self, i: int) -> int:
         """|N_G(X_i)| = |G| / (size of the conjugacy class of X_i)."""
@@ -208,7 +204,7 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
         while stack:
             cur = stack.pop()
             for g in generators:
-                cm = lat.conjugate_mask(cur, g)
+                cm = conjugate_mask(G, cur, g)
                 if cm not in orbit:
                     orbit.add(cm)
                     stack.append(cm)
@@ -224,10 +220,6 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
     lat = enumerate_subgroups(G)
     sizes = lat.class_sizes
     return [S for S, c in zip(lat.subgroups, lat.conj_class) if sizes[c] == 1]
-
-
-def is_normal_in(lat: SubgroupLattice, i: int) -> bool:
-    return lat.class_sizes[lat.conj_class[i]] == 1
 
 
 def count_complements(G: Group, Z: Subgroup) -> int:
@@ -247,23 +239,23 @@ def count_complements(G: Group, Z: Subgroup) -> int:
 def m_constant(lat: SubgroupLattice, L: Subgroup, N: Subgroup) -> Fraction:
     """m_{L,N} = (1/|L|) sum over X <= L with XN = L of |X| mu(X, L).
 
-    L and N are subgroups of the lattice's parent with N normal in L.
-    Each value is computed once per lattice, keyed by the two masks; N's
-    normality is checked, against L's greedy generators, only on a miss.
+    The one place that checks that L and N are subgroups of the lattice's
+    group, N <= L, and N is normal in L, in that order; each value is kept
+    per lattice by the two masks, so normality is checked on a miss only.
     """
-    li = lat.index(L)
+    if L.parent != lat.parent or N.parent != lat.parent:
+        raise GroupError("L and N must be subgroups of the lattice's group")
     nmask = N.mask
     if nmask & L.mask != nmask:
         raise GroupError("N must be contained in L")
     key = (L.mask, nmask)
     m = lat._m_constants.get(key)
     if m is None:
-        gens = greedy_generators(lat.parent, L.mask)
-        if any(lat.conjugate_mask(nmask, g) != nmask for g in gens):
+        if not is_normal(N, L):
             raise GroupError("N must be normal in L")
         lorder, norder = L.order, N.order
         total = 0
-        for j, mu in lat.moebius_column(li).items():
+        for j, mu in lat.moebius_column(lat.index(L)).items():
             X = lat.subgroups[j]
             if X.order * norder == lorder * (X.mask & nmask).bit_count():  # |XN| = |L|
                 total += X.order * mu
@@ -272,11 +264,6 @@ def m_constant(lat: SubgroupLattice, L: Subgroup, N: Subgroup) -> Fraction:
 
 
 def m_const(G: Group, N: Subgroup) -> Fraction:
-    """m_{G,N} for a normal subgroup N of G."""
+    """m_{G,N} for a normal subgroup N of G, checked by `m_constant`."""
     lat = enumerate_subgroups(G)
-    if N.parent != G:
-        raise GroupError("N must be a subgroup of G")
-    i = lat.index_of.get(N.mask)
-    if i is None or not is_normal_in(lat, i):
-        raise GroupError("N is not normal in G")
     return m_constant(lat, lat.subgroups[-1], N)

@@ -252,6 +252,14 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_exit_code_dihedral_order_below_one(tmp_path, capsys, n):
+    bad = tmp_path / "bad.bspec"
+    bad.write_text(f"group D = dihedral {n}\n")
+    assert main(["idempotent", str(bad), "--group", "D", "--subgroup", "full"]) == 2
+    assert "malformed group expression" in capsys.readouterr().err
+
+
 def test_exit_code_missing_file(capsys):
     code, _ = run_cli(["idempotent", "/nonexistent.bspec", "--group", "X",
                        "--subgroup", "full"], capsys)

@@ -42,6 +42,7 @@ from bgroups.groups import (
 from bgroups.overk import homomorphisms, is_isomorphic, isomorphisms
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
 from util import (
+    conjugate_elements,
     greedy_generators_oracle,
     is_action,
     is_group_table,
@@ -462,6 +463,23 @@ def test_action_check_agrees_with_oracle_on_one_changed_entry(data):
     assert accepted == is_action(N, H, action)
 
 
+def test_cyclic_extension_bounds():
+    """n = 1 gives C2 (r*r = 1 mod 1 holds); n < 1 is refused."""
+    assert cyclic_extension(1, 0, 0).table == make_cyclic(2).table
+    for n, t, r in ((0, 0, 0), (-2, 0, 1)):
+        with pytest.raises(GroupError, match="do not define a group"):
+            cyclic_extension(n, t, r)
+
+
+def test_dihedral_matches_the_semidirect_oracle():
+    """D_2n as C_n with C_2 acting by inversion, built by `semidirect_product`."""
+    for n in range(1, 25):
+        Cn = make_cyclic(n)
+        oracle = semidirect_product(Cn, make_cyclic(2), (tuple(range(n)), tuple(Cn.inverse)))
+        D = dihedral_group(n)
+        assert D.table == oracle.table and D.label == f"D{2*n}", n
+
+
 # ---------------------------------------------------------------------------
 # quotients, kernels, images
 
@@ -501,6 +519,24 @@ def test_quotient_twisted_order2_gives_c3_c4():
     assert N.order == 2 and is_normal(N)
     Q, _ = quotient(L, N)
     assert is_isomorphic(Q, dicyclic_3())
+
+
+def _normal_by_brute_force(G, N, L):
+    """gNg^-1 = N for every element g of L."""
+    nset = set(N.elements())
+    return all(conjugate_elements(G, nset, g) == nset for g in L.elements())
+
+
+def test_is_normal_matches_brute_force():
+    """is_normal(N, L), and is_normal(N) for L = G, on every pair N <= L of
+    subgroups of the catalog groups up to order 16 and of S4."""
+    for G in (*groups_up_to_order(16), symmetric_group(4)):
+        subs = enumerate_subgroups(G).subgroups
+        for N in subs:
+            assert is_normal(N) == _normal_by_brute_force(G, N, subs[-1]), G.label
+            for L in subs:
+                if N <= L:
+                    assert is_normal(N, L) == _normal_by_brute_force(G, N, L), G.label
 
 
 def test_quotient_is_built_once_per_table_and_normal_subgroup():

@@ -190,6 +190,30 @@ def test_quotient_relation_partial_order():
                     assert rel[i][k]
 
 
+def test_quotient_over_k_refuses_a_normal_subgroup_outside_the_kernel():
+    C2 = make_cyclic(2)
+    x = GroupOverK(C2, Homomorphism(C2, C2, (0, 1)))
+    with pytest.raises(GroupError, match="N must be contained in Ker phi"):
+        quotient_over_k(x, full_subgroup(C2))
+
+
+@pytest.mark.parametrize("K", [make_cyclic(2), make_cyclic(4),
+                               direct_product(make_cyclic(2), make_cyclic(2)).group,
+                               symmetric_group(3), dihedral_group(4)],
+                         ids=lambda g: g.label)
+def test_quotient_over_k_factors_phi_through_the_projection(K):
+    """phi/N o pi = phi for every (L, phi) of the catalog and every normal
+    N <= Ker phi."""
+    for x in _small_over_k_corpus(K):
+        ker = kernel(x.phi).mask
+        for N in normal_subgroups(x.L):
+            if N.mask & ker == N.mask:
+                y = quotient_over_k(x, N)
+                Q, pi = quotient(x.L, N)
+                assert y.L == Q and y.K == K
+                assert all(y.phi.image[q] == v for q, v in zip(pi.image, x.phi.image))
+
+
 # ---------------------------------------------------------------------------
 # graph subgroups
 

@@ -21,6 +21,7 @@ from bgroups.groups import (
     dihedral_group,
     direct_product,
     full_subgroup,
+    is_normal,
     mask_of,
     make_cyclic,
     quaternion_group,
@@ -31,7 +32,7 @@ from bgroups.groups import (
 from bgroups.subgroups import (
     count_complements,
     enumerate_subgroups,
-    is_normal_in,
+    m_const,
     m_constant,
     normal_subgroups,
 )
@@ -129,7 +130,7 @@ def test_closed_under_conjugation():
         masks = {S.mask for S in lat.subgroups}
         for S in lat.subgroups:
             for g in range(G.order):
-                assert lat.conjugate_mask(S.mask, g) in masks
+                assert mask_of(conjugate_elements(G, S.elements(), g)) in masks
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +325,13 @@ def test_central_subgroups_of_order24_example_are_normal():
         assert all(L.mul(z, g) == L.mul(g, z) for g in range(L.order))
 
 
-def test_is_normal_in_matches_class_size():
+def test_is_normal_matches_class_size():
     lat = enumerate_subgroups(symmetric_group(4))
     for i, S in enumerate(lat.subgroups):
         singleton = sum(
             1 for j in range(len(lat)) if lat.conj_class[j] == lat.conj_class[i]
         ) == 1
-        assert is_normal_in(lat, i) == singleton
+        assert is_normal(S) == singleton
 
 
 def test_count_complements():
@@ -379,6 +380,26 @@ def test_m_constant_refuses_a_non_normal_subgroup():
                 refused += 1
                 assert (D8.mask, N.mask) not in lat4._m_constants
     assert refused == 4  # D8 has five subgroups of order 2; only its centre is normal
+
+
+def test_m_constant_refuses_subgroups_of_another_group():
+    """C6's full and trivial masks are also S3's, but C6's subgroups are not
+    S3's: m_constant refuses either as L or as N."""
+    S3, C6 = symmetric_group(3), make_cyclic(6)
+    lat = enumerate_subgroups(S3)
+    for L, N in ((full_subgroup(C6), trivial_subgroup(S3)),
+                 (full_subgroup(S3), trivial_subgroup(C6))):
+        with pytest.raises(GroupError, match="subgroups of the lattice's group"):
+            m_constant(lat, L, N)
+
+
+def test_m_const_refuses_a_foreign_or_non_normal_subgroup():
+    S3 = symmetric_group(3)
+    with pytest.raises(GroupError, match="subgroups of the lattice's group"):
+        m_const(S3, trivial_subgroup(make_cyclic(6)))
+    C2 = next(S for S in enumerate_subgroups(S3).subgroups if S.order == 2)
+    with pytest.raises(GroupError, match="N must be normal in L"):
+        m_const(S3, C2)
 
 
 @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.label)
