@@ -19,10 +19,10 @@ Light's test, and the homomorphism law by `_is_hom`.  One greedy walk,
 `greedy_generators`, chooses the generating sequence of a group, checks a
 subgroup mask by closing the generators it chooses inside it, and gives the
 CLI's class labels their generator words, and `is_normal`, the one
-normality test, conjugates by those generators only.  Every value this
-library derives from checked values (products, quotients, subgroups,
-kernels, compositions, named groups) is built by `_group` or `_trusted`
-without a second check.
+normality test, conjugates by those generators only; `center_mask` tests
+commuting with them only.  Every value this library derives from checked
+values (products, quotients, subgroups, kernels, compositions, named groups)
+is built by `_group` or `_trusted` without a second check.
 Masks are ints over element ids; `mask_of` and `elements_of` convert.
 """
 
@@ -477,6 +477,14 @@ def conjugate_mask(G: Group, mask: int, g: int) -> int:
     t, gi = G.table, G.inverse[g]
     tg = t[g]
     return mask_of([t[tg[a]][gi] for a in elements_of(mask)])
+
+
+def center_mask(G: Group) -> int:
+    """The mask of Z(G): g is central exactly when it commutes with each
+    element of G's generating sequence, because the elements that commute
+    with g form a subgroup, the centralizer of g."""
+    t, gens = G.table, G.generating_sequence()
+    return mask_of(g for g in range(G.order) if all(t[g][s] == t[s][g] for s in gens))
 
 
 def is_normal(N: Subgroup, L: Subgroup | None = None) -> bool:

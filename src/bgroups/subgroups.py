@@ -7,16 +7,21 @@ identities.  Subgroup sets are bitmask ints, which keeps closure and
 containment tests cheap at desk scale.
 
 Enumeration is bottom-up cyclic extension (Neubüser 1960): every subgroup
-found is joined with every cyclic subgroup, and each join is closed from the
-generators recorded for its two parts, so a closure costs O(|K|·|gens|).
-Conjugacy classes are orbits under the group's generating sequence; the
-normal subgroups are the classes of size one (`groups.is_normal` tests one
-subgroup without a lattice).  Marks come from containment counts (Pfeiffer
-1997), with |N_G(Y)| read off the class size of Y, and are kept by column,
-nonzero entries only, each column packed as a tuple of classes and a tuple
-of marks.  The idempotent and m-constant sums over X <= L walk the Moebius
-column of L, which keeps only the X with mu(X, L) != 0.  The lattice keeps
-the m-constants and Glück's idempotent e_L per class (filled by
+h found is joined with every cyclic subgroup <a>, by one of three exact
+rules.  A join is skipped when a lies in h or in an overgroup of prime index
+that h already produced, since by Lagrange no subgroup lies strictly between
+them.  When a is central or normalizes h, the join is the union of the
+cosets h·a^i, |K| table lookups.  Any other join is closed from the
+generators recorded for its two parts, O(|K|·|gens|).  Conjugacy classes are
+orbits under the non-central elements of the group's generating sequence
+(`groups.center_mask`), so an abelian group walks none; the normal subgroups
+are the classes of size one (`groups.is_normal` tests one subgroup without a
+lattice).  Marks come from containment counts (Pfeiffer 1997), with
+|N_G(Y)| read off the class size of Y, and are kept by column, nonzero
+entries only, each column packed as a tuple of classes and a tuple of marks.
+The idempotent and m-constant sums over X <= L walk the Moebius column of
+L, which keeps only the X with mu(X, L) != 0.  The lattice keeps the
+m-constants and Glück's idempotent e_L per class (filled by
 `burnside.gluck_idempotent`); a column walked only for an idempotent is not
 kept.
 Enumeration takes no size limit and keeps one lattice per interned table,
@@ -33,9 +38,12 @@ from .groups import (
     Group,
     GroupError,
     Subgroup,
+    _is_prime,
     _trusted,
+    center_mask,
     close_subset,
     conjugate_mask,
+    elements_of,
     is_normal,
     mask_of,
 )
@@ -162,38 +170,62 @@ def _brute_cyclic_subgroups(G: Group) -> dict[int, tuple[int, ...]]:
 def enumerate_subgroups(G: Group) -> SubgroupLattice:
     """All subgroups by bottom-up cyclic extension, with conjugacy classes.
 
-    Built once per interned table.  The generators each subgroup was closed
-    from are kept only while the enumeration runs; the lattice does not
-    store them.
+    Each subgroup h found is joined with each cyclic subgroup <a> (least
+    generator a), and three exact rules decide most joins without a
+    closure walk.  `covered` starts at h and gains every join K of prime
+    index over h:
+    - a in `covered` skips the join: it is h, or a prime-index K that h
+      already produced, since by Lagrange nothing lies strictly between h
+      and such a K, and <a> <= K exactly when a is in K;
+    - a central, or a h a^-1 = h, makes the join the union of the cosets
+      h·a^i for i < k, k the least power with a^k in h: |K| table lookups;
+    - any other join is closed from the generators recorded for h and a.
+    The classes are orbits under conjugation by the generators outside the
+    centre (`center_mask`).  Built once per interned table.  The generators
+    each subgroup was closed from are kept only while the enumeration runs;
+    the lattice does not store them.
     """
     if G._t.lattice is not None:
         return G._t.lattice
+    t = G.table
+    center = center_mask(G)
     gens = _brute_cyclic_subgroups(G)  # mask -> generators it was closed from
     frontier = list(gens)
     full = (1 << G.order) - 1
-    cyclic_list = sorted(gens.items())
+    cyclic = [a for _, (a,) in sorted(gens.items())]  # least generators, by mask
+    primes = {p for p in range(2, G.order + 1) if G.order % p == 0 and _is_prime(p)}
     while frontier:
         new: list[int] = []
         for h in frontier:
             if h == full:
                 continue
-            for c, (a,) in cyclic_list:
-                if c & h == c:
+            order, helems, covered = h.bit_count(), elements_of(h), h
+            for a in cyclic:
+                if (covered >> a) & 1:
                     continue
-                joined = gens[h] + (a,)
-                closed = mask_of(close_subset(G, joined))
-                if closed not in gens:
-                    gens[closed] = joined
-                    new.append(closed)
+                if (center >> a) & 1 or conjugate_mask(G, h, a) == h:
+                    joined, x = h, a  # a normalizes h: K is the union of the cosets a^i·h
+                    while not (h >> x) & 1:
+                        row = t[x]
+                        joined |= mask_of([row[y] for y in helems])
+                        x = row[a]
+                else:
+                    joined = mask_of(close_subset(G, gens[h] + (a,)))
+                if joined.bit_count() // order in primes:
+                    covered |= joined
+                if joined not in gens:
+                    gens[joined] = gens[h] + (a,)
+                    new.append(joined)
         frontier = new
     masks = sorted(gens, key=lambda m: (m.bit_count(), m))
     subs = [_trusted(Subgroup, G, m) for m in masks]
     index_of = {m: i for i, m in enumerate(masks)}
 
     lat = SubgroupLattice(G, subs, index_of, [-1] * len(subs), [], [])
-    # conjugation orbits: the closure under conjugation by generators
+    # conjugation orbits: the closure under conjugation by the generators;
+    # a central one fixes every subgroup, so it is left out
     conj_class, class_reps = lat.conj_class, lat.class_reps
-    generators = G.generating_sequence()
+    generators = [g for g in G.generating_sequence() if not (center >> g) & 1]
     for i, m in enumerate(masks):
         if conj_class[i] >= 0:
             continue
@@ -224,6 +256,8 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
 
 def count_complements(G: Group, Z: Subgroup) -> int:
     """Number of subgroups H with H.Z = G and H n Z = 1."""
+    if Z.parent != G:
+        raise GroupError("Z must be a subgroup of G")
     lat = enumerate_subgroups(G)
     zmask = Z.mask
     zorder = Z.order

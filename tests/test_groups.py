@@ -15,6 +15,7 @@ from bgroups.groups import (
     _MR_BOUND,
     _is_prime,
     alternating_4,
+    center_mask,
     close_subset,
     cyclic_extension,
     dicyclic_3,
@@ -27,6 +28,7 @@ from bgroups.groups import (
     is_normal,
     kernel,
     make_cyclic,
+    mask_of,
     o_p_subgroup,
     p_residual_quotient,
     quaternion_group,
@@ -263,6 +265,15 @@ def test_subgroup_check_agrees_with_pairwise_closure_on_every_small_mask():
 def test_generating_sequence_matches_the_greedy_oracle():
     for G in groups_up_to_order(16) + [symmetric_group(4)]:
         assert list(G.generating_sequence()) == greedy_generators_oracle(G, range(G.order)), G
+
+
+def test_center_mask_matches_brute_force():
+    """The elements that commute with the generating sequence are the ones
+    that commute with every element."""
+    for G in groups_up_to_order(16) + [symmetric_group(4), symmetric_group(5)]:
+        t, r = G.table, range(G.order)
+        want = mask_of(g for g in r if all(t[g][x] == t[x][g] for x in r))
+        assert center_mask(G) == want, G
 
 
 def test_every_lattice_subgroup_passes_the_subgroup_check():

@@ -1,7 +1,8 @@
 """Subgroup lattices, Moebius function, table of marks, complements.
 
 The enumeration is cross-checked against a brute-force oracle (closure of
-every generating set of size <= 3, saturated), the marks table against the
+every generating set of size <= 3, saturated) and, with its classes, against
+a plain cyclic-join oracle that closes every join, the marks table against the
 count |{g : g^-1 X g <= Y}| / |Y|, normalizer orders against a count of
 the elements that conjugate X to itself, and the Moebius function against
 its defining recursion and the closed forms of elementary abelian and
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
     Group,
     GroupError,
@@ -36,7 +38,13 @@ from bgroups.subgroups import (
     m_constant,
     normal_subgroups,
 )
-from util import brute_mark, conjugate_elements, moebius_oracle, pairwise_closure
+from util import (
+    brute_mark,
+    conjugate_elements,
+    cyclic_join_oracle,
+    moebius_oracle,
+    pairwise_closure,
+)
 
 ORACLE_GROUPS = [
     make_cyclic(12),
@@ -81,6 +89,26 @@ def test_enumeration_matches_brute_force(G):
     assert {S.mask for S in lat.subgroups} == brute_force_subgroups(G)
 
 
+# the catalog up to order 16, S4, and products whose centre is neither 1
+# nor the whole group, where some joins are coset unions and some are not
+JOIN_ORACLE_GROUPS = groups_up_to_order(16) + [
+    symmetric_group(4),
+    direct_product(symmetric_group(3), make_cyclic(4)).group,
+    direct_product(alternating_4(), make_cyclic(2)).group,
+    direct_product(dihedral_group(4), make_cyclic(3)).group,
+]
+
+
+@pytest.mark.parametrize("G", JOIN_ORACLE_GROUPS, ids=lambda g: f"{g.label}-{g.order}")
+def test_enumeration_matches_cyclic_join_oracle(G):
+    """The skipped joins, the coset unions and the orbit walk that leaves
+    out central generators give the masks and classes of joining every
+    subgroup with every cyclic subgroup and conjugating by every element."""
+    lat = enumerate_subgroups(G)
+    got = ([S.mask for S in lat.subgroups], lat.conj_class, lat.class_reps, lat.class_sizes)
+    assert got == cyclic_join_oracle(G)
+
+
 def _elementary_abelian(rank: int, p: int = 2) -> Group:
     G = make_cyclic(1)
     for _ in range(rank):
@@ -111,6 +139,13 @@ def test_counts_elementary_abelian_64():
     lat = enumerate_subgroups(_elementary_abelian(6))
     assert len(lat) == lat.n_classes() == 2825
     assert len(lat) == sum(_gaussian_binomial_2(6, k) for k in range(7))
+
+
+def test_counts_elementary_abelian_128():
+    """C2^7 has sum_k [7 k]_2 subgroups, each its own class."""
+    lat = enumerate_subgroups(_elementary_abelian(7))
+    assert len(lat) == lat.n_classes() == 29212
+    assert len(lat) == sum(_gaussian_binomial_2(7, k) for k in range(8))
 
 
 def test_contains_trivial_and_full_and_is_sorted():
@@ -342,6 +377,12 @@ def test_count_complements():
     assert count_complements(C4, subgroup_generated(C4, [2])) == 0
     G = symmetric_group(3)
     assert count_complements(G, trivial_subgroup(G)) == 1
+
+
+def test_count_complements_refuses_a_subgroup_of_another_group():
+    """C6's full mask is also S3's, but C6's full subgroup is not S3's."""
+    with pytest.raises(GroupError, match="Z must be a subgroup of G"):
+        count_complements(symmetric_group(3), full_subgroup(make_cyclic(6)))
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,40 @@ def conjugate_elements(G, elements, g) -> set[int]:
     return {t[t[gi][x]][g] for x in elements}
 
 
+def cyclic_join_oracle(G) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Reference lattice: every subgroup found is joined with every cyclic
+    subgroup it does not contain, each join closed with `pairwise_closure`,
+    until no join is new; the classes are orbits under conjugation by every
+    element of G.  Returns the masks sorted by (order, mask) and, in the
+    lattice's convention, the class id of each, the index of each class's
+    first member and each class's size.  No `bgroups.subgroups` code runs."""
+    cyclic = {mask_of(pairwise_closure(G, [a])) for a in range(G.order)}
+    found, frontier = set(cyclic), list(cyclic)
+    while frontier:
+        new = []
+        for h in frontier:
+            for c in cyclic:
+                if c & h != c:
+                    joined = mask_of(pairwise_closure(
+                        G, [x for x in range(G.order) if ((h | c) >> x) & 1]))
+                    if joined not in found:
+                        found.add(joined)
+                        new.append(joined)
+        frontier = new
+    masks = sorted(found, key=lambda m: (m.bit_count(), m))
+    index_of = {m: i for i, m in enumerate(masks)}
+    conj_class, class_reps, class_sizes = [-1] * len(masks), [], []
+    for i, m in enumerate(masks):
+        if conj_class[i] < 0:
+            members = [x for x in range(G.order) if (m >> x) & 1]
+            orbit = {mask_of(conjugate_elements(G, members, g)) for g in range(G.order)}
+            for om in orbit:
+                conj_class[index_of[om]] = len(class_reps)
+            class_reps.append(i)
+            class_sizes.append(len(orbit))
+    return masks, conj_class, class_reps, class_sizes
+
+
 def brute_mark(lat, cx, cy) -> int:
     """|{g in G : g^-1 X g <= Y}| / |Y| for class reps X, Y."""
     G = lat.parent
