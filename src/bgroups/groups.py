@@ -6,8 +6,9 @@ map that holds it for the life of the process; nothing else hashes table
 contents.  A `Group` is a `_Table` under a label, so `==` and `hash` mean
 "same contents, labels ignored" without reading the table.  The `_Table`
 owns what is derived from the table alone: the subgroup lattice, generating
-sequence, element orders, over-K word plan, and memos of products, subgroup
-embeddings (one map per subgroup and parent label) and quotients.
+sequence, element orders, over-K word plan, a transversal of G/Z(G), and
+memos of products, subgroup embeddings (one map per subgroup and parent
+label) and quotients.
 Homomorphisms and subgroups are frozen dataclasses; a `Subgroup` is slotted,
 and a `Homomorphism` carries the biset class maps of `burnside` outside its
 fields.
@@ -56,11 +57,11 @@ class _Table:
     """One distinct Cayley table with the data derived from it alone."""
 
     __slots__ = ("order", "table", "inverse", "lattice", "gens", "orders",
-                 "word_plan", "products", "embeddings", "quotients")
+                 "word_plan", "transversal", "products", "embeddings", "quotients")
 
     def __init__(self, table, inverse):
         self.order, self.table, self.inverse = len(table), table, inverse
-        self.lattice = self.gens = self.orders = self.word_plan = None
+        self.lattice = self.gens = self.orders = self.word_plan = self.transversal = None
         self.products = {}  # other factor's _Table -> (product _Table, maps)
         self.embeddings = {}  # subgroup mask -> (subgroup _Table, elements, {label: map})
         self.quotients = {}  # normal subgroup mask -> (quotient _Table, cosets)

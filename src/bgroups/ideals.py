@@ -12,6 +12,7 @@ from .groups import (
     Group,
     GroupError,
     direct_product,
+    image,
     kernel,
     quotient,
     subgroup_as_group,
@@ -210,9 +211,13 @@ def build_bk_poset(
         tags = [""] * len(nodes)
     else:
         raise GroupError(f"unknown poset mode {mode!r}")
-    n = len(nodes)
+    # x ->> y over K only if phi_y(L_y) is a K-conjugate of phi_x(L_x), so
+    # every pair across two image classes is False without a test
+    klat = enumerate_subgroups(K)
+    cls = [klat.class_of(image(x.phi)) for x in nodes]
     rel = [
-        [is_quotient_over_k(nodes[i], nodes[j]) for j in range(n)] for i in range(n)
+        [ci == cj and is_quotient_over_k(x, y) for y, cj in zip(nodes, cls)]
+        for x, ci in zip(nodes, cls)
     ]
     return BkPoset(K, nodes, tags, rel, mode, p=p, max_order=max_order)
 

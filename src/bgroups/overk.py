@@ -4,7 +4,15 @@ classification of p-persistent B_K-groups.
 
 One search, `_hom_images`, finds both the homomorphisms and the
 isomorphisms between two groups, by brute force over the images of the
-source's generators.
+source's generators; it checks the homomorphism law on the chords of the
+word plan only, since each candidate is built along the plan's tree.
+
+The two over-K decisions reject by exact invariants before any search:
+|L|, |Ker phi|, and the K-conjugacy class of the image phi(L).  A search
+that is still needed runs once per distinct conjugation c_g, with g from a
+transversal of K/Z(K) kept on K's table, restricted to the fibres of
+phi_y over c_g . phi_x, so every map it finds is a morphism over K and no
+conjugate test follows.
 """
 
 from __future__ import annotations
@@ -17,9 +25,11 @@ from .groups import (
     GroupError,
     Homomorphism,
     Subgroup,
-    _is_hom,
     _trusted,
+    center_mask,
+    conjugate_mask,
     direct_product,
+    elements_of,
     kernel,
     make_cyclic,
     mask_of,
@@ -68,49 +78,64 @@ def embedding_over(K: Group, H: Subgroup) -> GroupOverK:
 # plain-group homomorphism / isomorphism machinery
 
 
-def _word_plan(G: Group) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """Greedy generators plus steps (y, x, gen_index) with y = x * gens[i],
-    in breadth-first order from the identity, so that any generator-image
-    assignment extends to a full candidate map in one pass.  Kept on G's
-    interned table."""
+def _word_plan(G: Group):
+    """Greedy generators, steps (y, x, gen_index) with y = x * gens[i] in
+    breadth-first order from the identity, and chords, the remaining
+    (y, x, gen_index) with y = x * gens[i]: the steps form a spanning tree
+    of the Cayley graph, so any generator-image assignment extends to a full
+    candidate map in one pass, and the law holds on every edge once it holds
+    on the chords.  Kept on G's interned table."""
     if G._t.word_plan is not None:
         return G._t.word_plan
     gens = G.generating_sequence()
-    steps = []
+    steps, chords = [], []
     known = [0]
     seen = {0}
     t = G.table
     for x in known:  # grows while we walk it
         for gi, g in enumerate(gens):
             y = t[x][g]
-            if y not in seen:
+            if y in seen:
+                chords.append((y, x, gi))
+            else:
                 seen.add(y)
                 steps.append((y, x, gi))
                 known.append(y)
-    G._t.word_plan = gens, tuple(steps)
+    G._t.word_plan = gens, tuple(steps), tuple(chords)
     return G._t.word_plan
 
 
-def _hom_images(G: Group, H: Group, iso: bool = False):
+def _hom_images(G: Group, H: Group, iso: bool = False, fibre=None):
     """Yield the image tuple of every homomorphism G -> H, or with `iso` of
     every isomorphism, by brute force over the images of G's generators: an
     image h of a generator g needs ord h | ord g, or ord h = ord g with
-    `iso`.  Each assignment of images extends to at most one map, and
-    distinct assignments give distinct maps, so no map is yielded twice."""
+    `iso`.  With `fibre` = (psi, chi), image tuples on G's and on H's
+    elements, only the maps f with chi . f = psi on the generators are
+    tried, which for homomorphisms psi and chi means on all of G.
+
+    Each assignment extends along the word plan's tree, so the homomorphism
+    law is checked on its chords only, which is the whole law (`_is_hom`).
+    Each assignment of images extends to at most one map, and distinct
+    assignments give distinct maps, so no map is yielded twice."""
     gorders, horders = G.element_orders(), H.element_orders()
     if iso and (G.order != H.order or sorted(gorders) != sorted(horders)):
         return
-    gens, steps = _word_plan(G)
+    gens, steps, chords = _word_plan(G)
     s = H.table
+    psi, chi = fibre or (None, None)
     candidates_per_gen = [
-        [h for h, o in enumerate(horders) if (o == gorders[g] if iso else gorders[g] % o == 0)]
+        [h for h, o in enumerate(horders)
+         if (chi is None or chi[h] == psi[g])
+         and (o == gorders[g] if iso else gorders[g] % o == 0)]
         for g in gens
     ]
     for images in itertools.product(*candidates_per_gen):
         out = [0] * G.order
         for y, x, gi in steps:
             out[y] = s[out[x]][images[gi]]
-        if _is_hom(G, out, lambda u, v: s[u][v]) and (not iso or len(set(out)) == G.order):
+        if all(out[y] == s[out[x]][images[gi]] for y, x, gi in chords) and (
+            not iso or len(set(out)) == G.order
+        ):
             yield tuple(out)
 
 
@@ -133,27 +158,58 @@ def is_isomorphic(G: Group, H: Group) -> bool:
 # the category over K
 
 
-def _conjugates(phi: Homomorphism) -> set[tuple[int, ...]]:
-    """Image tuples of i . phi for every inner automorphism i of phi.target."""
-    K = phi.target
-    return {tuple(K.conj(v, g) for v in phi.image) for g in range(K.order)}
+def _transversal(K: Group) -> tuple[int, ...]:
+    """The least element of each coset of Z(K) in K, in increasing order:
+    conjugation by g depends only on gZ(K), so these give every inner
+    automorphism of K once; for abelian K only the identity.  Kept on K's
+    interned table."""
+    if K._t.transversal is None:
+        z, t = elements_of(center_mask(K)), K.table
+        covered, reps = 0, []
+        for g in range(K.order):
+            if not (covered >> g) & 1:
+                reps.append(g)
+                covered |= mask_of(t[g][c] for c in z)
+        K._t.transversal = tuple(reps)
+    return K._t.transversal
 
 
-def is_morphism_over_k(f: Homomorphism, x: GroupOverK, y: GroupOverK) -> bool:
-    """True iff some inner automorphism i of K satisfies i . phi_x = phi_y . f."""
-    if f.source != x.L or f.target != y.L or x.K != y.K:
-        raise GroupError("mismatched morphism data")
-    return tuple(y.phi.image[b] for b in f.image) in _conjugates(x.phi)
+def _image_conjugators(x: GroupOverK, y: GroupOverK):
+    """Yield each g of K's Z(K)-transversal with g phi_x(L_x) g^-1 =
+    phi_y(L_y), none when the images differ in order.  Over K, x ->> y, and
+    so x ~= y, only if some g does: a surjection f with phi_y . f =
+    c_g . phi_x maps phi_x(L_x) onto phi_y(L_y) by c_g."""
+    K = x.K
+    xm, ym = mask_of(x.phi.image), mask_of(y.phi.image)
+    if xm.bit_count() == ym.bit_count():
+        for g in _transversal(K):
+            if (conjugate_mask(K, xm, g) if g else xm) == ym:
+                yield g
 
 
 def is_isomorphic_over_k(x: GroupOverK, y: GroupOverK) -> bool:
+    """True iff some isomorphism f: L_x -> L_y and inner automorphism c of K
+    satisfy phi_y . f = c . phi_x.  Exact invariants decide first: |L| must
+    agree, and phi_y(L_y) must be a K-conjugate of phi_x(L_x), which also
+    makes |Ker phi| agree.  Then, for each distinct c = c_g with g from the
+    Z(K) transversal that conjugates the one image to the other, one search
+    is restricted to the fibres of phi_y over c . phi_x, so each map it
+    finds is a morphism over K."""
     if x.K != y.K:
         raise GroupError("different K")
-    conj = _conjugates(x.phi)
-    return any(
-        tuple(y.phi.image[b] for b in f) in conj
-        for f in _hom_images(x.L, y.L, iso=True)
-    )
+    if x is y:
+        return True
+    if x.L.order != y.L.order:
+        return False
+    K, tried = x.K, set()
+    for g in _image_conjugators(x, y):
+        psi = tuple(K.conj(v, g) for v in x.phi.image) if g else x.phi.image
+        if psi not in tried:
+            tried.add(psi)
+            fibre = (psi, y.phi.image)
+            if next(_hom_images(x.L, y.L, iso=True, fibre=fibre), None) is not None:
+                return True
+    return False
 
 
 def quotient_over_k(x: GroupOverK, N: Subgroup) -> GroupOverK:
@@ -171,12 +227,19 @@ def quotient_over_k(x: GroupOverK, N: Subgroup) -> GroupOverK:
 
 
 def is_quotient_over_k(x: GroupOverK, y: GroupOverK) -> bool:
-    """True iff y is a quotient of x in the category over K."""
+    """True iff y is a quotient of x in the category over K: y ~= x/N over
+    K for a normal N <= Ker phi_x with |N| = |L_x|/|L_y|.  Two necessary
+    conditions decide first: |L_x|/|L_y| divides |Ker phi_x|, and
+    phi_y(L_y) is a K-conjugate of phi_x(L_x)."""
     if x.K != y.K:
         raise GroupError("different K")
     if x.L.order % y.L.order != 0:
         return False
     target = x.L.order // y.L.order
+    if (x.L.order // len(set(x.phi.image))) % target != 0:
+        return False
+    if next(_image_conjugators(x, y), None) is None:
+        return False
     return any(
         is_isomorphic_over_k(quotient_over_k(x, N), y)
         for N in _normal_in_kernel(x)

@@ -67,10 +67,12 @@ class SubgroupLattice:
         return len(self.subgroups)
 
     def index(self, S: Subgroup) -> int:
-        try:
-            return self.index_of[S.mask]
-        except KeyError:
-            raise GroupError("subgroup does not belong to this lattice") from None
+        """The position of S, which must be a subgroup of this lattice's
+        group: a mask alone could name a subgroup of another group."""
+        i = self.index_of.get(S.mask) if S.parent == self.parent else None
+        if i is None:
+            raise GroupError("subgroup does not belong to this lattice")
+        return i
 
     def class_of(self, S: Subgroup) -> int:
         return self.conj_class[self.index(S)]

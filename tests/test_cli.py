@@ -314,6 +314,22 @@ def test_p_lattice_counts_closed_sets_of_a_large_poset(capsys):
     assert "verified: pass" in lines
 
 
+def test_p_lattice_verifies_on_elementary_abelian_32(tmp_path, capsys):
+    spec = tmp_path / "c2_5.bspec"
+    spec.write_text(
+        "group C2 = cyclic 2\n"
+        "group E4 = product C2 C2\n"
+        "group E8 = product E4 C2\n"
+        "group E16 = product E8 C2\n"
+        "group E32 = product E16 C2\n"
+    )
+    code, out = run_cli(["p-lattice", str(spec), "--k", "E32", "--p", "2"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "k: E32 order=32" in lines
+    assert "verified: pass" in lines
+
+
 def test_p_lattice_check_bounds_the_poset_nodes(capsys):
     args = ["p-lattice", SPEC, "--k", "C4", "--p", "2", "--max-order", "4"]
     assert main(args) == 3  # the node C2 x C4 of the check has order 8

@@ -1,8 +1,11 @@
 """Ideal evaluations, simple-module dimensions, minimal groups, posets of
 B_K-group classes, closed-set lattices, and the p-restricted ideal census."""
 
+import functools
+
 import pytest
 
+from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
     Homomorphism,
     direct_product,
@@ -36,6 +39,7 @@ from bgroups.overk import (
     trivial_over,
 )
 from bgroups.subgroups import enumerate_subgroups
+from util import isomorphisms_oracle, klein_four, quotient_over_k_oracle
 
 
 V4 = direct_product(make_cyclic(2), make_cyclic(2)).group
@@ -296,6 +300,33 @@ def test_p_ideal_lattice_census(K, p, c, nc, total):
     assert (d.c_count, d.nc_count, d.total_ideals) == (c, nc, total)
     assert d.verified is True
     assert 3 ** d.c_count * 2 ** d.nc_count == d.total_ideals
+
+
+_CENSUS = [(K, p) for K in groups_up_to_order(16) for p in (2, 3) if p == 2 or K.order % 3 == 0]
+
+
+@pytest.mark.parametrize("K,p", _CENSUS, ids=[f"{K.label}-p{p}" for K, p in _CENSUS])
+def test_p_ideal_lattice_verifies_on_the_catalog(K, p):
+    """The closed sets of the B_K poset number 3^c 2^nc for every catalog K
+    (|K| <= 16), at p = 2 and at p = 3 when 3 divides |K|."""
+    assert len(_CENSUS) == 53
+    assert p_ideal_lattice(K, p, verify=True).verified
+
+
+_CRITERION_7_KS = [trivial_group(), make_cyclic(2), make_cyclic(3), make_cyclic(4),
+                   klein_four(), symmetric_group(3)]
+
+
+@pytest.mark.parametrize("K", _CRITERION_7_KS, ids=lambda g: g.label)
+@pytest.mark.parametrize("p", [2, 3])
+def test_bk_poset_relation_matches_the_pairwise_oracle(K, p):
+    """Pairs whose images lie in different subgroup classes of K are False
+    without a test; every entry equals the oracle's quotient test."""
+    poset = build_bk_poset(K, P_RESTRICTED, p=p)
+    isos = functools.cache(isomorphisms_oracle)
+    assert poset.quotient_rel == [
+        [quotient_over_k_oracle(x, y, isos) for y in poset.nodes] for x in poset.nodes
+    ]
 
 
 def test_noncyclic_components_are_isolated():

@@ -2,6 +2,7 @@
 B_K-group detection, beta_K, p-persistence, and the classification of
 p-persistent B_K-groups."""
 
+import functools
 import itertools
 
 import pytest
@@ -41,7 +42,6 @@ from bgroups.overk import (
     is_bk_group,
     is_isomorphic,
     is_isomorphic_over_k,
-    is_morphism_over_k,
     is_p_persistent,
     is_quotient_over_k,
     isomorphisms,
@@ -49,7 +49,15 @@ from bgroups.overk import (
     quotient_over_k,
 )
 from bgroups.subgroups import enumerate_subgroups, m_constant, normal_subgroups
-from util import is_homomorphism
+from util import (
+    hom_images_oracle,
+    is_homomorphism,
+    is_morphism_over_k,
+    isomorphisms_oracle,
+    klein_four,
+    over_k_class_oracle,
+    quotients_over_k_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +128,26 @@ def test_automorphisms_match_brute_force_on_the_catalog():
         }, G
 
 
+_SEARCH_LIMIT = 1000  # candidate assignments of generator images per pair
+
+
+def _assignments(G, H) -> int:
+    horders = H.element_orders()
+    n = 1
+    for g in G.generating_sequence():
+        n *= sum(1 for o in horders if G.element_order(g) % o == 0)
+    return n
+
+
+def test_homomorphisms_match_the_full_law_search_on_the_catalog():
+    """The search checks the law on the word plan's chords only; the oracle
+    checks it on all |G|^2 pairs."""
+    pairs = [(G, H) for G in _CATALOG for H in _CATALOG if _assignments(G, H) <= _SEARCH_LIMIT]
+    assert len(pairs) > 1700
+    for G, H in pairs:
+        assert {f.image for f in homomorphisms(G, H)} == set(hom_images_oracle(G, H)), (G, H)
+
+
 # ---------------------------------------------------------------------------
 # the category over K
 
@@ -129,6 +157,41 @@ def test_identity_is_morphism_over_k():
     x = embedding_over(K, subgroup_generated(K, [2]))
     ident = Homomorphism(x.L, x.L, tuple(range(x.L.order)))
     assert is_morphism_over_k(ident, x, x)
+
+
+def test_transversal_gives_each_inner_automorphism_once():
+    from bgroups.overk import _transversal
+
+    for K in [*_CATALOG, symmetric_group(4)]:
+        reps = _transversal(K)
+        inner = {tuple(K.conj(v, g) for v in range(K.order)) for g in range(K.order)}
+        assert reps[0] == 0 and len(reps) == len(inner), K
+        assert {tuple(K.conj(v, g) for v in range(K.order)) for g in reps} == inner, K
+
+
+_ORACLE_KS = [trivial_group(), make_cyclic(2), make_cyclic(4), klein_four(),
+              symmetric_group(3), dihedral_group(4)]
+
+
+@pytest.mark.parametrize("K", _ORACLE_KS, ids=lambda g: g.label)
+def test_over_k_decisions_match_the_oracle(K):
+    """Both decisions on every ordered pair of (L, phi) with |L| <= 8 equal
+    the oracle's: the plain isomorphism search with the full law and a test
+    against all |K| conjugates.  For each x the oracle lists the phi on each
+    catalog group H with (H, phi) over-K isomorphic to x, or to some x/N."""
+    Ls = groups_up_to_order(8)
+    xs = [GroupOverK(L, Homomorphism(L, K, f)) for L in Ls for f in hom_images_oracle(L, K)]
+    isos = functools.cache(isomorphisms_oracle)
+    for x in xs:
+        iso_to = {H: over_k_class_oracle(x, H, isos) for H in Ls if H.order == x.L.order}
+        quotient_to = {}
+        for q in quotients_over_k_oracle(x):
+            for H in Ls:
+                if H.order == q.L.order:
+                    quotient_to.setdefault(H, set()).update(over_k_class_oracle(q, H, isos))
+        for y in xs:
+            assert is_isomorphic_over_k(x, y) == (y.phi.image in iso_to.get(y.L, ())), (x, y)
+            assert is_quotient_over_k(x, y) == (y.phi.image in quotient_to.get(y.L, ())), (x, y)
 
 
 def test_over_k_iso_distinguishes_structure_maps():

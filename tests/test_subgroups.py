@@ -385,6 +385,21 @@ def test_count_complements_refuses_a_subgroup_of_another_group():
         count_complements(symmetric_group(3), full_subgroup(make_cyclic(6)))
 
 
+def test_lattice_refuses_a_subgroup_of_another_group():
+    """C6's full mask is also S3's, but C6's full subgroup is not S3's: the
+    lattice's index and class lookups, and so e_L and [G/X], refuse it."""
+    from bgroups.burnside import gluck_idempotent, transitive_basis_element
+
+    S3, C6 = symmetric_group(3), make_cyclic(6)
+    lat, foreign = enumerate_subgroups(S3), full_subgroup(C6)
+    for lookup in (lat.index, lat.class_of, lambda S: gluck_idempotent(S3, S),
+                   lambda S: transitive_basis_element(S3, S)):
+        with pytest.raises(GroupError, match="does not belong to this lattice"):
+            lookup(foreign)
+    same = Group(6, S3.table, S3.inverse, "T")  # equal to S3 under another label
+    assert lat.index(full_subgroup(same)) == len(lat) - 1
+
+
 # ---------------------------------------------------------------------------
 # m-constants at the lattice level
 

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: group corpora and the heavier
 verification routines used by both the unit and acceptance tests."""
 
+import itertools
 from fractions import Fraction
 
 from bgroups.burnside import (
@@ -16,11 +17,13 @@ from bgroups.burnside import (
     to_idempotent_basis,
 )
 from bgroups.groups import (
+    Homomorphism,
     Subgroup,
     alternating_4,
     dicyclic_3,
     dihedral_group,
     direct_product,
+    kernel,
     make_cyclic,
     mask_of,
     quaternion_group,
@@ -29,6 +32,7 @@ from bgroups.groups import (
     symmetric_group,
 )
 from bgroups.ideals import ideal_eval
+from bgroups.overk import GroupOverK
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
 
 
@@ -91,6 +95,100 @@ def is_action(N, H, action) -> bool:
         for h1 in m
         for h2 in m
     )
+
+
+def hom_images_oracle(G, H, iso=False) -> list[tuple[int, ...]]:
+    """Every homomorphism G -> H, or with `iso` every isomorphism, as an
+    image tuple, by the plain search: each assignment of elements of H to
+    G's generating sequence, with element orders dividing (or with `iso`
+    equal to) the generator's, is extended along a breadth-first walk from
+    the identity and kept when it passes the full law `is_homomorphism`
+    (and with `iso` is a bijection).  No `bgroups.overk` code runs."""
+    if iso and G.order != H.order:
+        return []
+    gens, t, s = G.generating_sequence(), G.table, H.table
+    walk, seen, frontier = [], {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, g in enumerate(gens):
+                y = t[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    walk.append((y, x, gi))
+                    nxt.append(y)
+        frontier = nxt
+    horders = [H.element_order(h) for h in range(H.order)]
+    candidates = []
+    for g in gens:
+        o = G.element_order(g)
+        candidates.append([h for h, k in enumerate(horders) if (k == o if iso else o % k == 0)])
+    out = []
+    for images in itertools.product(*candidates):
+        f = [0] * G.order
+        for y, x, gi in walk:
+            f[y] = s[f[x]][images[gi]]
+        if (not iso or len(set(f)) == G.order) and is_homomorphism(G, H, f):
+            out.append(tuple(f))
+    return out
+
+
+def isomorphisms_oracle(G, H) -> list[tuple[int, ...]]:
+    """Every isomorphism G -> H, by `hom_images_oracle`."""
+    return hom_images_oracle(G, H, iso=True)
+
+
+def conjugates_oracle(phi) -> set[tuple[int, ...]]:
+    """Image tuples of c_g . phi for every element g of phi.target, where
+    c_g is conjugation by g: all |K| of them, no transversal."""
+    K = phi.target
+    return {tuple(K.conj(v, g) for v in phi.image) for g in range(K.order)}
+
+
+def is_morphism_over_k(f, x, y) -> bool:
+    """Some inner automorphism c of K satisfies c . phi_x = phi_y . f."""
+    return tuple(y.phi.image[b] for b in f.image) in conjugates_oracle(x.phi)
+
+
+def over_k_class_oracle(x, H, isos=isomorphisms_oracle) -> set[tuple[int, ...]]:
+    """The image tuples of c_g . phi_x . f^-1 for every isomorphism f: L_x ->
+    H found by `isos` (the plain search by default) and every element g of
+    K: exactly the phi on H with (H, phi) over-K isomorphic to x."""
+    K, out = x.K, set()
+    for f in isos(x.L, H):
+        inverse = [0] * H.order
+        for a, b in enumerate(f):
+            inverse[b] = a
+        moved = Homomorphism(H, K, tuple(x.phi.image[a] for a in inverse))
+        out |= conjugates_oracle(moved)
+    return out
+
+
+def iso_over_k_oracle(x, y, isos=isomorphisms_oracle) -> bool:
+    """Reference over-K isomorphism test: phi_y is c . phi_x . f^-1 for an
+    isomorphism f from the plain search and a conjugation c by one of all
+    |K| elements."""
+    return y.phi.image in over_k_class_oracle(x, y.L, isos)
+
+
+def quotients_over_k_oracle(x):
+    """(L/N, phi/N) for each normal N <= Ker phi, built from `quotient` and
+    checked as a homomorphism; no `bgroups.overk` decision code runs."""
+    ker = kernel(x.phi).mask
+    out = []
+    for N in normal_subgroups(x.L):
+        if N.mask & ker == N.mask:
+            Q, pi = quotient(x.L, N)
+            image = [0] * Q.order
+            for q, v in zip(pi.image, x.phi.image):
+                image[q] = v
+            out.append(GroupOverK(Q, Homomorphism(Q, x.K, tuple(image))))
+    return out
+
+
+def quotient_over_k_oracle(x, y, isos=isomorphisms_oracle) -> bool:
+    """Reference over-K quotient test: y is over-K isomorphic to some x/N."""
+    return any(iso_over_k_oracle(q, y, isos) for q in quotients_over_k_oracle(x))
 
 
 def moebius_oracle(lat) -> dict[tuple[int, int], int]:
