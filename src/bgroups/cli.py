@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .burnside import gluck_idempotent, marks_of
@@ -267,7 +268,8 @@ def cmd_p_lattice(doc: GroupSpecDocument, args) -> Report:
     ]
     report.meta["c-count"] = str(desc.c_count)
     report.meta["nc-count"] = str(desc.nc_count)
-    report.meta["total-ideals"] = str(desc.total_ideals)
+    # str(int) refuses counts over 4300 digits (C2^7 has 8,817); Decimal is exact
+    report.meta["total-ideals"] = str(Decimal(desc.total_ideals))
     if args.check:
         report.meta["verified"] = "pass" if desc.verified else "FAIL"
     else:

@@ -1,6 +1,13 @@
 """Evaluations of the ideals attached to B_K-groups, simple-module
 dimensions, minimal groups, quotient posets of B_K-group classes, and the
 (finite) ideal lattice of the p-restricted shifted Burnside functor.
+
+A poset of B_K-group classes keeps one up-set per node, a bit mask of the
+nodes above it.  x ->> y only when the images of x and y are K-conjugate,
+so only pairs within one image class are tested.  A mask is as wide as its
+node's index (a node is above itself), so the masks take about n^2/16
+bytes in all: 55 MiB for the 29,340 nodes of C2^7 at p = 2, where a dense
+n x n relation of pointers would take 8 n^2 bytes, 6.9 GB.
 """
 
 from __future__ import annotations
@@ -12,8 +19,10 @@ from .groups import (
     Group,
     GroupError,
     direct_product,
+    elements_of,
     image,
     kernel,
+    mask_of,
     quotient,
     subgroup_as_group,
 )
@@ -60,58 +69,44 @@ class BkPoset:
     K: Group
     nodes: list[GroupOverK]
     tags: list[str]  # per node; "" in truncated mode
-    quotient_rel: list[list[bool]]  # quotient_rel[i][j]: nodes[i] ->> nodes[j]
+    above: list[int]  # above[j]: mask of the nodes i with nodes[i] ->> nodes[j]
     mode: str
     p: int | None = None
     max_order: int | None = None
 
+    @property
+    def quotient_rel(self) -> list[list[bool]]:
+        """The dense relation, rendered on each call: quotient_rel[i][j] is
+        nodes[i] ->> nodes[j]."""
+        return [[bool((up >> i) & 1) for up in self.above] for i in range(len(self.above))]
+
     def components(self) -> list[list[int]]:
-        n = len(self.nodes)
-        seen = [False] * n
-        comps = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            comp = [i]
-            seen[i] = True
-            stack = [i]
-            while stack:
-                a = stack.pop()
-                for b in range(n):
-                    if not seen[b] and (
-                        self.quotient_rel[a][b] or self.quotient_rel[b][a]
-                    ):
-                        seen[b] = True
-                        comp.append(b)
-                        stack.append(b)
-            comps.append(sorted(comp))
-        return comps
+        """The connected components, each ascending, in order of their least
+        node: a union-find over the pairs the up-sets hold."""
+        least = list(range(len(self.above)))  # a node nearer its component's least
+
+        def root(a: int) -> int:
+            while least[a] != a:
+                least[a] = a = least[least[a]]
+            return a
+
+        for j, up in enumerate(self.above):
+            for i in elements_of(up):
+                a, b = root(i), root(j)
+                least[max(a, b)] = min(a, b)
+        comps: dict[int, list[int]] = {}
+        for a in range(len(least)):
+            comps.setdefault(root(a), []).append(a)
+        return list(comps.values())
 
     def restrict(self, idx: list[int]) -> "BkPoset":
         """The subposet on the nodes idx, in that order."""
-        rel = [[self.quotient_rel[i][j] for j in idx] for i in idx]
+        pos = {i: k for k, i in enumerate(idx)}
+        above = [
+            mask_of(pos[i] for i in elements_of(self.above[j]) if i in pos) for j in idx
+        ]
         return replace(self, nodes=[self.nodes[i] for i in idx],
-                       tags=[self.tags[i] for i in idx], quotient_rel=rel)
-
-    def covering_pairs(self) -> list[tuple[int, int]]:
-        n = len(self.nodes)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.quotient_rel[i][j]:
-                    continue
-                # strict and no strictly intermediate node
-                if any(
-                    k not in (i, j)
-                    and self.quotient_rel[i][k]
-                    and self.quotient_rel[k][j]
-                    and not self.quotient_rel[k][i]
-                    and not self.quotient_rel[j][k]
-                    for k in range(n)
-                ):
-                    continue
-                out.append((i, j))
-        return out
+                       tags=[self.tags[i] for i in idx], above=above)
 
 
 @dataclass
@@ -212,40 +207,35 @@ def build_bk_poset(
     else:
         raise GroupError(f"unknown poset mode {mode!r}")
     # x ->> y over K only if phi_y(L_y) is a K-conjugate of phi_x(L_x), so
-    # every pair across two image classes is False without a test
+    # only pairs within one image class are tested; every other pair is False
     klat = enumerate_subgroups(K)
-    cls = [klat.class_of(image(x.phi)) for x in nodes]
-    rel = [
-        [ci == cj and is_quotient_over_k(x, y) for y, cj in zip(nodes, cls)]
-        for x, ci in zip(nodes, cls)
-    ]
-    return BkPoset(K, nodes, tags, rel, mode, p=p, max_order=max_order)
+    buckets: dict[int, list[int]] = {}
+    for j, y in enumerate(nodes):
+        buckets.setdefault(klat.class_of(image(y.phi)), []).append(j)
+    above = [0] * len(nodes)
+    for bucket in buckets.values():
+        for j in bucket:
+            above[j] = mask_of(i for i in bucket if is_quotient_over_k(nodes[i], nodes[j]))
+    return BkPoset(K, nodes, tags, above, mode, p=p, max_order=max_order)
 
 
 def closed_subsets(poset: BkPoset, cap: int = DEFAULT_CLOSED_SET_CAP) -> list[frozenset[int]]:
-    """All subsets P with: node in P and other ->> node implies other in P."""
-    n = len(poset.nodes)
-    above = [
-        frozenset(i for i in range(n) if poset.quotient_rel[i][j]) for j in range(n)
-    ]
-    # every closed set is a union of the up-sets above[j]; build them by
-    # deciding membership node by node, closing upward as we include
-    out: set[frozenset[int]] = set()
-
-    def extend(idx: int, current: frozenset[int]):
-        if len(out) > cap:
+    """All subsets P with: node in P and other ->> node implies other in P,
+    ordered by size and then by their ascending members.  Raises
+    ClosedSetCapExceeded when there are more than cap."""
+    # every closed set is the union of the up-sets of its members; after
+    # node j, sets holds the unions over subsets of the nodes 0..j, and it
+    # only grows, so it passes the cap exactly when the whole listing does
+    sets = {0}
+    for j, up in enumerate(poset.above):
+        sets |= {s | up for s in sets if not (s >> j) & 1}
+        if len(sets) > cap:
             raise ClosedSetCapExceeded(f"more than {cap} closed sets")
-        if idx == n:
-            out.add(current)
-            return
-        if idx in current:
-            extend(idx + 1, current)
-            return
-        extend(idx + 1, current)  # leave node idx out (may be added later
-        extend(idx + 1, current | above[idx])  # via a node it dominates)
-
-    extend(0, frozenset())
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    # among sets of one size, the one holding the least member of the two
+    # sets' difference comes first: the larger mask once its bits are reversed
+    n = len(poset.above)
+    order = sorted(sets, key=lambda s: (s.bit_count(), -int(f"{s:0{n}b}"[::-1], 2)))
+    return [frozenset(elements_of(s)) for s in order]
 
 
 def p_ideal_lattice(K: Group, p: int, verify: bool = True) -> IdealLatticeDescription:

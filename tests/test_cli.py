@@ -26,6 +26,7 @@ from bgroups.groups import (
     subgroup_embedding,
     symmetric_group,
 )
+from bgroups.ideals import IdealLatticeDescription
 from bgroups.overk import GroupOverK, beta_k, classify_p_persistent_bk, is_isomorphic
 from bgroups.specdoc import SpecError, load_spec, parse_spec
 from bgroups.subgroups import enumerate_subgroups
@@ -327,6 +328,63 @@ def test_p_lattice_verifies_on_elementary_abelian_32(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert "k: E32 order=32" in lines
+    assert "verified: pass" in lines
+
+
+def _decimal_digits(n: int) -> str:
+    """n in decimal, from base-10**1000 chunks: str(int) refuses over 4300
+    digits."""
+    chunks = []
+    while n >= 10**1000:
+        n, r = divmod(n, 10**1000)
+        chunks.append(f"{r:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def test_p_lattice_renders_a_count_over_4300_digits(monkeypatch, capsys):
+    import bgroups.cli as cli
+
+    total = 3**128 * 2**29084
+    monkeypatch.setattr(cli, "p_ideal_lattice", lambda K, p, verify: IdealLatticeDescription(
+        K, p, 128, 29084, total, [("ord1#0", "chain2"), ("ord2#1", "chain2")]))
+    code, out = run_cli(["p-lattice", SPEC, "--k", "C2", "--p", "2", "--no-check"], capsys)
+    assert code == 0
+    digits = _decimal_digits(total)
+    assert len(digits) == 8817
+    assert f"total-ideals: {digits}" in out.splitlines()
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_p_lattice_verifies_on_elementary_abelian_128(tmp_path):
+    """C2^7, the largest elementary abelian group under the default order
+    cap: 29,340 poset nodes, checked in a child limited to 1 GiB of address
+    space (a dense relation would need about 6.8 GB)."""
+    spec = tmp_path / "c2_7.bspec"
+    spec.write_text(
+        "group C2 = cyclic 2\n"
+        "group E4 = product C2 C2\n"
+        "group E8 = product E4 C2\n"
+        "group E16 = product E8 C2\n"
+        "group E32 = product E16 C2\n"
+        "group E64 = product E32 C2\n"
+        "group E128 = product E64 C2\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgroups.cli", "p-lattice", str(spec), "--k", "E128",
+         "--p", "2"],
+        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "k: E128 order=128" in lines
+    assert "c-count: 128" in lines
+    assert "nc-count: 29084" in lines
+    assert f"total-ideals: {_decimal_digits(3**128 * 2**29084)}" in lines
     assert "verified: pass" in lines
 
 

@@ -39,7 +39,13 @@ from bgroups.overk import (
     trivial_over,
 )
 from bgroups.subgroups import enumerate_subgroups
-from util import isomorphisms_oracle, klein_four, quotient_over_k_oracle
+from util import (
+    components_oracle,
+    covering_pairs_oracle,
+    isomorphisms_oracle,
+    klein_four,
+    quotient_over_k_oracle,
+)
 
 
 V4 = direct_product(make_cyclic(2), make_cyclic(2)).group
@@ -222,14 +228,14 @@ def test_simple_dim_zero_below_minimal_order():
 def test_p_restricted_poset_c4():
     poset = build_bk_poset(make_cyclic(4), P_RESTRICTED, p=2)
     assert len(poset.nodes) == 6
-    assert len(poset.covering_pairs()) == 3
+    assert len(covering_pairs_oracle(poset.quotient_rel)) == 3
     assert len(poset.components()) == 3
 
 
 def test_p_restricted_poset_trivial_k():
     poset = build_bk_poset(trivial_group(), P_RESTRICTED, p=2)
     assert len(poset.nodes) == 2
-    assert len(poset.covering_pairs()) == 1
+    assert len(covering_pairs_oracle(poset.quotient_rel)) == 1
     # the chain: (Cp x Cp, !) ->> (1, !)
     big = max(poset.nodes, key=lambda x: x.L.order)
     small = min(poset.nodes, key=lambda x: x.L.order)
@@ -244,22 +250,31 @@ def test_truncated_poset_trivial_k():
     assert all(not x.L.is_cyclic() or x.L.order == 1 for x in poset.nodes)
 
 
-def test_closed_subsets_antichain_and_chain():
-    one = trivial_group()
+def _poset(above):
+    """A truncated-mode poset over C2 on len(above) copies of one node, with
+    the given up-sets."""
     k = make_cyclic(2)
-    nodes = [trivial_over(k)] * 3
-    anti = BkPoset(k, nodes, [""] * 3,
-                   [[i == j for j in range(3)] for i in range(3)], TRUNCATED)
-    assert len(closed_subsets(anti)) == 8
-    chain = BkPoset(k, nodes[:2], [""] * 2,
-                    [[True, True], [False, True]], TRUNCATED)
-    assert len(closed_subsets(chain)) == 3
+    n = len(above)
+    return BkPoset(k, [trivial_over(k)] * n, [""] * n, above, TRUNCATED)
+
+
+def _antichain(n):
+    return _poset([1 << j for j in range(n)])
+
+
+def test_closed_subsets_antichain_and_chain():
+    assert len(closed_subsets(_antichain(3))) == 8
+    chain = _poset([0b01, 0b11])  # node 0 ->> node 1
+    assert chain.quotient_rel == [[True, True], [False, True]]
+    assert closed_subsets(chain) == [frozenset(), frozenset({0}), frozenset({0, 1})]
 
 
 def test_closed_subsets_are_up_closed():
     poset = build_bk_poset(make_cyclic(4), P_RESTRICTED, p=2)
     sets = closed_subsets(poset)
     assert len(sets) == 27
+    assert len(set(sets)) == 27
+    assert sets == sorted(sets, key=lambda s: (len(s), sorted(s)))
     n = len(poset.nodes)
     for s in sets:
         for j in s:
@@ -269,12 +284,24 @@ def test_closed_subsets_are_up_closed():
 
 
 def test_closed_subsets_cap():
-    k = make_cyclic(2)
-    nodes = [trivial_over(k)] * 10
-    anti = BkPoset(k, nodes, [""] * 10,
-                   [[i == j for j in range(10)] for i in range(10)], TRUNCATED)
+    with pytest.raises(ClosedSetCapExceeded, match="more than 100 closed sets"):
+        closed_subsets(_antichain(10), cap=100)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_subsets_cap_is_exact(n):
+    """An n-node antichain has 2^n closed sets: the cap 2^n - 1 raises, and
+    the cap 2^n lists them all."""
     with pytest.raises(ClosedSetCapExceeded):
-        closed_subsets(anti, cap=100)
+        closed_subsets(_antichain(n), cap=2**n - 1)
+    assert len(closed_subsets(_antichain(n), cap=2**n)) == 2**n
+
+
+def test_closed_subsets_cap_holds_on_thousands_of_nodes():
+    """No recursion: 2,000 nodes reach the cap, not the interpreter's
+    recursion limit."""
+    with pytest.raises(ClosedSetCapExceeded):
+        closed_subsets(_antichain(2000), cap=10)
 
 
 LATTICE_CASES = [
@@ -327,6 +354,12 @@ def test_bk_poset_relation_matches_the_pairwise_oracle(K, p):
     assert poset.quotient_rel == [
         [quotient_over_k_oracle(x, y, isos) for y in poset.nodes] for x in poset.nodes
     ]
+
+
+@pytest.mark.parametrize("K,p", _CENSUS, ids=[f"{K.label}-p{p}" for K, p in _CENSUS])
+def test_components_match_the_connectivity_oracle(K, p):
+    poset = build_bk_poset(K, P_RESTRICTED, p=p)
+    assert poset.components() == components_oracle(poset.quotient_rel)
 
 
 def test_noncyclic_components_are_isolated():

@@ -191,6 +191,41 @@ def quotient_over_k_oracle(x, y, isos=isomorphisms_oracle) -> bool:
     return any(iso_over_k_oracle(q, y, isos) for q in quotients_over_k_oracle(x))
 
 
+def covering_pairs_oracle(rel) -> list[tuple[int, int]]:
+    """The pairs (i, j) with i ->> j strictly and no node strictly between,
+    by an O(n^3) scan of the dense relation rel[i][j]: i ->> j."""
+    n = len(rel)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and rel[i][j] and not any(
+            k not in (i, j) and rel[i][k] and rel[k][j] and not rel[k][i] and not rel[j][k]
+            for k in range(n)
+        )
+    ]
+
+
+def components_oracle(rel) -> list[list[int]]:
+    """The connected components of the dense relation rel, each ascending,
+    in order of their least node: a depth-first walk that tests every pair
+    both ways, O(n^2)."""
+    n = len(rel)
+    seen, comps = [False] * n, []
+    for i in range(n):
+        if not seen[i]:
+            seen[i], comp, stack = True, [i], [i]
+            while stack:
+                a = stack.pop()
+                for b in range(n):
+                    if not seen[b] and (rel[a][b] or rel[b][a]):
+                        seen[b] = True
+                        comp.append(b)
+                        stack.append(b)
+            comps.append(sorted(comp))
+    return comps
+
+
 def moebius_oracle(lat) -> dict[tuple[int, int], int]:
     """Reference Moebius function on every pair (i, j) with X_i <= X_j, by the
     defining recursion mu(X, X) = 1, mu(X, Y) = -sum of mu(Z, Y) over
