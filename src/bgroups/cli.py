@@ -281,6 +281,17 @@ def cmd_p_lattice(doc: GroupSpecDocument, args) -> Report:
 # driver
 
 
+def _positive_int(text: str) -> int:
+    """An order bound: no group has fewer than one element."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bgroups",
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("spec", help="group specification document")
-        p.add_argument("--max-order", type=int, default=128,
+        p.add_argument("--max-order", type=_positive_int, default=128,
                        help="largest group whose subgroup lattice the command "
                             "enumerates, checked before any work (default %(default)s)")
         p.add_argument("--no-validate", action="store_true",

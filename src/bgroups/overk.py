@@ -7,12 +7,13 @@ isomorphisms between two groups, by brute force over the images of the
 source's generators; it checks the homomorphism law on the chords of the
 word plan only, since each candidate is built along the plan's tree.
 
-The two over-K decisions reject by exact invariants before any search:
-|L|, |Ker phi|, and the K-conjugacy class of the image phi(L).  A search
-that is still needed runs once per distinct conjugation c_g, with g from a
-transversal of K/Z(K) kept on K's table, restricted to the fibres of
-phi_y over c_g . phi_x, so every map it finds is a morphism over K and no
-conjugate test follows.
+The two over-K decisions first accept equal data, one table L with equal
+images phi, since the identity of L is then an isomorphism over K.  They
+next reject by exact invariants: |L|, |Ker phi|, and the K-conjugacy
+class of the image phi(L).  A search that is still needed runs once per
+distinct conjugation c_g, with g from a transversal of K/Z(K) kept on K's
+table, restricted to the fibres of phi_y over c_g . phi_x, so every map it
+finds is a morphism over K and no conjugate test follows.
 """
 
 from __future__ import annotations
@@ -189,15 +190,16 @@ def _image_conjugators(x: GroupOverK, y: GroupOverK):
 
 def is_isomorphic_over_k(x: GroupOverK, y: GroupOverK) -> bool:
     """True iff some isomorphism f: L_x -> L_y and inner automorphism c of K
-    satisfy phi_y . f = c . phi_x.  Exact invariants decide first: |L| must
-    agree, and phi_y(L_y) must be a K-conjugate of phi_x(L_x), which also
-    makes |Ker phi| agree.  Then, for each distinct c = c_g with g from the
-    Z(K) transversal that conjugates the one image to the other, one search
-    is restricted to the fibres of phi_y over c . phi_x, so each map it
-    finds is a morphism over K."""
+    satisfy phi_y . f = c . phi_x.  Equal data decide first: on one table
+    with equal images, f and c the identities will do.  Then exact
+    invariants: |L| must agree, and phi_y(L_y) must be a K-conjugate of
+    phi_x(L_x), which also makes |Ker phi| agree.  Then, for each distinct
+    c = c_g with g from the Z(K) transversal that conjugates the one image
+    to the other, one search is restricted to the fibres of phi_y over
+    c . phi_x, so each map it finds is a morphism over K."""
     if x.K != y.K:
         raise GroupError("different K")
-    if x is y:
+    if x.L == y.L and x.phi.image == y.phi.image:
         return True
     if x.L.order != y.L.order:
         return False

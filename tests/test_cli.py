@@ -294,6 +294,15 @@ def test_order_bound(tmp_path, capsys):
     assert "exceeds enumeration bound 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["0", "-5", "two"])
+def test_max_order_must_be_a_positive_integer(bound, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["idempotent", SPEC, "--group", "L", "--subgroup", "full",
+              "--max-order", bound])
+    assert exc.value.code == 2
+    assert "--max-order: must be a positive integer" in capsys.readouterr().err
+
+
 def test_max_order_above_the_default_reaches_every_layer(tmp_path, capsys):
     spec = tmp_path / "c150.bspec"
     spec.write_text("group Z = cyclic 150\n")

@@ -7,9 +7,11 @@ import itertools
 
 import pytest
 
+from bgroups import overk
 from bgroups.burnside import m_const
 from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
+    Group,
     GroupError,
     Homomorphism,
     alternating_4,
@@ -26,6 +28,7 @@ from bgroups.groups import (
     subgroup_generated,
     symmetric_group,
     trivial_group,
+    trivial_subgroup,
 )
 from bgroups.overk import (
     CASE_CP,
@@ -53,6 +56,7 @@ from util import (
     hom_images_oracle,
     is_homomorphism,
     is_morphism_over_k,
+    iso_over_k_oracle,
     isomorphisms_oracle,
     klein_four,
     over_k_class_oracle,
@@ -173,6 +177,20 @@ _ORACLE_KS = [trivial_group(), make_cyclic(2), make_cyclic(4), klein_four(),
               symmetric_group(3), dihedral_group(4)]
 
 
+def _oracle_corpus(K):
+    """Every (L, phi) over K with L in the catalog up to order 8."""
+    Ls = groups_up_to_order(8)
+    return [GroupOverK(L, Homomorphism(L, K, f)) for L in Ls for f in hom_images_oracle(L, K)]
+
+
+def _equal_data(x):
+    """Two groups over K with x's table and an equal phi image tuple: one
+    under another label, built from scratch, and x / 1."""
+    L = Group(x.L.order, x.L.table, x.L.inverse, x.L.label + "'")
+    copy = GroupOverK(L, Homomorphism(L, x.K, tuple(list(x.phi.image))), "copy")
+    return copy, quotient_over_k(x, trivial_subgroup(x.L))
+
+
 @pytest.mark.parametrize("K", _ORACLE_KS, ids=lambda g: g.label)
 def test_over_k_decisions_match_the_oracle(K):
     """Both decisions on every ordered pair of (L, phi) with |L| <= 8 equal
@@ -180,7 +198,7 @@ def test_over_k_decisions_match_the_oracle(K):
     against all |K| conjugates.  For each x the oracle lists the phi on each
     catalog group H with (H, phi) over-K isomorphic to x, or to some x/N."""
     Ls = groups_up_to_order(8)
-    xs = [GroupOverK(L, Homomorphism(L, K, f)) for L in Ls for f in hom_images_oracle(L, K)]
+    xs = _oracle_corpus(K)
     isos = functools.cache(isomorphisms_oracle)
     for x in xs:
         iso_to = {H: over_k_class_oracle(x, H, isos) for H in Ls if H.order == x.L.order}
@@ -192,6 +210,56 @@ def test_over_k_decisions_match_the_oracle(K):
         for y in xs:
             assert is_isomorphic_over_k(x, y) == (y.phi.image in iso_to.get(y.L, ())), (x, y)
             assert is_quotient_over_k(x, y) == (y.phi.image in quotient_to.get(y.L, ())), (x, y)
+
+
+@pytest.mark.parametrize("K", _ORACLE_KS, ids=lambda g: g.label)
+def test_equal_data_are_isomorphic_over_k(K):
+    """A second group over K on x's table with an equal image tuple, and
+    x / 1, are over-K isomorphic to x.  Against each such copy of every y on
+    x's table, the decision equals the oracle's, so equal data must mean an
+    equal table and equal images, not the table alone."""
+    isos = functools.cache(isomorphisms_oracle)
+    xs = _oracle_corpus(K)
+    copies = [(y, _equal_data(y)) for y in xs]
+    for y, zs in copies:
+        for z in zs:
+            assert z.L == y.L and z.phi.image == y.phi.image and z is not y
+            assert is_isomorphic_over_k(y, z) and iso_over_k_oracle(y, z, isos), (y, z)
+    for x in xs:
+        iso_to = over_k_class_oracle(x, x.L, isos)
+        for y, zs in copies:
+            if y.L == x.L:
+                for z in zs:
+                    expected = z.phi.image in iso_to
+                    assert is_isomorphic_over_k(x, z) == expected, (x, z)
+                    assert is_isomorphic_over_k(z, x) == expected, (z, x)
+
+
+@pytest.mark.parametrize("K", _ORACLE_KS, ids=lambda g: g.label)
+def test_equal_data_are_decided_without_a_search(K, monkeypatch):
+    """Equal data are decided by the identity map: both decisions hold with
+    the one search replaced by one that raises."""
+    xs = _oracle_corpus(K)
+    pairs = [(x, y) for x in xs for y in _equal_data(x)]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("isomorphism search ran")
+
+    monkeypatch.setattr(overk, "_hom_images", no_search)
+    for x, y in pairs:
+        assert is_isomorphic_over_k(x, y), (x, y)
+        assert is_quotient_over_k(x, y), (x, y)
+
+
+def test_equal_data_over_different_k_are_refused():
+    """Equal L and equal image tuples do not make two groups over one K."""
+    C2 = make_cyclic(2)
+    x = GroupOverK(C2, Homomorphism(C2, C2, (0, 0)))
+    y = GroupOverK(C2, Homomorphism(C2, make_cyclic(4), (0, 0)))
+    assert x.L == y.L and x.phi.image == y.phi.image
+    for decide in (is_isomorphic_over_k, is_quotient_over_k):
+        with pytest.raises(GroupError, match="different K"):
+            decide(x, y)
 
 
 def test_over_k_iso_distinguishes_structure_maps():
