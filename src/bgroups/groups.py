@@ -574,7 +574,10 @@ def subgroup_as_group(S: Subgroup) -> Group:
 
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> Group:
-    """S_n on {0..n-1}; elements are permutations in lexicographic order."""
+    """S_n on {0..n-1} (n >= 0); elements are permutations in lexicographic
+    order."""
+    if n < 0:
+        raise GroupError("S_n needs n >= 0")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = tuple(
@@ -648,6 +651,8 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
     Elements are ordered: identity first, then BFS by generator application,
     ties broken by permutation lexicographic order.
     """
+    if n < 0:
+        raise GroupError("a permutation group needs n >= 0 points")
     ident = tuple(range(n))
     for g in gens:
         if sorted(g) != list(range(n)):

@@ -7,18 +7,20 @@ identities.  Subgroup sets are bitmask ints, which keeps closure and
 containment tests cheap at desk scale.
 
 Enumeration is bottom-up cyclic extension (Neubüser 1960): every subgroup
-h found is joined with every cyclic subgroup <a>, by one of three exact
-rules.  A join is skipped when a lies in h or in an overgroup of prime index
-that h already produced, since by Lagrange no subgroup lies strictly between
-them.  When a is central or normalizes h, the join is the union of the
-cosets h·a^i, |K| table lookups.  Any other join is closed from the
-generators recorded for its two parts, O(|K|·|gens|).  Conjugacy classes are
-orbits under the non-central elements of the group's generating sequence
-(`groups.center_mask`), so an abelian group walks none; the normal subgroups
-are the classes of size one (`groups.is_normal` tests one subgroup without a
-lattice).  Marks come from containment counts (Pfeiffer 1997), with
-|N_G(Y)| read off the class size of Y, and are kept by column, nonzero
-entries only, each column packed as a tuple of classes and a tuple of marks.
+h found is joined with every cyclic subgroup <a>.  A join is skipped when a
+lies in h or in an overgroup of prime index that h already produced, since
+by Lagrange no subgroup lies strictly between them.  When a is central, the
+join is the union of the cosets a^i·h, |K| table lookups.  Any other join is
+grown by whole cosets x·h from the generators recorded for h and a, with
+closure checked on the coset representatives only (Dimino's algorithm,
+Butler 1991), and is G as soon as it outgrows |G|/p, p the least prime
+dividing |G|.  Conjugacy classes are orbits under the non-central elements
+of the group's generating sequence (`groups.center_mask`), so an abelian
+group walks none; the normal subgroups are the classes of size one
+(`groups.is_normal` tests one subgroup without a lattice).  Marks come from
+containment counts (Pfeiffer 1997), with |N_G(Y)| read off the class size
+of Y, and are kept by column, nonzero entries only, each column packed as a
+tuple of classes and a tuple of marks.
 The idempotent and m-constant sums over X <= L walk the Moebius column of
 L, which keeps only the X with mu(X, L) != 0.  The lattice keeps the
 m-constants and Glück's idempotent e_L per class (filled by
@@ -41,7 +43,6 @@ from .groups import (
     _is_prime,
     _trusted,
     center_mask,
-    close_subset,
     conjugate_mask,
     elements_of,
     is_normal,
@@ -169,19 +170,43 @@ def _brute_cyclic_subgroups(G: Group) -> dict[int, tuple[int, ...]]:
     return out
 
 
+def _coset_join(t, h: int, helems: list[int], rows: list, limit: int) -> int:
+    """The mask of the subgroup <h, a>, where `rows` are the Cayley-table
+    rows of the generators h was closed from followed by a's row (Dimino's
+    algorithm; Butler 1991).  The join is grown as a union of whole
+    cosets x·h, |h| lookups each, and closure is checked on the coset
+    representatives r only: a union of cosets that holds s·r for every
+    generator s and representative r holds s·(r·y) = (s·r)·y too.  A union
+    of more than `limit` = |G|/(p·|h|) cosets, p the least prime dividing
+    |G|, lies in no proper subgroup (Lagrange), so G's mask is returned."""
+    joined, reps = h, [0]
+    for r in reps:  # reps grows as it is read
+        for row in rows:
+            x = row[r]
+            if not (joined >> x) & 1:
+                xrow = t[x]
+                for y in helems:
+                    joined |= 1 << xrow[y]
+                reps.append(x)
+                if len(reps) > limit:
+                    return (1 << len(t)) - 1
+    return joined
+
+
 def enumerate_subgroups(G: Group) -> SubgroupLattice:
     """All subgroups by bottom-up cyclic extension, with conjugacy classes.
 
     Each subgroup h found is joined with each cyclic subgroup <a> (least
-    generator a), and three exact rules decide most joins without a
-    closure walk.  `covered` starts at h and gains every join K of prime
-    index over h:
+    generator a) by one of two exact rules, after a skip.  `covered` starts
+    at h and gains every join K of prime index over h:
     - a in `covered` skips the join: it is h, or a prime-index K that h
       already produced, since by Lagrange nothing lies strictly between h
       and such a K, and <a> <= K exactly when a is in K;
-    - a central, or a h a^-1 = h, makes the join the union of the cosets
-      h·a^i for i < k, k the least power with a^k in h: |K| table lookups;
-    - any other join is closed from the generators recorded for h and a.
+    - a central makes the join the union of the cosets a^i·h for i < k, k
+      the least power with a^k in h: |K| table lookups;
+    - any other join is `_coset_join`: whole cosets x·h, closure checked on
+      their representatives, and G as soon as the cosets outnumber
+      |G|/(p·|h|), p the least prime dividing |G|.
     The classes are orbits under conjugation by the generators outside the
     centre (`center_mask`).  Built once per interned table.  The generators
     each subgroup was closed from are kept only while the enumeration runs;
@@ -196,23 +221,27 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
     full = (1 << G.order) - 1
     cyclic = [a for _, (a,) in sorted(gens.items())]  # least generators, by mask
     primes = {p for p in range(2, G.order + 1) if G.order % p == 0 and _is_prime(p)}
+    bound = G.order // min(primes, default=1)  # a larger subgroup is G
     while frontier:
         new: list[int] = []
         for h in frontier:
             if h == full:
                 continue
             order, helems, covered = h.bit_count(), elements_of(h), h
+            hrows = [t[s] for s in gens[h]]
+            limit = bound // order  # more cosets of h than this make G
             for a in cyclic:
                 if (covered >> a) & 1:
                     continue
-                if (center >> a) & 1 or conjugate_mask(G, h, a) == h:
-                    joined, x = h, a  # a normalizes h: K is the union of the cosets a^i·h
+                if (center >> a) & 1:
+                    joined, x = h, a  # K is the union of the cosets a^i·h
                     while not (h >> x) & 1:
                         row = t[x]
-                        joined |= mask_of([row[y] for y in helems])
+                        for y in helems:
+                            joined |= 1 << row[y]
                         x = row[a]
                 else:
-                    joined = mask_of(close_subset(G, gens[h] + (a,)))
+                    joined = _coset_join(t, h, helems, hrows + [t[a]], limit)
                 if joined.bit_count() // order in primes:
                     covered |= joined
                 if joined not in gens:

@@ -35,7 +35,6 @@ from bgroups.overk import (
     is_bk_group,
     is_isomorphic,
     is_isomorphic_over_k,
-    is_p_persistent,
     is_quotient_over_k,
     quotient_over_k,
 )
@@ -47,6 +46,7 @@ from util import (
     idempotent_corpus,
     klein_four,
     order24_example,
+    p_persistent_bk_search,
 )
 
 
@@ -269,13 +269,7 @@ def test_criterion_8_classification_completeness():
     p = 2
     for K in (make_cyclic(2), make_cyclic(4), klein_four()):
         emitted = [x for x, _ in classify_p_persistent_bk(K, p)]
-        found = []
-        for L in groups_up_to_order(16):
-            for x in groups_over_k(L, K):
-                if not (is_bk_group(x) and is_p_persistent(x, p)):
-                    continue
-                if not any(is_isomorphic_over_k(x, r) for r in found):
-                    found.append(x)
+        found = p_persistent_bk_search(K, p)
         # no extras, none missing
         assert len(found) == len(emitted), K.label
         for f in found:

@@ -261,6 +261,14 @@ def test_exit_code_dihedral_order_below_one(tmp_path, capsys, n):
     assert "malformed group expression" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["symmetric -3", "symmetric -1", "perm -1 ()", "perm -2 (), ()"])
+def test_exit_code_negative_degree(tmp_path, capsys, expr):
+    bad = tmp_path / "bad.bspec"
+    bad.write_text(f"group A = {expr}\n")
+    assert main(["idempotent", str(bad), "--group", "A", "--subgroup", "full"]) == 2
+    assert "malformed group expression" in capsys.readouterr().err
+
+
 def test_exit_code_missing_file(capsys):
     code, _ = run_cli(["idempotent", "/nonexistent.bspec", "--group", "X",
                        "--subgroup", "full"], capsys)

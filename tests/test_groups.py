@@ -134,6 +134,17 @@ def test_malformed_homomorphism_rejected(image):
         Homomorphism(C2, C2, image)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: symmetric_group(-2), lambda: symmetric_group(-1),
+     lambda: group_from_permutations(-1, [()])],
+    ids=["symmetric-2", "symmetric-1", "perm-1"],
+)
+def test_negative_degree_rejected(build):
+    with pytest.raises(GroupError):
+        build()
+
+
 def test_subgroup_mask_outside_parent_rejected():
     with pytest.raises(GroupError):
         Subgroup(make_cyclic(4), 0b10001)

@@ -60,6 +60,7 @@ from util import (
     isomorphisms_oracle,
     klein_four,
     over_k_class_oracle,
+    p_persistent_bk_search,
     quotients_over_k_oracle,
 )
 
@@ -551,6 +552,24 @@ def test_classify_labels_come_from_k():
         "(B|4,incl)", "Cpx(B|4,incl)",
     ]
     assert all(x.K.label == "B" for x, _ in out)
+
+
+# every catalog K with |K| <= 8 and p in 2, 3 whose classified nodes all have
+# order <= 16, so that the search over the catalog sees every node
+_CLASSIFIED = [(K, p) for K in groups_up_to_order(8) for p in (2, 3)
+               if max(x.L.order for x, _ in classify_p_persistent_bk(K, p)) <= 16]
+
+
+@pytest.mark.parametrize("K,p", _CLASSIFIED, ids=[f"{K.label}-p{p}" for K, p in _CLASSIFIED])
+def test_classification_is_complete_on_small_k(K, p):
+    """The classes emitted are exactly the over-K classes of p-persistent
+    B_K-groups that an exhaustive search of the catalog finds."""
+    assert len(_CLASSIFIED) == 14
+    emitted = [x for x, _ in classify_p_persistent_bk(K, p)]
+    found = p_persistent_bk_search(K, p)
+    assert len(found) == len(emitted)
+    assert all(any(is_isomorphic_over_k(f, e) for e in emitted) for f in found)
+    assert all(any(is_isomorphic_over_k(e, f) for f in found) for e in emitted)
 
 
 def test_embedding_over_rejects_a_foreign_subgroup():

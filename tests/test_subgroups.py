@@ -10,9 +10,11 @@ cyclic groups.  The oracles conjugate and close with their own loops over
 the Cayley table, not with the code they check.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
@@ -27,11 +29,14 @@ from bgroups.groups import (
     mask_of,
     make_cyclic,
     quaternion_group,
+    semidirect_product,
     subgroup_generated,
     symmetric_group,
+    trivial_group,
     trivial_subgroup,
 )
 from bgroups.subgroups import (
+    _coset_join,
     count_complements,
     enumerate_subgroups,
     m_const,
@@ -89,13 +94,22 @@ def test_enumeration_matches_brute_force(G):
     assert {S.mask for S in lat.subgroups} == brute_force_subgroups(G)
 
 
-# the catalog up to order 16, S4, and products whose centre is neither 1
-# nor the whole group, where some joins are coset unions and some are not
+def _frobenius_21() -> Group:
+    """C7 ⋊ C3, the generator of C3 acting on C7 by x -> 2x."""
+    return semidirect_product(make_cyclic(7), make_cyclic(3),
+                              tuple(tuple(x * 2**i % 7 for x in range(7)) for i in range(3)))
+
+
+# the catalog up to order 16, S4, products whose centre is neither 1 nor the
+# whole group, where some joins are central coset unions and some are not,
+# C7 ⋊ C3, whose least prime 3 puts the Lagrange stop at |G|/3, and S4xC2
 JOIN_ORACLE_GROUPS = groups_up_to_order(16) + [
     symmetric_group(4),
     direct_product(symmetric_group(3), make_cyclic(4)).group,
     direct_product(alternating_4(), make_cyclic(2)).group,
     direct_product(dihedral_group(4), make_cyclic(3)).group,
+    _frobenius_21(),
+    direct_product(symmetric_group(4), make_cyclic(2)).group,
 ]
 
 
@@ -109,11 +123,72 @@ def test_enumeration_matches_cyclic_join_oracle(G):
     assert got == cyclic_join_oracle(G)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coset_join_matches_pairwise_closure(data):
+    """The coset join of h = <gens> and a is the pairwise closure of h's
+    elements and a.  Every join that is G ends at the Lagrange stop, before
+    its last coset, and many drawn joins are G."""
+    G = data.draw(st.sampled_from(groups_up_to_order(16) + [symmetric_group(4), _frobenius_21()]))
+    element = st.integers(0, G.order - 1)
+    gens = data.draw(st.lists(element, max_size=2))
+    a = data.draw(element)
+    h = pairwise_closure(G, gens)
+    p = next((p for p in range(2, G.order + 1) if G.order % p == 0), 1)
+    t = G.table
+    got = _coset_join(t, mask_of(h), sorted(h), [t[s] for s in gens + [a]],
+                      G.order // p // len(h))
+    assert got == mask_of(pairwise_closure(G, h | {a}))
+
+
 def _elementary_abelian(rank: int, p: int = 2) -> Group:
     G = make_cyclic(1)
     for _ in range(rank):
         G = direct_product(G, make_cyclic(p)).group
     return G
+
+
+def _lattice_corpus() -> list[Group]:
+    """S4xC2, C2^5, S4xC4, S5 and C2^6, the five groups of the benchmark's
+    `lattice` workload."""
+    S4 = symmetric_group(4)
+    return [direct_product(S4, make_cyclic(2)).group, _elementary_abelian(5),
+            direct_product(S4, make_cyclic(4)).group, symmetric_group(5),
+            _elementary_abelian(6)]
+
+
+def _ring_corpus() -> list[Group]:
+    """The 108 products G x K of the benchmark's `ring` workload: G in the
+    catalog, K in 1, C2, C4, and |G x K| <= 48."""
+    return [direct_product(G, K).group
+            for K in (trivial_group(), make_cyclic(2), make_cyclic(4))
+            for G in groups_up_to_order(16) if G.order * K.order <= 48]
+
+
+# SHA-256 over each group's (masks, conj_class, class_reps, class_sizes), in
+# corpus order, recorded from an enumeration that closed every non-central
+# join element by element; a faster join must reproduce them byte for byte
+PINNED_LATTICES = {
+    "lattice": (_lattice_corpus, 5,
+                "77eed690352056fbea0007e755b735d6df83961290ab71382a62fb11691db7c4"),
+    "ring": (_ring_corpus, 108,
+             "96f4cdd7bf267060658fab317f3cd487478bb180c89d1a33d791d766bef51014"),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(PINNED_LATTICES))
+def test_enumeration_output_is_pinned(corpus):
+    """Masks, classes, class representatives and class sizes are the
+    recorded ones, byte for byte, on the benchmark's two lattice corpora."""
+    build, size, want = PINNED_LATTICES[corpus]
+    groups = build()
+    assert len(groups) == size
+    digest = hashlib.sha256()
+    for G in groups:
+        lat = enumerate_subgroups(G)
+        data = ([S.mask for S in lat.subgroups], lat.conj_class, lat.class_reps, lat.class_sizes)
+        digest.update(repr(data).encode())
+    assert digest.hexdigest() == want
 
 
 def _gaussian_binomial_2(n: int, k: int) -> int:

@@ -31,8 +31,15 @@ from bgroups.groups import (
     subgroup_embedding,
     symmetric_group,
 )
+from bgroups.catalog import groups_up_to_order
 from bgroups.ideals import ideal_eval
-from bgroups.overk import GroupOverK
+from bgroups.overk import (
+    GroupOverK,
+    groups_over_k,
+    is_bk_group,
+    is_isomorphic_over_k,
+    is_p_persistent,
+)
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
 
 
@@ -504,3 +511,17 @@ def evaluation_stable_under_ops(bk, G, K) -> bool:
             if not in_span(shifted_inflate(e, pi, K), G):
                 return False
     return True
+
+
+def p_persistent_bk_search(K, p) -> list:
+    """One (L, phi) per over-K isomorphism class of the p-persistent
+    B_K-groups with L in the catalog (|L| <= 16), found by testing every
+    homomorphism of every catalog group to K."""
+    found: list = []
+    for L in groups_up_to_order(16):
+        for x in groups_over_k(L, K):
+            if not (is_bk_group(x) and is_p_persistent(x, p)):
+                continue
+            if not any(is_isomorphic_over_k(x, r) for r in found):
+                found.append(x)
+    return found
