@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from bgroups.groups import (
     Group,
@@ -42,12 +41,6 @@ def default_family() -> list[Group]:
     ]
 
 
-@dataclass(frozen=True)
-class Config:
-    primes: tuple[int, ...] = (2, 3)
-    verify: bool = True
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--primes", default="2,3",
@@ -55,15 +48,12 @@ def main() -> None:
     parser.add_argument("--no-verify", action="store_true",
                         help="skip the brute-force closed-set cross-check")
     args = parser.parse_args()
-    cfg = Config(
-        primes=tuple(int(p) for p in args.primes.split(",")),
-        verify=not args.no_verify,
-    )
+    primes = [int(p) for p in args.primes.split(",")]
 
     for K in default_family():
-        for p in cfg.primes:
+        for p in primes:
             t0 = time.monotonic()
-            desc = p_ideal_lattice(K, p, verify=cfg.verify)
+            desc = p_ideal_lattice(K, p, verify=not args.no_verify)
             cases = {}
             for _, tag in classify_p_persistent_bk(K, p):
                 cases[tag] = cases.get(tag, 0) + 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from bgroups.groups import (
     dicyclic_3,
@@ -28,16 +27,11 @@ from bgroups.overk import GroupOverK, beta_k, is_bk_group, is_isomorphic
 from bgroups.subgroups import enumerate_subgroups, m_constant, normal_subgroups
 
 
-@dataclass(frozen=True)
-class Config:
-    verbose: bool = False
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--verbose", action="store_true",
                         help="also print ideal evaluations at the minimal groups")
-    cfg = Config(verbose=parser.parse_args().verbose)
+    args = parser.parse_args()
 
     t0 = time.monotonic()
     L = direct_product(make_cyclic(2), dicyclic_3()).group
@@ -74,7 +68,7 @@ def main() -> None:
         print(f"  order {g.order}  ~ {tag};  simple dimension "
               f"{simple_dim(x, g)}")
 
-    if cfg.verbose:
+    if args.verbose:
         for ref, tag in ((G1, "C3:C4"), (G2, "C2xS3")):
             ev = ideal_eval(x, ref)
             print(f"ideal evaluation at {tag}: {ev.dimension} basis class(es) "

@@ -20,17 +20,17 @@ output.  Rationals are always rendered as "num/den".
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
-from .burnside import gluck_idempotent, marks_of
+# A command imports the modules it runs (burnside, overk, ideals) itself,
+# so a process starts with only the spec parser and the lattice loaded.
 from .groups import (
     Group,
     GroupError,
+    ResourceLimit,
     Subgroup,
     full_subgroup,
     greedy_generators,
@@ -38,19 +38,6 @@ from .groups import (
     subgroup_as_group,
     subgroup_generated,
     trivial_subgroup,
-)
-from .ideals import ClosedSetCapExceeded, minimal_groups, p_ideal_lattice, simple_dim
-from .overk import (
-    CASE_CP,
-    CASE_CP2,
-    CASE_EMBEDDING,
-    GroupOverK,
-    beta_k_subgroup,
-    is_bk_group,
-    is_isomorphic,
-    kernel_m_constants,
-    p_persistent_case,
-    quotient_over_k,
 )
 from .specdoc import GroupSpecDocument, SpecError, load_spec
 from .subgroups import enumerate_subgroups
@@ -67,14 +54,14 @@ class MathPreconditionError(ValueError):
     pass
 
 
-class OrderBoundExceeded(GroupError):
+class OrderBoundExceeded(ResourceLimit):
     """Group too large for exhaustive subgroup enumeration."""
 
 
-@dataclass
 class Report:
-    meta: dict[str, str] = field(default_factory=dict)
-    tables: dict[str, list[list[str]]] = field(default_factory=dict)
+    def __init__(self, meta: dict[str, str] | None = None) -> None:
+        self.meta = {} if meta is None else meta
+        self.tables: dict[str, list[list[str]]] = {}
 
 
 def rat(f: Fraction) -> str:
@@ -100,6 +87,8 @@ def render_text(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
+    import json
+
     return json.dumps({"meta": report.meta, "tables": report.tables}, indent=2) + "\n"
 
 
@@ -164,6 +153,8 @@ def _parse_subgroup(G: Group, selector: str) -> Subgroup:
 
 
 def cmd_idempotent(doc: GroupSpecDocument, args) -> Report:
+    from .burnside import gluck_idempotent, marks_of
+
     G = doc.group(args.group)
     _check_orders(args, G.order)
     L = _parse_subgroup(G, args.subgroup)
@@ -186,7 +177,9 @@ def cmd_idempotent(doc: GroupSpecDocument, args) -> Report:
     return report
 
 
-def _over_k(doc: GroupSpecDocument, args) -> GroupOverK:
+def _over_k(doc: GroupSpecDocument, args):
+    from .overk import GroupOverK
+
     K, L, phi = doc.group(args.k), doc.group(args.l), doc.hom(args.phi)
     if phi.source != L or phi.target != K:
         raise SpecError(f"{args.phi!r} is not a homomorphism {args.l} -> {args.k}")
@@ -194,6 +187,8 @@ def _over_k(doc: GroupSpecDocument, args) -> GroupOverK:
 
 
 def cmd_beta_k(doc: GroupSpecDocument, args) -> Report:
+    from .overk import beta_k_subgroup, is_bk_group, kernel_m_constants, quotient_over_k
+
     x = _over_k(doc, args)
     _check_orders(args, x.L.order)
     lat = enumerate_subgroups(x.L)
@@ -219,6 +214,9 @@ def cmd_beta_k(doc: GroupSpecDocument, args) -> Report:
 
 
 def cmd_simple(doc: GroupSpecDocument, args) -> Report:
+    from .ideals import minimal_groups, simple_dim
+    from .overk import is_bk_group, is_isomorphic
+
     x = _over_k(doc, args)
     targets = [(name, doc.group(name)) for name in args.targets.split(",") if name]
     _check_orders(args, x.L.order, *(G.order * x.K.order for _, G in targets))
@@ -249,6 +247,9 @@ def cmd_simple(doc: GroupSpecDocument, args) -> Report:
 
 
 def cmd_p_lattice(doc: GroupSpecDocument, args) -> Report:
+    from .ideals import p_ideal_lattice
+    from .overk import CASE_CP, CASE_CP2, CASE_EMBEDDING, p_persistent_case
+
     K = doc.group(args.k)
     p = args.p
     _check_orders(args, K.order)
@@ -352,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = COMMANDS[args.cmd](load_spec(args.spec, not args.no_validate), args)
-    except (OrderBoundExceeded, ClosedSetCapExceeded) as exc:
+    except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (OSError, SpecError, GroupError) as exc:

@@ -9,9 +9,10 @@ owns what is derived from the table alone: the subgroup lattice, generating
 sequence, element orders, over-K word plan, a transversal of G/Z(G), and
 memos of products, subgroup embeddings (one map per subgroup and parent
 label) and quotients.
-Homomorphisms and subgroups are frozen dataclasses; a `Subgroup` is slotted,
-and a `Homomorphism` carries the biset class maps of `burnside` outside its
-fields.
+Homomorphisms, subgroups and products are immutable values (`_Value`): their
+fields are read-only, and `==`, `hash` and `repr` go by the fields.  A
+`Subgroup` is slotted, and a `Homomorphism` carries the biset class maps of
+`burnside` outside its fields.
 
 Values are checked where they enter: a direct `Group(...)`,
 `Homomorphism(...)` or `Subgroup(...)` call checks its input in full.  Both
@@ -30,16 +31,51 @@ Masks are ints over element ids; `mask_of` and `elements_of` convert.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 
 
 class GroupError(ValueError):
     """Raised when a construction precondition fails."""
 
 
-_setattr = object.__setattr__  # past a frozen dataclass's __setattr__
+class ResourceLimit(GroupError):
+    """Raised when a computation would pass one of its size limits."""
+
+
+_setattr = object.__setattr__  # past the read-only __setattr__ of a Group or a _Value
+
+
+class _Value:
+    """An immutable value with the fields named in its class's `_fields`:
+    they are set once, by `__init__` or `_trusted`, and read-only after.
+    Two values are equal when they are of one class with equal fields, the
+    hash is that of the fields, and the repr lists them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def _trusted(cls, *fields):
@@ -48,7 +84,7 @@ def _trusted(cls, *fields):
     are set one at a time: filling the instance `__dict__` in one update
     would make it a real dict, which is larger and slower to read."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
+    for name, value in zip(cls._fields, fields):
         _setattr(obj, name, value)
     return obj
 
@@ -172,8 +208,7 @@ def _group(t: _Table, label: str, G: Group | None = None) -> Group:
     return G
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(_Value):
     """A map of groups given by the image of each source element.
 
     `_biset` is not a field: it holds this map's class map, from each source
@@ -181,13 +216,13 @@ class Homomorphism:
     fills lazily for all five biset operations, so it takes no part in `==`,
     `hash` or `repr`."""
 
-    source: Group
-    target: Group
-    image: tuple[int, ...]
-
+    _fields = ("source", "target", "image")
     _biset = None
 
-    def __post_init__(self):
+    def __init__(self, source: Group, target: Group, image: tuple[int, ...]):
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "image", image)
         self._validate()
 
     def _validate(self) -> None:
@@ -227,12 +262,12 @@ class Homomorphism:
         return _trusted(Homomorphism, self.target, self.source, tuple(inv))
 
 
-@dataclass(frozen=True, slots=True)
-class Subgroup:
-    parent: Group
-    mask: int  # bitset over parent element ids
+class Subgroup(_Value):
+    __slots__ = _fields = ("parent", "mask")  # mask: bitset over parent element ids
 
-    def __post_init__(self):
+    def __init__(self, parent: Group, mask: int):
+        _setattr(self, "parent", parent)
+        _setattr(self, "mask", mask)
         self._validate()
 
     def _validate(self) -> None:
@@ -377,13 +412,10 @@ def trivial_group() -> Group:
     return make_cyclic(1, "1")
 
 
-@dataclass(frozen=True)
-class Product:
-    group: Group
-    proj1: Homomorphism
-    proj2: Homomorphism
-    inj1: Homomorphism
-    inj2: Homomorphism
+class Product(_Value):
+    """G x H with its projections and injections; built by `direct_product`."""
+
+    _fields = ("group", "proj1", "proj2", "inj1", "inj2")
 
     def pair(self, a: int, b: int) -> int:
         return a * self.proj2.target.order + b

@@ -12,12 +12,11 @@ n x n relation of pointers would take 8 n^2 bytes, 6.9 GB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .catalog import groups_up_to_order
 from .groups import (
     Group,
     GroupError,
+    ResourceLimit,
     direct_product,
     elements_of,
     image,
@@ -47,32 +46,34 @@ TRUNCATED = "truncated"
 DEFAULT_CLOSED_SET_CAP = 10**6
 
 
-class ClosedSetCapExceeded(GroupError):
+class ClosedSetCapExceeded(ResourceLimit):
     pass
 
 
-@dataclass
 class IdealEvaluation:
-    bk: GroupOverK
-    G: Group
-    K: Group
-    basis_classes: tuple[int, ...]
-    complement_classes: tuple[int, ...]
+    def __init__(self, bk: GroupOverK, G: Group, K: Group, basis_classes: tuple[int, ...],
+                 complement_classes: tuple[int, ...]):
+        self.bk = bk
+        self.G = G
+        self.K = K
+        self.basis_classes = basis_classes
+        self.complement_classes = complement_classes
 
     @property
     def dimension(self) -> int:
         return len(self.basis_classes)
 
 
-@dataclass
 class BkPoset:
-    K: Group
-    nodes: list[GroupOverK]
-    tags: list[str]  # per node; "" in truncated mode
-    above: list[int]  # above[j]: mask of the nodes i with nodes[i] ->> nodes[j]
-    mode: str
-    p: int | None = None
-    max_order: int | None = None
+    def __init__(self, K: Group, nodes: list[GroupOverK], tags: list[str], above: list[int],
+                 mode: str, p: int | None = None, max_order: int | None = None):
+        self.K = K
+        self.nodes = nodes
+        self.tags = tags  # per node; "" in truncated mode
+        self.above = above  # above[j]: mask of the nodes i with nodes[i] ->> nodes[j]
+        self.mode = mode
+        self.p = p
+        self.max_order = max_order
 
     @property
     def quotient_rel(self) -> list[list[bool]]:
@@ -105,19 +106,20 @@ class BkPoset:
         above = [
             mask_of(pos[i] for i in elements_of(self.above[j]) if i in pos) for j in idx
         ]
-        return replace(self, nodes=[self.nodes[i] for i in idx],
-                       tags=[self.tags[i] for i in idx], above=above)
+        return BkPoset(self.K, [self.nodes[i] for i in idx], [self.tags[i] for i in idx],
+                       above, self.mode, self.p, self.max_order)
 
 
-@dataclass
 class IdealLatticeDescription:
-    K: Group
-    p: int
-    c_count: int
-    nc_count: int
-    total_ideals: int
-    components: list[tuple[str, str]]  # (subgroup-class label, "chain2"|"isolated")
-    verified: bool | None = None
+    def __init__(self, K: Group, p: int, c_count: int, nc_count: int, total_ideals: int,
+                 components: list[tuple[str, str]], verified: bool | None = None):
+        self.K = K
+        self.p = p
+        self.c_count = c_count
+        self.nc_count = nc_count
+        self.total_ideals = total_ideals
+        self.components = components  # (subgroup-class label, "chain2"|"isolated")
+        self.verified = verified
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@ finds is a morphism over K and no conjugate test follows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .groups import (
     Group,
     GroupError,
     Homomorphism,
     Subgroup,
+    _Value,
+    _setattr,
     _trusted,
     center_mask,
     conjugate_mask,
@@ -43,15 +44,17 @@ from .groups import (
 from .subgroups import enumerate_subgroups, m_const, normal_subgroups
 
 
-@dataclass(frozen=True)
-class GroupOverK:
-    L: Group
-    phi: Homomorphism  # L -> K
-    label: str = ""
+class GroupOverK(_Value):
+    """A group L with a homomorphism phi: L -> K, under a label."""
 
-    def __post_init__(self):
-        if self.phi.source != self.L:
+    _fields = ("L", "phi", "label")
+
+    def __init__(self, L: Group, phi: Homomorphism, label: str = ""):
+        if phi.source != L:
             raise GroupError("phi must start at L")
+        _setattr(self, "L", L)
+        _setattr(self, "phi", phi)
+        _setattr(self, "label", label)
 
     @property
     def K(self) -> Group:
@@ -247,23 +250,6 @@ def is_quotient_over_k(x: GroupOverK, y: GroupOverK) -> bool:
         for N in _normal_in_kernel(x)
         if N.order == target
     )
-
-
-def graph_subgroup(x: GroupOverK) -> Subgroup:
-    """L_phi = {(l, phi(l))} inside the canonical product L x K."""
-    P = direct_product(x.L, x.K)
-    m = x.K.order
-    mask = mask_of(l * m + x.phi.image[l] for l in range(x.L.order))
-    return _trusted(Subgroup, P.group, mask)
-
-
-def p_graph_subgroup(x: GroupOverK, p: int) -> Subgroup:
-    """Image of l -> (l O^p(L), phi(l)) inside L^[p] x K."""
-    Q, pi = p_residual_quotient(x.L, p)
-    P = direct_product(Q, x.K)
-    m = x.K.order
-    mask = mask_of(pi.image[l] * m + x.phi.image[l] for l in range(x.L.order))
-    return _trusted(Subgroup, P.group, mask)
 
 
 def pair_from_subgroup(X: Subgroup, p2: Homomorphism) -> GroupOverK:

@@ -22,8 +22,6 @@ homomorphism law of `hom` maps, whose images are range-checked regardless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .groups import (
     Group,
     GroupError,
@@ -46,10 +44,10 @@ class SpecError(ValueError):
     """Raised on any parse or validation failure, with a line number."""
 
 
-@dataclass
 class GroupSpecDocument:
-    groups: dict[str, Group] = field(default_factory=dict)
-    homs: dict[str, Homomorphism] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.groups: dict[str, Group] = {}
+        self.homs: dict[str, Homomorphism] = {}
 
     def group(self, name: str) -> Group:
         if name not in self.groups:

@@ -33,7 +33,6 @@ shared by equal groups; a caller that must bound the work (the CLI's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groups import (
@@ -50,19 +49,19 @@ from .groups import (
 )
 
 
-@dataclass
 class SubgroupLattice:
-    parent: Group
-    subgroups: list[Subgroup]  # sorted by (order, mask)
-    index_of: dict[int, int]  # mask -> position
-    conj_class: list[int]  # class id per subgroup
-    class_reps: list[int]  # subgroup index of each class representative
-    class_sizes: list[int]  # number of subgroups in each class; 1: normal
-
-    _mu_columns: dict[int, dict[int, int]] = field(default_factory=dict)
-    _m_constants: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (L, N) masks
-    _mark_columns: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
-    _idempotents: dict = field(default_factory=dict)  # class -> e_L, filled by burnside
+    def __init__(self, parent: Group, subgroups: list[Subgroup], index_of: dict[int, int],
+                 conj_class: list[int], class_reps: list[int], class_sizes: list[int]):
+        self.parent = parent
+        self.subgroups = subgroups  # sorted by (order, mask)
+        self.index_of = index_of  # mask -> position
+        self.conj_class = conj_class  # class id per subgroup
+        self.class_reps = class_reps  # subgroup index of each class representative
+        self.class_sizes = class_sizes  # number of subgroups in each class; 1: normal
+        self._mu_columns: dict[int, dict[int, int]] = {}
+        self._m_constants: dict[tuple[int, int], Fraction] = {}  # (L, N) masks
+        self._mark_columns: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
+        self._idempotents: dict = {}  # class -> e_L, filled by burnside
 
     def __len__(self) -> int:
         return len(self.subgroups)

@@ -359,10 +359,10 @@ def _decimal_digits(n: int) -> str:
 
 
 def test_p_lattice_renders_a_count_over_4300_digits(monkeypatch, capsys):
-    import bgroups.cli as cli
+    import bgroups.ideals as ideals  # cmd_p_lattice imports p_ideal_lattice from here
 
     total = 3**128 * 2**29084
-    monkeypatch.setattr(cli, "p_ideal_lattice", lambda K, p, verify: IdealLatticeDescription(
+    monkeypatch.setattr(ideals, "p_ideal_lattice", lambda K, p, verify: IdealLatticeDescription(
         K, p, 128, 29084, total, [("ord1#0", "chain2"), ("ord2#1", "chain2")]))
     code, out = run_cli(["p-lattice", SPEC, "--k", "C2", "--p", "2", "--no-check"], capsys)
     assert code == 0
@@ -493,6 +493,61 @@ def test_cli_imports_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "bgroups" in loaded
     assert loaded - {"bgroups"} <= sys.stdlib_module_names
+
+
+def _fresh_modules(code: str) -> list[str]:
+    """The modules that running `code` in a fresh interpreter adds to those
+    loaded at start-up (site hooks)."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_no_command_module():
+    """`import bgroups.cli` leaves each command's modules, json and the
+    dataclasses machinery unloaded."""
+    loaded = _fresh_modules("import bgroups.cli")
+    assert "bgroups.cli" in loaded
+    heavy = {"dataclasses", "inspect", "json", "bgroups.burnside", "bgroups.overk",
+             "bgroups.ideals", "bgroups.catalog"}
+    assert heavy.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("args,unloaded", [
+    (["idempotent", SPEC, "--group", "S3", "--subgroup", "1,2"],
+     {"bgroups.overk", "bgroups.ideals"}),
+    (["beta-k", SPEC, "--k", "K", "--l", "L", "--phi", "phi"],
+     {"bgroups.ideals", "bgroups.burnside"}),
+], ids=["idempotent", "beta-k"])
+def test_a_command_imports_only_the_modules_it_runs(args, unloaded):
+    code = (
+        "import contextlib, io\n"
+        "from bgroups.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({args!r}) == 0\n"
+    )
+    assert unloaded.isdisjoint(_fresh_modules(code))
+
+
+def test_lazy_package_names_resolve():
+    """The overk and burnside names of `bgroups.__all__` are imported on
+    first access, by attribute and by `from bgroups import *`."""
+    code = (
+        "from bgroups import *\n"
+        "import bgroups, bgroups.burnside as b, bgroups.overk as o\n"
+        "assert (GroupOverK, beta_k, is_bk_group) == (o.GroupOverK, o.beta_k, o.is_bk_group)\n"
+        "assert (BurnsideElement, gluck_idempotent, m_const) == "
+        "(b.BurnsideElement, b.gluck_idempotent, b.m_const)\n"
+        "assert not hasattr(bgroups, 'no_such_name')\n"
+    )
+    assert "bgroups.overk" in _fresh_modules(code)
+    assert bgroups.beta_k is beta_k
 
 
 def test_public_api_is_pinned():

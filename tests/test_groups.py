@@ -11,9 +11,11 @@ from bgroups.groups import (
     Group,
     GroupError,
     Homomorphism,
+    Product,
     Subgroup,
     _MR_BOUND,
     _is_prime,
+    _trusted,
     alternating_4,
     center_mask,
     close_subset,
@@ -41,7 +43,7 @@ from bgroups.groups import (
     trivial_group,
     trivial_subgroup,
 )
-from bgroups.overk import homomorphisms, is_isomorphic, isomorphisms
+from bgroups.overk import GroupOverK, homomorphisms, is_isomorphic, isomorphisms
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
 from util import (
     conjugate_elements,
@@ -703,6 +705,47 @@ def test_equal_tables_share_one_table_and_one_lattice():
     assert enumerate_subgroups(W) is enumerate_subgroups(V)
     with pytest.raises(GroupError):  # an interned table is still checked in full
         Group(4, rows, (0, 2, 1, 3))
+
+
+def _values():
+    """(builder, (class, *fields)) for each immutable value class; a builder
+    calls the checked constructor, or `direct_product` for a `Product`."""
+    S3 = symmetric_group(3)
+    A3 = subgroup_generated(S3, [3])
+    sign = quotient(S3, A3)[1]
+    P = direct_product(S3, make_cyclic(2))
+    fields = (P.group, P.proj1, P.proj2, P.inj1, P.inj2)
+    return [
+        (lambda: Subgroup(S3, A3.mask), (Subgroup, S3, A3.mask)),
+        (lambda: Homomorphism(S3, sign.target, sign.image), (Homomorphism, S3, sign.target, sign.image)),
+        (lambda: GroupOverK(S3, sign, "S3"), (GroupOverK, S3, sign, "S3")),
+        (lambda: P, (Product, *fields)),
+    ]
+
+
+@pytest.mark.parametrize("build,fields", _values(), ids=["Subgroup", "Homomorphism", "GroupOverK", "Product"])
+def test_values_are_read_only_and_compare_by_their_fields(build, fields):
+    checked, trusted = build(), _trusted(*fields)
+    assert type(checked) is type(trusted) is fields[0]
+    assert checked == trusted and not checked != trusted
+    assert hash(checked) == hash(trusted) and repr(checked) == repr(trusted)
+    assert checked != fields[1:] and checked != object()
+    for value in (checked, trusted):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = None
+    assert {checked, trusted} == {checked}
+
+
+def test_a_fresh_homomorphism_has_no_class_map():
+    f = Homomorphism(make_cyclic(2), make_cyclic(2), (0, 1))
+    assert f._biset is None and _trusted(Homomorphism, f.source, f.target, f.image)._biset is None
+    assert f == inner_automorphisms(make_cyclic(2))[0] and repr(f) == (
+        "Homomorphism(source=Group(C2, order=2), target=Group(C2, order=2), image=(0, 1))")
 
 
 # ---------------------------------------------------------------------------

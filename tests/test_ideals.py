@@ -32,7 +32,6 @@ from bgroups.ideals import (
 from bgroups.overk import (
     GroupOverK,
     embedding_over,
-    graph_subgroup,
     is_isomorphic,
     is_quotient_over_k,
     pair_from_subgroup,
@@ -42,6 +41,7 @@ from bgroups.subgroups import enumerate_subgroups
 from util import (
     components_oracle,
     covering_pairs_oracle,
+    graph_subgroup,
     isomorphisms_oracle,
     klein_four,
     quotient_over_k_oracle,

@@ -39,7 +39,6 @@ from bgroups.overk import (
     classify_p_persistent_bk,
     dedupe_over_k,
     embedding_over,
-    graph_subgroup,
     groups_over_k,
     homomorphisms,
     is_bk_group,
@@ -48,11 +47,11 @@ from bgroups.overk import (
     is_p_persistent,
     is_quotient_over_k,
     isomorphisms,
-    p_graph_subgroup,
     quotient_over_k,
 )
 from bgroups.subgroups import enumerate_subgroups, m_constant, normal_subgroups
 from util import (
+    graph_subgroup,
     hom_images_oracle,
     is_homomorphism,
     is_morphism_over_k,
@@ -60,6 +59,7 @@ from util import (
     isomorphisms_oracle,
     klein_four,
     over_k_class_oracle,
+    p_graph_subgroup,
     p_persistent_bk_search,
     quotients_over_k_oracle,
 )

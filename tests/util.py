@@ -26,6 +26,7 @@ from bgroups.groups import (
     kernel,
     make_cyclic,
     mask_of,
+    p_residual_quotient,
     quaternion_group,
     quotient,
     subgroup_embedding,
@@ -41,6 +42,21 @@ from bgroups.overk import (
     is_p_persistent,
 )
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
+
+
+def graph_subgroup(x) -> Subgroup:
+    """L_phi = {(l, phi(l))} inside the canonical product L x K."""
+    P = direct_product(x.L, x.K)
+    m = x.K.order
+    return Subgroup(P.group, mask_of(l * m + x.phi.image[l] for l in range(x.L.order)))
+
+
+def p_graph_subgroup(x, p: int) -> Subgroup:
+    """Image of l -> (l O^p(L), phi(l)) inside L^[p] x K."""
+    Q, pi = p_residual_quotient(x.L, p)
+    P = direct_product(Q, x.K)
+    m = x.K.order
+    return Subgroup(P.group, mask_of(pi.image[l] * m + x.phi.image[l] for l in range(x.L.order)))
 
 
 def is_group_table(order, table, inverse) -> bool:
