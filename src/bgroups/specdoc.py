@@ -99,12 +99,11 @@ def _parse_group_expr(doc: GroupSpecDocument, name: str, expr: str, lineno: int)
         raise SpecError(f"line {lineno}: empty group expression")
     kind = toks[0]
     try:
-        if kind == "cyclic":
-            return make_cyclic(int(toks[1]), label=name)
-        if kind == "symmetric":
-            g = symmetric_group(int(toks[1]))
-        elif kind == "dihedral":
-            g = dihedral_group(int(toks[1]))
+        if kind in ("cyclic", "symmetric", "dihedral"):
+            (n,) = map(int, toks[1:])  # exactly one argument, else ValueError
+            if kind == "cyclic":
+                return make_cyclic(n, label=name)
+            g = symmetric_group(n) if kind == "symmetric" else dihedral_group(n)
         elif kind == "product":
             if len(toks) < 3:
                 raise SpecError(f"line {lineno}: product needs two or more factors")

@@ -94,6 +94,9 @@ def test_parse_quotient_and_hom():
         "group C4 = cyclic 4\nhom f = C4 -> C4 images 0 2 0 0",  # not a hom
         "group C3 = cyclic 3\ngroup X = perm 3 (0 1 5)",  # point out of range
         "nonsense directive",
+        "group A = cyclic 4 5",  # one argument only
+        "group A = symmetric 3 x",
+        "group A = dihedral 4 7",
     ],
 )
 def test_parse_errors(text):
@@ -263,6 +266,14 @@ def test_exit_code_dihedral_order_below_one(tmp_path, capsys, n):
 
 @pytest.mark.parametrize("expr", ["symmetric -3", "symmetric -1", "perm -1 ()", "perm -2 (), ()"])
 def test_exit_code_negative_degree(tmp_path, capsys, expr):
+    bad = tmp_path / "bad.bspec"
+    bad.write_text(f"group A = {expr}\n")
+    assert main(["idempotent", str(bad), "--group", "A", "--subgroup", "full"]) == 2
+    assert "malformed group expression" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["cyclic 4 5", "symmetric 3 x", "dihedral 4 7"])
+def test_exit_code_extra_argument(tmp_path, capsys, expr):
     bad = tmp_path / "bad.bspec"
     bad.write_text(f"group A = {expr}\n")
     assert main(["idempotent", str(bad), "--group", "A", "--subgroup", "full"]) == 2

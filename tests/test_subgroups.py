@@ -25,6 +25,7 @@ from bgroups.groups import (
     dihedral_group,
     direct_product,
     full_subgroup,
+    group_from_permutations,
     is_normal,
     mask_of,
     make_cyclic,
@@ -35,6 +36,7 @@ from bgroups.groups import (
     trivial_group,
     trivial_subgroup,
 )
+import bgroups.subgroups
 from bgroups.subgroups import (
     _coset_join,
     count_complements,
@@ -100,9 +102,15 @@ def _frobenius_21() -> Group:
                               tuple(tuple(x * 2**i % 7 for x in range(7)) for i in range(3)))
 
 
+def _alternating_5() -> Group:
+    return group_from_permutations(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], "A5")
+
+
 # the catalog up to order 16, S4, products whose centre is neither 1 nor the
 # whole group, where some joins are central coset unions and some are not,
-# C7 ⋊ C3, whose least prime 3 puts the Lagrange stop at |G|/3, and S4xC2
+# C7 ⋊ C3, whose least prime 3 puts the Lagrange stop at |G|/3, S4xC2, and
+# A5 (59 subgroups in 9 classes of up to 15) and S3xS3 (60 in 22), where
+# the extended member of a class is often not its least member
 JOIN_ORACLE_GROUPS = groups_up_to_order(16) + [
     symmetric_group(4),
     direct_product(symmetric_group(3), make_cyclic(4)).group,
@@ -110,17 +118,40 @@ JOIN_ORACLE_GROUPS = groups_up_to_order(16) + [
     direct_product(dihedral_group(4), make_cyclic(3)).group,
     _frobenius_21(),
     direct_product(symmetric_group(4), make_cyclic(2)).group,
+    _alternating_5(),
+    direct_product(symmetric_group(3), symmetric_group(3)).group,
 ]
 
 
 @pytest.mark.parametrize("G", JOIN_ORACLE_GROUPS, ids=lambda g: f"{g.label}-{g.order}")
 def test_enumeration_matches_cyclic_join_oracle(G):
-    """The skipped joins, the coset unions and the orbit walk that leaves
-    out central generators give the masks and classes of joining every
-    subgroup with every cyclic subgroup and conjugating by every element."""
+    """The skipped joins, the coset unions, extending one member per class
+    and the orbit walk that leaves out central generators give the masks
+    and classes of joining every subgroup with every cyclic subgroup and
+    conjugating by every element."""
     lat = enumerate_subgroups(G)
     got = ([S.mask for S in lat.subgroups], lat.conj_class, lat.class_reps, lat.class_sizes)
     assert got == cyclic_join_oracle(G)
+
+
+@pytest.mark.parametrize("G", [symmetric_group(4), symmetric_group(5), _alternating_5()],
+                         ids=lambda g: g.label)
+def test_enumeration_extends_one_subgroup_per_class(G, monkeypatch):
+    """A fresh enumeration passes `_coset_join` an h from each conjugacy
+    class at most once: the other members of the class are not extended.
+    These groups have a trivial centre, so every h below G meets a
+    non-central a, and each class but G's gives exactly one h."""
+    extended = set()
+
+    def recording_join(t, h, *rest):
+        extended.add(h)
+        return _coset_join(t, h, *rest)
+
+    monkeypatch.setattr(bgroups.subgroups, "_coset_join", recording_join)
+    monkeypatch.setattr(G._t, "lattice", None)
+    lat = enumerate_subgroups(G)
+    classes = [lat.conj_class[lat.index_of[h]] for h in extended]
+    assert len(classes) == len(set(classes)) == lat.n_classes() - 1  # G is not extended
 
 
 @settings(max_examples=300, deadline=None)
