@@ -10,26 +10,27 @@ Enumeration is bottom-up cyclic extension (Neubüser 1960), from the trivial
 subgroup, of one member h of each conjugacy class: a join that finds a new
 subgroup records its whole orbit under the non-central elements of the
 group's generating sequence (`groups.center_mask`) and queues that subgroup
-alone, so S5 takes 866 coset joins rather than 7,944, and an abelian group
-extends every subgroup and walks no orbit.  No subgroup is missed: each
-conjugate of K = <M, a>, M maximal in K, is a join of the extended member
-of M's class (`enumerate_subgroups`).  Each h is joined with every cyclic
-subgroup <a>.  A join is skipped when a lies in h or in an overgroup of
-prime index that h already produced, since by Lagrange no subgroup lies
-strictly between them.  When a is central, the join is the union of the
-cosets a^i·h, |K| table lookups.  Any other join is grown by whole cosets
-x·h from the generators recorded for h and a, with closure checked on the
-coset representatives only (Dimino's algorithm, Butler 1991), and is G as
-soon as it outgrows |G|/p, p the least prime dividing |G|.  The normal
-subgroups are the classes of size one (`groups.is_normal` tests one subgroup
-without a lattice).  Marks come from containment counts (Pfeiffer 1997),
-with |N_G(Y)| read off the class size of Y, and are kept by column, nonzero
-entries only, each column packed as a tuple of classes and a tuple of marks.
-The idempotent and m-constant sums over X <= L walk the Moebius column of
-L, which keeps only the X with mu(X, L) != 0.  The lattice keeps the
-m-constants and Glück's idempotent e_L per class (filled by
-`burnside.gluck_idempotent`); a column walked only for an idempotent is not
-kept.
+alone, and an abelian group extends every subgroup and walks no orbit.  No
+subgroup is missed: each conjugate of K = <M, a>, M maximal in K, is a join
+of the extended member of M's class (`enumerate_subgroups`).  Each h is
+joined with the cyclic subgroups <a> whose join it cannot already name: a
+in a found cover K of h (|K:h| prime) gives K by Lagrange, and
+<h, x·a·x^-1> = x<h, a>x^-1 = <h, a> for x in h, so S5 takes 288 coset
+joins (866 without these skips, 7,944 extending all 156 subgroups).  When a
+is central, the join is the union of the cosets a^i·h, |K| lookups.  Any
+other join is grown by whole cosets x·h from the generators recorded for h
+and a, with closure checked on the coset representatives only (Dimino's
+algorithm, Butler 1991), and is G as soon as it outgrows |G|/p, p the least
+prime dividing |G|.  The normal subgroups are the classes of size one
+(`groups.is_normal` tests one subgroup without a lattice).  Marks come from
+containment counts (Pfeiffer 1997), with |N_G(Y)| read off the class size
+of Y, and are kept by column, nonzero entries only, each column packed as a
+tuple of classes and a tuple of marks.  The idempotent and m-constant sums
+over X <= L walk the Moebius column of L, which keeps only the X with
+mu(X, L) != 0, and is P. Hall's closed form when |L| is a prime power.  The
+lattice keeps the m-constants and Glück's idempotent e_L per class (filled
+by `burnside.gluck_idempotent`); a column walked only for an idempotent is
+not kept.
 Enumeration takes no size limit and keeps one lattice per interned table,
 shared by equal groups; a caller that must bound the work (the CLI's
 --max-order) checks the group order before asking for it.
@@ -94,23 +95,46 @@ class SubgroupLattice:
     # -- Moebius ------------------------------------------------------------
 
     def moebius_column(self, j: int, keep: bool = True) -> dict[int, int]:
-        """{i: mu(X_i, X_j)} for the X_i <= X_j with mu != 0:
-        mu(X_i, X_j) = -sum of mu(Z, X_j) over X_i < Z <= X_j, and each such Z
-        comes after X_i in (order, mask), so it is known by then.  The terms
-        left out are zero, as most are (P. Hall 1936).  A column is kept once
-        built, unless `keep` is false: a caller that keeps what it derives
-        from the column passes that.  A kept column is returned either way."""
+        """{i: mu(X_i, X_j)} for the X_i <= X_j with mu != 0.  If |X_j| = p^n,
+        by P. Hall's closed form ("The Eulerian functions of a group",
+        Quart. J. Math. 7, 1936): mu(X_i, X_j) = (-1)^k p^(k(k-1)/2) for
+        |X_j : X_i| = p^k if X_i contains the Frattini subgroup, the AND of
+        the subgroups of index p, and 0 otherwise.  Else by the recursion
+        mu(X_i, X_j) = -sum of mu(Z, X_j) over X_i < Z <= X_j, each such Z
+        coming after X_i in (order, mask), so known by then.  A column is
+        kept once built, unless `keep` is false: a caller that keeps what it
+        derives from the column passes that.  A kept column is returned
+        either way."""
         col = self._mu_columns.get(j)
         if col is None:
             subs = self.subgroups
             mj = subs[j].mask
             col = {j: 1}
-            for i in range(j - 1, -1, -1):
-                mi = subs[i].mask
-                if mi & mj == mi:
-                    mu = -sum(m for z, m in col.items() if subs[z].mask & mi == mi)
-                    if mu:
-                        col[i] = mu
+            n, p = mj.bit_count(), 2
+            while p < n and n % p:  # the least prime factor of n > 1
+                p += 1
+            hall, index, mu = {}, 1, 1  # mu by index p^k, up to n
+            while index < n:
+                index, mu = index * p, -mu * index
+                hall[index] = mu
+            if index == n > 1:  # n is a power of p
+                # down (order, mask), the subgroups of index p, whose AND is
+                # the Frattini subgroup phi, come before every smaller X_i
+                phi = mj
+                for i in range(j - 1, -1, -1):
+                    mi = subs[i].mask
+                    if mi & mj == mi:
+                        if mi.bit_count() * p == n:
+                            phi &= mi
+                        if mi & phi == phi:
+                            col[i] = hall[n // mi.bit_count()]
+            else:
+                for i in range(j - 1, -1, -1):
+                    mi = subs[i].mask
+                    if mi & mj == mi:
+                        mu = -sum(m for z, m in col.items() if subs[z].mask & mi == mi)
+                        if mu:
+                            col[i] = mu
             if keep:
                 self._mu_columns[j] = col
         return col
@@ -161,16 +185,17 @@ class SubgroupLattice:
 
 
 def _cyclic_generators(G: Group) -> list[int]:
-    """The least generator of each cyclic subgroup, by the subgroup's mask."""
-    out: dict[int, int] = {}
+    """Each element g's least generator: the least a with <a> = <g>."""
+    least: dict[int, int] = {}  # cyclic subgroup mask -> least generator
+    cyclic = []
     for a in range(G.order):
-        elems = [0]
-        x = a
+        elems, x = [0], a
         while x != 0:
             elems.append(x)
             x = G.table[x][a]
-        out.setdefault(mask_of(elems), a)
-    return [a for _, a in sorted(out.items())]
+        cyclic.append(mask_of(elems))
+        least.setdefault(cyclic[-1], a)
+    return [least[m] for m in cyclic]
 
 
 def _coset_join(t, h: int, helems: list[int], rows: list, limit: int) -> int:
@@ -206,12 +231,21 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
     M < K and any a in K outside M.  If h = g^-1 M g is the member of M's
     class that was extended, then g^-1 K g = <h, g^-1 a g> is one of h's
     joins, so K's orbit is recorded.
-    Each extended h is joined with each cyclic subgroup <a> (least
-    generator a) by one of two exact rules, after a skip.  `covered` starts
-    at h and gains every join K of prime index over h:
-    - a in `covered` skips the join: it is h, or a prime-index K that h
-      already produced, since by Lagrange nothing lies strictly between h
-      and such a K, and <a> <= K exactly when a is in K;
+    Each extended h is joined with the cyclic subgroups <a>, a in `todo`,
+    the least generators (`_cyclic_generators`) outside `covered`.  Two
+    skips leave out joins whose result is known, and change nothing found:
+    - known covers: `covered` holds h, every found cover K of h (K >= h of
+      prime index over h) and each join of prime index over h.  For a in K
+      outside h, h < <h, a> <= K, so <h, a> = K by Lagrange.  The found
+      subgroups of each order are numbered as found; per order and least
+      generator, a mask holds the numbers of those that contain it, so the
+      AND over h's recorded generators names those that contain h;
+    - h-conjugates: after a non-central join of h with a, the least
+      generator of <x·a·x^-1> for each x in h leaves `todo`, since
+      <h, x·a·x^-1> = x<h, a>x^-1 = <h, a> as x lies in <h, a>.
+    S5 then takes 288 coset joins, S4xC4 736 and S4xC2 251 (866, 1,746
+    and 573 without the skips), and C2^6 2,824 central joins, one per
+    subgroup found, instead of 23,562.  A join left to make is exact:
     - a central makes the join the union of the cosets a^i·h for i < k, k
       the least power with a^k in h: |K| table lookups;
     - any other join is `_coset_join`: whole cosets x·h, closure checked on
@@ -219,29 +253,66 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
       |G|/(p·|h|), p the least prime dividing |G|.
     The classes are the orbits, numbered by first member in (order, mask).
     Built once per interned table; the generators each extended subgroup
-    was closed from are dropped when the enumeration ends.
+    was closed from, and the masks, are dropped when the enumeration ends.
     """
-    if G._t.lattice is not None:
-        return G._t.lattice
-    t = G.table
+    if G._t.lattice is None:
+        G._t.lattice = _enumerate(G)
+    return G._t.lattice
+
+
+def _enumerate(G: Group) -> SubgroupLattice:
+    """`enumerate_subgroups` on a cache miss, kept apart so that a cache hit
+    creates none of the closure cells this body needs."""
+    t, inv = G.table, G.inverse
     center = center_mask(G)
     conjugators = [g for g in G.generating_sequence() if not (center >> g) & 1]
-    orbit_of = {1: 0}  # every subgroup found -> its orbit, the trivial one first
+    least = _cyclic_generators(G)
+    gens = mask_of(least) ^ 1  # the least generators but the identity
+    orbit_of: dict[int, int] = {}  # every subgroup found -> its orbit
+    by_order: dict[int, list[int]] = {}  # per order: the subgroups found, numbered
+    holding: dict[int, list[int]] = {}  # per order and least generator: a mask of those holding it
+
+    def record(m: int, orbit: int) -> None:
+        n = m.bit_count()
+        if n not in by_order:
+            by_order[n], holding[n] = [], [0] * G.order
+        found, per = by_order[n], holding[n]
+        bit = 1 << len(found)
+        found.append(m)
+        orbit_of[m] = orbit
+        m &= gens
+        while m:
+            g = m.bit_length() - 1
+            m ^= 1 << g
+            per[g] |= bit
+
+    record(1, 0)
     sizes = [1]  # per orbit
     queue: list[tuple[int, tuple[int, ...]]] = [(1, ())]  # (extended member, generators)
     full = (1 << G.order) - 1
-    cyclic = _cyclic_generators(G)
     primes = {p for p in range(2, G.order + 1) if G.order % p == 0 and _is_prime(p)}
     bound = G.order // min(primes, default=1)  # a larger subgroup is G
     for h, hgens in queue:  # queue grows as it is read
         if h == full:
             continue
         order, helems, covered = h.bit_count(), elements_of(h), h
+        for p in primes:  # OR in the found covers of h
+            found = by_order.get(p * order)
+            if found:
+                per, known = holding[p * order], (1 << len(found)) - 1
+                for s in hgens:
+                    known &= per[s]
+                while known:
+                    i = known.bit_length() - 1
+                    known ^= 1 << i
+                    covered |= found[i]
         hrows = [t[s] for s in hgens]
         limit = bound // order  # more cosets of h than this make G
-        for a in cyclic:
-            if (covered >> a) & 1:
-                continue
+        todo = gens & ~covered
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            a = low.bit_length() - 1
             if (center >> a) & 1:
                 joined, x = h, a  # K is the union of the cosets a^i·h
                 while not (h >> x) & 1:
@@ -251,20 +322,24 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
                     x = row[a]
             else:
                 joined = _coset_join(t, h, helems, hrows + [t[a]], limit)
+                # <h, xax^-1> = x<h, a>x^-1 = <h, a> for x in h
+                todo &= ~mask_of(least[t[t[x][a]][inv[x]]] for x in helems)
             if joined.bit_count() // order in primes:
                 covered |= joined
+                todo &= ~covered
             if joined not in orbit_of:  # record its orbit, queue it alone
-                orbit_of[joined] = len(sizes)
+                o = len(sizes)
+                record(joined, o)
                 orbit = [joined]
                 for cur in orbit:  # orbit grows as it is read
                     for g in conjugators:
                         cm = conjugate_mask(G, cur, g)
                         if cm not in orbit_of:
-                            orbit_of[cm] = len(sizes)
+                            record(cm, o)
                             orbit.append(cm)
                 sizes.append(len(orbit))
                 queue.append((joined, hgens + (a,)))
-    masks = sorted(orbit_of, key=lambda m: (m.bit_count(), m))
+    masks = [m for n in sorted(by_order) for m in sorted(by_order[n])]
     subs = [_trusted(Subgroup, G, m) for m in masks]
     index_of = {m: i for i, m in enumerate(masks)}
     lat = SubgroupLattice(G, subs, index_of, [], [], [])
@@ -276,7 +351,6 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
             lat.class_reps.append(i)
             lat.class_sizes.append(sizes[o])
         lat.conj_class.append(class_of_orbit[o])
-    G._t.lattice = lat
     return lat
 
 
