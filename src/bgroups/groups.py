@@ -553,7 +553,7 @@ def o_p_subgroup(G: Group, p: int) -> Subgroup:
     """Smallest normal subgroup with p-group quotient: closure of p'-elements."""
     if not _is_prime(p):
         raise GroupError("p must be prime")
-    seeds = [a for a in range(G.order) if G.element_order(a) % p != 0]
+    seeds = [a for a, o in enumerate(G.element_orders()) if o % p != 0]
     return subgroup_generated(G, seeds)
 
 

@@ -38,6 +38,7 @@ from .groups import (
     o_p_subgroup,
     p_residual_quotient,
     quotient,
+    subgroup_as_group,
     subgroup_embedding,
     trivial_group,
 )
@@ -319,32 +320,28 @@ def p_persistent_case(H: Group, p: int) -> str | None:
     return CASE_CP if Hp.is_cyclic() else None
 
 
-def classify_p_persistent_bk(K: Group, p: int) -> list[tuple[GroupOverK, str]]:
-    """All p-persistent B_K-group classes, one per structural case:
+def p_persistent_nodes(K: Group, H: Subgroup, p: int, case: str | None) -> list[tuple[GroupOverK, str]]:
+    """The p-persistent B_K-group classes with image the class of H, given
+    case = p_persistent_case(H, p): (H, j_H), then (C_p x H, j_H . proj)
+    in CASE_CP or (C_p x C_p x H, j_H . proj) in CASE_CP2."""
+    x = embedding_over(K, H)
+    out = [(x, CASE_EMBEDDING)]
+    if case is not None:
+        Cp = make_cyclic(p)
+        C, prefix = (Cp, "Cpx") if case == CASE_CP else (direct_product(Cp, Cp).group, "Cp2x")
+        P = direct_product(C, x.L)
+        out.append((GroupOverK(P.group, x.phi.compose(P.proj2), f"{prefix}{x.label}"), case))
+    return out
 
-    for each subgroup class H of K, emit (H, j_H); additionally
-    (C_p x H, j_H . proj) when H^[p] is cyclic nontrivial, and
-    (C_p x C_p x H, j_H . proj) when H^[p] is trivial.
-    """
+
+def classify_p_persistent_bk(K: Group, p: int) -> list[tuple[GroupOverK, str]]:
+    """All p-persistent B_K-group classes, by subgroup class H of K: the
+    nodes of p_persistent_nodes for H's case."""
     lat = enumerate_subgroups(K)
     out: list[tuple[GroupOverK, str]] = []
     for c in range(lat.n_classes()):
         H = lat.class_rep(c)
-        x = embedding_over(K, H)
-        out.append((x, CASE_EMBEDDING))
-        case = p_persistent_case(x.L, p)  # checks that p is prime
-        Cp = make_cyclic(p)
-        if case == CASE_CP:
-            P = direct_product(Cp, x.L)
-            out.append(
-                (GroupOverK(P.group, x.phi.compose(P.proj2), f"Cpx{x.label}"), CASE_CP)
-            )
-        elif case == CASE_CP2:
-            P1 = direct_product(Cp, Cp)
-            P = direct_product(P1.group, x.L)
-            out.append(
-                (GroupOverK(P.group, x.phi.compose(P.proj2), f"Cp2x{x.label}"), CASE_CP2)
-            )
+        out.extend(p_persistent_nodes(K, H, p, p_persistent_case(subgroup_as_group(H), p)))
     return out
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from .groups import (
     Group,
-    GroupError,
     Homomorphism,
     _trusted,
     dihedral_group,
@@ -151,8 +150,6 @@ def _parse_group_expr(doc: GroupSpecDocument, name: str, expr: str, lineno: int)
         if isinstance(exc, SpecError):
             raise
         raise SpecError(f"line {lineno}: malformed group expression {expr!r}") from exc
-    except GroupError as exc:
-        raise SpecError(f"line {lineno}: {exc}") from exc
     return relabel(g, name)
 
 
@@ -219,8 +216,6 @@ def parse_spec(text: str, validate: bool = True) -> GroupSpecDocument:
                                   else _trusted(Homomorphism, src, dst, img))
             else:
                 raise SpecError(f"line {lineno}: unknown directive {toks[0]!r}")
-        except GroupError as exc:
-            raise SpecError(f"line {lineno}: {exc}") from exc
         except ValueError as exc:
             if isinstance(exc, SpecError):
                 raise

@@ -5,6 +5,7 @@ import functools
 
 import pytest
 
+import bgroups.ideals as ideals
 from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
     Homomorphism,
@@ -30,6 +31,7 @@ from bgroups.ideals import (
     simple_dim,
 )
 from bgroups.overk import (
+    CASE_EMBEDDING,
     GroupOverK,
     embedding_over,
     is_isomorphic,
@@ -229,7 +231,7 @@ def test_p_restricted_poset_c4():
     poset = build_bk_poset(make_cyclic(4), P_RESTRICTED, p=2)
     assert len(poset.nodes) == 6
     assert len(covering_pairs_oracle(poset.quotient_rel)) == 3
-    assert len(poset.components()) == 3
+    assert len(components_oracle(poset.quotient_rel)) == 3
 
 
 def test_p_restricted_poset_trivial_k():
@@ -255,7 +257,7 @@ def _poset(above):
     the given up-sets."""
     k = make_cyclic(2)
     n = len(above)
-    return BkPoset(k, [trivial_over(k)] * n, [""] * n, above, TRUNCATED)
+    return BkPoset(k, [trivial_over(k)] * n, [""] * n, above)
 
 
 def _antichain(n):
@@ -340,6 +342,15 @@ def test_p_ideal_lattice_verifies_on_the_catalog(K, p):
     assert p_ideal_lattice(K, p, verify=True).verified
 
 
+def test_p_ideal_lattice_check_fails_without_the_quotient_relation(monkeypatch):
+    """The check counts closed sets of the relation, not the census: with
+    no pair related, C4's classes no longer give 27 ideals."""
+    monkeypatch.setattr(ideals, "is_quotient_over_k", lambda x, y: False)
+    d = p_ideal_lattice(make_cyclic(4), 2)
+    assert d.total_ideals == 27
+    assert d.verified is False
+
+
 _CRITERION_7_KS = [trivial_group(), make_cyclic(2), make_cyclic(3), make_cyclic(4),
                    klein_four(), symmetric_group(3)]
 
@@ -358,8 +369,13 @@ def test_bk_poset_relation_matches_the_pairwise_oracle(K, p):
 
 @pytest.mark.parametrize("K,p", _CENSUS, ids=[f"{K.label}-p{p}" for K, p in _CENSUS])
 def test_components_match_the_connectivity_oracle(K, p):
+    """The connected components of the whole poset are the node groups that
+    p_ideal_lattice counts one at a time: one per subgroup class H of K, its
+    (H, j_H) node and the node classify emits after it, if any."""
     poset = build_bk_poset(K, P_RESTRICTED, p=p)
-    assert poset.components() == components_oracle(poset.quotient_rel)
+    starts = [i for i, t in enumerate(poset.tags) if t == CASE_EMBEDDING] + [len(poset.nodes)]
+    classes = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+    assert components_oracle(poset.quotient_rel) == classes
 
 
 def test_noncyclic_components_are_isolated():
