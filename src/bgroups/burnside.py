@@ -2,11 +2,14 @@
 
 An element is a rational combination of conjugacy classes of subgroups, in
 either the transitive basis [G/X] or the primitive-idempotent basis e_X.
-It is stored sparse and exact: its nonzero terms as integer numerators per
-class, over one positive integer denominator, in canonical form (no zero
-numerator, and the denominator coprime to the numerators), so equal
-elements have equal fields.  Every operation walks the nonzero terms only;
-the dense vector of Fractions, `coeffs`, is derived on first use.
+It is stored sparse and exact: one dict from each class with a nonzero
+term to its integer numerator, over one positive integer denominator, in
+canonical form (no zero numerator, and the denominator coprime to the
+numerators), so equal elements have equal dicts and denominators.  The
+dict is built once and never changed, so a result may keep its input's
+dict and operations read it in place.  Every operation walks the nonzero
+terms only; the sorted `terms` and the dense vector of Fractions,
+`coeffs`, are derived on demand.
 Conversion between the bases goes through the table of marks (triangular
 solve), so the explicit idempotent formula can be cross-checked against
 the marks characterization instead of being the only path.
@@ -17,7 +20,7 @@ along it, as the result's mark at X is the argument's mark at f(X).
 
 The shifted ring over a fixed group K is the plain ring of the direct
 product G x K; the shifted elementary operations act on the G factor and
-leave K alone.
+leave K alone, along f x Id_K, which is kept on f.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class BurnsideElement:
     a dense vector of rationals, one per class; derived elements come from
     `_element` without a check."""
 
-    __slots__ = ("group", "basis", "terms", "den", "_coeffs")
+    __slots__ = ("group", "basis", "_nums", "den", "_coeffs")
 
     def __init__(self, group: Group, basis: str, coeffs) -> None:
         if not isinstance(group, Group):
@@ -75,14 +78,19 @@ class BurnsideElement:
     def __eq__(self, other):
         if not isinstance(other, BurnsideElement):
             return NotImplemented
-        return (self.terms == other.terms and self.den == other.den
+        return (self._nums == other._nums and self.den == other.den
                 and self.basis == other.basis and self.group == other.group)
 
     def __hash__(self):
-        return hash((self.group, self.basis, self.terms, self.den))
+        return hash((self.group, self.basis, frozenset(self._nums.items()), self.den))
 
     def __repr__(self):
         return f"BurnsideElement({self.group!r}, {self.basis!r}, {dict(self.terms)} / {self.den})"
+
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The (class, numerator) pairs of the nonzero terms, by class."""
+        return tuple(sorted(self._nums.items()))
 
     @property
     def lattice(self) -> SubgroupLattice:
@@ -93,7 +101,7 @@ class BurnsideElement:
         """The dense vector, one Fraction per subgroup class."""
         if self._coeffs is None:
             vec = [_ZERO] * self.lattice.n_classes()
-            for c, n in self.terms:
+            for c, n in self._nums.items():
                 vec[c] = Fraction(n, self.den)
             _set(self, "_coeffs", tuple(vec))
         return self._coeffs
@@ -103,8 +111,8 @@ class BurnsideElement:
             raise GroupError("cannot add elements over different rings/bases")
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
-        nums = {c: n * fa for c, n in self.terms}
-        for c, n in other.terms:
+        nums = self._nums.copy() if fa == 1 else {c: n * fa for c, n in self._nums.items()}
+        for c, n in other._nums.items():
             nums[c] = nums.get(c, 0) + n * fb
         return _element(self.group, self.basis, nums, den)
 
@@ -116,34 +124,32 @@ class BurnsideElement:
 
     def __rmul__(self, scalar) -> "BurnsideElement":
         s = scalar if type(scalar) is Fraction else Fraction(scalar)
-        nums = {c: n * s.numerator for c, n in self.terms}
+        nums = {c: n * s.numerator for c, n in self._nums.items()}
         return _element(self.group, self.basis, nums, self.den * s.denominator)
 
     def support(self) -> frozenset[int]:
-        return frozenset(c for c, _ in self.terms)
+        return frozenset(self._nums)
 
 
 def _element(G: Group, basis: str, nums: dict[int, int], den: int,
              obj: BurnsideElement | None = None) -> BurnsideElement:
     """The element sum of (nums[c] / den) b_c, in canonical form, built (as a
-    new element, or into obj) without a check; den > 0."""
-    nums = {c: n for c, n in nums.items() if n}
-    g = gcd(den, *nums.values())
-    if g > 1:
-        den //= g
-        nums = {c: n // g for c, n in nums.items()}
-    return _build(G, basis, tuple(sorted(nums.items())), den, None, obj)
-
-
-def _build(G: Group, basis: str, terms: tuple, den: int, coeffs,
-           obj: BurnsideElement | None = None) -> BurnsideElement:
-    """The element with these fields, which must already be canonical."""
+    new element, or into obj) without a check; den > 0.  nums is kept as the
+    element's dict when it is already canonical, so no one may change it
+    after this call."""
+    if 0 in nums.values():
+        nums = {c: n for c, n in nums.items() if n}
+    if den > 1:
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {c: n // g for c, n in nums.items()}
     obj = object.__new__(BurnsideElement) if obj is None else obj
     _set(obj, "group", G)
     _set(obj, "basis", basis)
-    _set(obj, "terms", terms)
+    _set(obj, "_nums", nums)
     _set(obj, "den", den)
-    _set(obj, "_coeffs", coeffs)
+    _set(obj, "_coeffs", None)
     return obj
 
 
@@ -186,8 +192,9 @@ def gluck_idempotent(G: Group, L: Subgroup) -> BurnsideElement:
 
     Built once per conjugacy class and kept on the lattice; the Moebius
     column walked for it is not kept.  A call with G under another label
-    than the kept element's gets an equal element over G, which is kept
-    instead, so a repeat call returns the same object."""
+    than the kept element's gets an equal element over G, which shares the
+    kept one's numerators and dense vector and is kept instead, so a repeat
+    call returns the same object."""
     lat = enumerate_subgroups(G)
     li = lat.index(L)
     c = lat.conj_class[li]
@@ -199,7 +206,9 @@ def gluck_idempotent(G: Group, L: Subgroup) -> BurnsideElement:
             totals[cj] = totals.get(cj, 0) + lat.subgroups[j].order * mu
         e = lat._idempotents[c] = _element(G, TRANSITIVE, totals, lat.normalizer_order(li))
     elif e.group.label != G.label:  # equal, under G's label, kept in its place
-        e = lat._idempotents[c] = _build(G, e.basis, e.terms, e.den, e._coeffs)
+        coeffs = e._coeffs
+        e = lat._idempotents[c] = _element(G, e.basis, e._nums, e.den)
+        _set(e, "_coeffs", coeffs)
     return e
 
 
@@ -215,7 +224,7 @@ def to_idempotent_basis(elem: BurnsideElement) -> BurnsideElement:
     cols = elem.lattice.mark_columns()
     # the mark at X sums n_Y marks[X][Y] over the Y in the support
     nums: dict[int, int] = {}
-    for y, n in elem.terms:
+    for y, n in elem._nums.items():
         xs, ms = cols[y]
         for x, m in zip(xs, ms):
             nums[x] = nums.get(x, 0) + n * m
@@ -231,7 +240,7 @@ def to_transitive_basis(elem: BurnsideElement) -> BurnsideElement:
     # marks[x][y] u[y] onto the rows x < y.  u and the pushed sums are
     # numerators over den * scale, and scale grows by the least factor that
     # keeps the next u[x] an integer.
-    nums = dict(elem.terms)
+    nums = elem._nums
     scale = 1
     out: dict[int, int] = {}
     pushed: dict[int, int] = {}
@@ -258,8 +267,8 @@ def multiply(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     if a.group != b.group:
         raise GroupError("mismatched ambient groups")
     pa, pb = to_idempotent_basis(a), to_idempotent_basis(b)
-    nb = dict(pb.terms)
-    nums = {c: n * nb[c] for c, n in pa.terms if c in nb}
+    nb = pb._nums
+    nums = {c: n * nb[c] for c, n in pa._nums.items() if c in nb}
     prod = _element(a.group, IDEMPOTENT, nums, pa.den * pb.den)
     if a.basis == IDEMPOTENT and b.basis == IDEMPOTENT:
         return prod
@@ -294,9 +303,9 @@ def _class_map(f: Homomorphism, classes) -> dict[int, int]:
 def _push(elem: BurnsideElement, f: Homomorphism) -> BurnsideElement:
     """Send each [X] in elem to [f(X)] over f's target."""
     elem = to_transitive_basis(elem)
-    cmap = _class_map(f, (cx for cx, _ in elem.terms))
+    cmap = _class_map(f, elem._nums)
     coeffs: dict[int, int] = {}
-    for cx, coeff in elem.terms:
+    for cx, coeff in elem._nums.items():
         c = cmap[cx]
         coeffs[c] = coeffs.get(c, 0) + coeff
     return _element(f.target, TRANSITIVE, coeffs, elem.den)
@@ -306,7 +315,7 @@ def _pull(elem: BurnsideElement, f: Homomorphism) -> BurnsideElement:
     """The element over f's source whose mark at X is elem's mark at f(X):
     restriction along an injection, inflation along a surjection."""
     marks = to_idempotent_basis(elem)
-    at = dict(marks.terms)
+    at = marks._nums
     cmap = _class_map(f, range(enumerate_subgroups(f.source).n_classes()))
     nums = {cx: at.get(c, 0) for cx, c in cmap.items()}
     return to_transitive_basis(_element(f.source, IDEMPOTENT, nums, marks.den))
@@ -346,14 +355,23 @@ def transport(elem: BurnsideElement, iso: Homomorphism) -> BurnsideElement:
 
 
 def shift_hom(f: Homomorphism, K: Group) -> Homomorphism:
-    """f x Id_K between the canonical direct products."""
-    P = direct_product(f.source, K)
-    Pp = direct_product(f.target, K)
-    m = K.order
-    image = tuple(
-        f.image[i // m] * m + (i % m) for i in range(P.group.order)
-    )
-    return _trusted(Homomorphism, P.group, Pp.group, image)
+    """f x Id_K between the canonical direct products.
+
+    Kept on f once per table and label of K, so a repeat call returns the
+    same map and its class map fills once."""
+    if f._shifted is None:
+        _set(f, "_shifted", {})
+    key = K._t, K.label
+    fs = f._shifted.get(key)
+    if fs is None:
+        P = direct_product(f.source, K)
+        Pp = direct_product(f.target, K)
+        m = K.order
+        image = tuple(
+            f.image[i // m] * m + (i % m) for i in range(P.group.order)
+        )
+        fs = f._shifted[key] = _trusted(Homomorphism, P.group, Pp.group, image)
+    return fs
 
 
 def shifted_restrict(elem: BurnsideElement, H: Subgroup, K: Group) -> BurnsideElement:

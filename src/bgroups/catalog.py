@@ -61,10 +61,6 @@ def _pauli_group() -> Group:
     return quotient(P.group, subgroup_generated(P.group, [z]))[0]
 
 
-def _c3_rtimes_c4 () -> Group:
-    return dicyclic_3()
-
-
 @lru_cache(maxsize=None)
 def groups_of_order(n: int) -> tuple[Group, ...]:
     if n < 1 or n > 16:
@@ -85,7 +81,7 @@ def groups_of_order(n: int) -> tuple[Group, ...]:
         return (C(10), dihedral_group(5))
     if n == 12:
         return (C(12), _prod(C(2), C(2), C(3)), dihedral_group(6),
-                alternating_4(), _c3_rtimes_c4())
+                alternating_4(), dicyclic_3())
     if n == 14:
         return (C(14), dihedral_group(7))
     if n == 15:

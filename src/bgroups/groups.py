@@ -211,13 +211,14 @@ def _group(t: _Table, label: str, G: Group | None = None) -> Group:
 class Homomorphism(_Value):
     """A map of groups given by the image of each source element.
 
-    `_biset` is not a field: it holds this map's class map, from each source
-    subgroup class to the class of its image, which `burnside._class_map`
-    fills lazily for all five biset operations, so it takes no part in `==`,
-    `hash` or `repr`."""
+    `_biset` and `_shifted` are not fields: `_biset` holds this map's class
+    map, from each source subgroup class to the class of its image, which
+    `burnside._class_map` fills lazily for all five biset operations, and
+    `_shifted` the maps f x Id_K that `burnside.shift_hom` built, by K's
+    table and label.  So they take no part in `==`, `hash` or `repr`."""
 
     _fields = ("source", "target", "image")
-    _biset = None
+    _biset = _shifted = None
 
     def __init__(self, source: Group, target: Group, image: tuple[int, ...]):
         _setattr(self, "source", source)

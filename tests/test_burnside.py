@@ -22,6 +22,8 @@ from bgroups.burnside import (
     restrict,
     shift_hom,
     shifted_deflate,
+    shifted_induce,
+    shifted_inflate,
     shifted_restrict,
     shifted_transport,
     to_idempotent_basis,
@@ -267,7 +269,8 @@ def test_sparse_arithmetic_matches_dense_oracle(case):
 @given(catalog_vectors())
 def test_equal_elements_have_equal_fields(case):
     """An element built two ways is == and hashes equally, because the
-    sparse form is canonical."""
+    sparse form is canonical; the order in which its dict was filled shows
+    in none of ==, hash and repr."""
     i, ba, a, _, _, s = case
     G = CATALOG[i]
     x, z = BurnsideElement(G, ba, a), zero(G, ba)
@@ -279,6 +282,15 @@ def test_equal_elements_have_equal_fields(case):
     assert x - x == z and hash(x - x) == hash(z)
     assert all(n != 0 for _, n in x.terms) and x.den > 0
     assert gcd(x.den, *(n for _, n in x.terms)) == 1
+    # low + high fills its dict upward, high + low the high classes first
+    mid = len(a) // 2
+    low = BurnsideElement(G, ba, a[:mid] + (0,) * (len(a) - mid))
+    high = BurnsideElement(G, ba, (0,) * mid + a[mid:])
+    up, down = low + high, high + low
+    assert list(up._nums) == sorted(up._nums)
+    assert list(down._nums) == sorted(down._nums, key=lambda c: (c < mid, c))
+    assert up == down == x and hash(up) == hash(down) == hash(x)
+    assert repr(up) == repr(down) == repr(x)
 
 
 def test_multiply_matches_transitive_combinatorics():
@@ -562,6 +574,97 @@ def test_class_maps_on_a_map_never_leak(f, kind):
     assert sorted(filled[0]) == list(range(enumerate_subgroups(f.source).n_classes()))
     assert (f.source, f.target, f.image) == key
     assert f == _fresh(f) and hash(f) == hash(_fresh(f)) and repr(f) == repr(_fresh(f))
+
+
+@pytest.mark.parametrize("G", [make_cyclic(6), symmetric_group(3), dihedral_group(4), quaternion_group()],
+                         ids=lambda g: g.label)
+def test_no_operation_changes_an_element_it_reads(G):
+    """Elements may share one dict of numerators (an idempotent under a
+    second label shares the kept one's), and the basis changes read it in
+    place, so no public operation may change the numerators or denominator
+    of an element it is given or has returned.  Every element below is
+    snapshot when it is first seen, results are fed back in, and every
+    snapshot is compared at the end."""
+    from bgroups.overk import isomorphisms
+
+    seen = []
+
+    def keep(elems):
+        seen.extend((e, e.terms, e.den) for e in elems)
+        return elems
+
+    def inputs(X):  # in both bases
+        xs = _inputs(X)
+        return keep(xs + [to_idempotent_basis(e) for e in xs])
+
+    def ring_round(elems):
+        other = keep([to_transitive_basis(elems[-1])])[0]
+        other = {TRANSITIVE: other, IDEMPOTENT: keep([to_idempotent_basis(other)])[0]}
+        ops = (lambda e: e + other[e.basis], lambda e: other[e.basis] - e,
+               lambda e: Fraction(-3, 4) * e, lambda e: multiply(e, other[e.basis]),
+               to_idempotent_basis, to_transitive_basis,
+               lambda e: BurnsideElement(e.group, IDEMPOTENT, marks_of(e)))
+        return keep([op(e) for e in elems for op in ops])
+
+    K = make_cyclic(2)
+    lat = enumerate_subgroups(G)
+    reps = [lat.class_rep(c) for c in range(lat.n_classes())]
+    xs = inputs(G)
+    ring_round(ring_round(xs))
+    auto = next(isomorphisms(G, G))
+    pxs = inputs(direct_product(G, K).group)
+    for H in reps:
+        f = subgroup_embedding(H)
+        keep([restrict(e, f) for e in xs] + [induce(e, f) for e in inputs(f.source)])
+        hk = inputs(direct_product(f.source, K).group)
+        keep([shifted_restrict(e, H, K) for e in pxs] + [shifted_induce(e, H, K) for e in hk])
+    for N in normal_subgroups(G):
+        Q, pi = quotient(G, N)
+        keep([deflate(e, pi) for e in xs] + [inflate(e, pi) for e in inputs(Q)])
+        qk = inputs(direct_product(Q, K).group)
+        keep([shifted_deflate(e, pi, K) for e in pxs] + [shifted_inflate(e, pi, K) for e in qk])
+    keep([transport(e, auto) for e in xs] + [shifted_transport(e, auto, K) for e in pxs])
+    other = relabel(G, "other")
+    shared = keep([gluck_idempotent(other, X) for X in reps])
+    assert all(e.group.label == "other" and e._nums is k._nums for e, k in zip(shared, xs))
+    ring_round(ring_round(shared))
+    assert [gluck_idempotent(G, X) for X in reps] == xs[:len(reps)]
+    for e, terms, den in seen:
+        assert (e.terms, e.den) == (terms, den), e
+
+
+def test_shifted_maps_are_kept_on_the_map_they_shift():
+    """shift_hom keeps f x Id_K on f once per table and label of K: a repeat
+    call returns the same map, K under another label gets a map of its own
+    whose groups carry that label, a second shifted inflation along one map
+    fills no new class-map entry, and none of it shows in ==, hash or
+    repr."""
+    G, K = symmetric_group(3), make_cyclic(2)
+    lat = enumerate_subgroups(G)
+    f = subgroup_embedding(next(lat.class_rep(c) for c in range(lat.n_classes())
+                                if lat.class_rep(c).order == 3))
+    fk = shift_hom(f, K)
+    assert shift_hom(f, K) is fk
+    B = relabel(K, "B")
+    fb = shift_hom(f, B)
+    assert fb is not fk and fb == fk and shift_hom(f, B) is fb
+    assert (fb.source.label, fb.target.label) == (f"{f.source.label}xB", f"{G.label}xB")
+    assert (fk.source.label, fk.target.label) == (f"{f.source.label}xC2", f"{G.label}xC2")
+    N = next(N for N in normal_subgroups(G) if N.order == 3)
+    Q, pi = quotient(G, N)
+    QK = direct_product(Q, K).group
+    qlat = enumerate_subgroups(QK)
+    e = gluck_idempotent(QK, qlat.class_rep(1))
+    first = shifted_inflate(e, pi, K)
+    cmap = shift_hom(pi, K)._biset
+    filled = dict(cmap)
+    assert sorted(filled) == list(range(enumerate_subgroups(direct_product(G, K).group).n_classes()))
+    second = shifted_inflate(transitive_basis_element(QK, qlat.class_rep(1)), pi, K)
+    assert shift_hom(pi, K)._biset is cmap and cmap == filled
+    assert first == inflate(e, _fresh(shift_hom(pi, K)))
+    assert second == inflate(transitive_basis_element(QK, qlat.class_rep(1)), _fresh(shift_hom(pi, K)))
+    for g in (f, pi):
+        assert g._shifted and g == _fresh(g) and hash(g) == hash(_fresh(g)) and repr(g) == repr(_fresh(g))
 
 
 def test_one_embedding_per_subgroup_and_parent_label():

@@ -743,7 +743,8 @@ def test_values_are_read_only_and_compare_by_their_fields(build, fields):
 
 def test_a_fresh_homomorphism_has_no_class_map():
     f = Homomorphism(make_cyclic(2), make_cyclic(2), (0, 1))
-    assert f._biset is None and _trusted(Homomorphism, f.source, f.target, f.image)._biset is None
+    g = _trusted(Homomorphism, f.source, f.target, f.image)
+    assert f._biset is None and g._biset is None and f._shifted is None and g._shifted is None
     assert f == inner_automorphisms(make_cyclic(2))[0] and repr(f) == (
         "Homomorphism(source=Group(C2, order=2), target=Group(C2, order=2), image=(0, 1))")
 
