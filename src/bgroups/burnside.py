@@ -112,8 +112,12 @@ class BurnsideElement:
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
         nums = self._nums.copy() if fa == 1 else {c: n * fa for c, n in self._nums.items()}
-        for c, n in other._nums.items():
-            nums[c] = nums.get(c, 0) + n * fb
+        for c, n in other._nums.items():  # a term that sums to zero goes at once
+            n = nums.get(c, 0) + n * fb
+            if n:
+                nums[c] = n
+            else:
+                del nums[c]
         return _element(self.group, self.basis, nums, den)
 
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
@@ -139,11 +143,14 @@ def _element(G: Group, basis: str, nums: dict[int, int], den: int,
     after this call."""
     if 0 in nums.values():
         nums = {c: n for c, n in nums.items() if n}
-    if den > 1:
-        g = gcd(den, *nums.values())
-        if g > 1:
-            den //= g
-            nums = {c: n // g for c, n in nums.items()}
+    g = den
+    for n in nums.values():  # stops once the gcd is 1, as it mostly soon is
+        if g == 1:
+            break
+        g = gcd(g, n)
+    if g > 1:
+        den //= g
+        nums = {c: n // g for c, n in nums.items()}
     obj = object.__new__(BurnsideElement) if obj is None else obj
     _set(obj, "group", G)
     _set(obj, "basis", basis)

@@ -6,9 +6,9 @@ map that holds it for the life of the process; nothing else hashes table
 contents.  A `Group` is a `_Table` under a label, so `==` and `hash` mean
 "same contents, labels ignored" without reading the table.  The `_Table`
 owns what is derived from the table alone: the subgroup lattice, generating
-sequence, element orders, over-K word plan, a transversal of G/Z(G), and
-memos of products, subgroup embeddings (one map per subgroup and parent
-label) and quotients.
+sequence, element orders, over-K word plan, a transversal of G/Z(G), the
+derived groups on it (one per label), and memos of product and quotient
+tables and of subgroup inclusion maps (one per subgroup and parent label).
 Homomorphisms, subgroups and products are immutable values (`_Value`): their
 fields are read-only, and `==`, `hash` and `repr` go by the fields.  A
 `Subgroup` is slotted, and a `Homomorphism` carries the biset class maps of
@@ -19,8 +19,9 @@ Values are checked where they enter: a direct `Group(...)`,
 laws are checked exactly on a generating sequence only: associativity by
 Light's test, and the homomorphism law by `_is_hom`.  One greedy walk,
 `greedy_generators`, chooses the generating sequence of a group, checks a
-subgroup mask by closing the generators it chooses inside it, and gives the
-CLI's class labels their generator words, and `is_normal`, the one
+subgroup mask by closing the generators it chooses inside it (or, once the
+table has its lattice, by looking the mask up there), and gives the CLI's
+class labels their generator words, and `is_normal`, the one
 normality test, conjugates by those generators only; `center_mask` tests
 commuting with them only.  Every value this library derives from checked
 values (products, quotients, subgroups, kernels, compositions, named groups)
@@ -92,14 +93,15 @@ def _trusted(cls, *fields):
 class _Table:
     """One distinct Cayley table with the data derived from it alone."""
 
-    __slots__ = ("order", "table", "inverse", "lattice", "gens", "orders",
-                 "word_plan", "transversal", "products", "embeddings", "quotients")
+    __slots__ = ("order", "table", "inverse", "lattice", "gens", "orders", "word_plan",
+                 "transversal", "groups", "products", "embeddings", "quotients")
 
     def __init__(self, table, inverse):
         self.order, self.table, self.inverse = len(table), table, inverse
         self.lattice = self.gens = self.orders = self.word_plan = self.transversal = None
+        self.groups = {}  # label -> the Group on this table under it
         self.products = {}  # other factor's _Table -> (product _Table, maps)
-        self.embeddings = {}  # subgroup mask -> (subgroup _Table, elements, {label: map})
+        self.embeddings = {}  # (subgroup mask, parent label) -> inclusion map
         self.quotients = {}  # normal subgroup mask -> (quotient _Table, cosets)
 
 
@@ -201,8 +203,15 @@ class Group:
 
 
 def _group(t: _Table, label: str, G: Group | None = None) -> Group:
-    """A Group (a new one, or G) on the table t, built without a check."""
-    G = object.__new__(Group) if G is None else G
+    """The Group on the table t under this label, built without a check:
+    the one kept in `t.groups`, made on first use, so every derived group
+    with this table and label is one object; or G, the checked
+    constructor's own object, filled in and not kept."""
+    if G is None:
+        G = t.groups.get(label)
+        if G is not None:
+            return G
+        G = t.groups[label] = object.__new__(Group)
     for name, value in zip(Group.__slots__, (t, t.order, t.table, t.inverse, label)):
         _setattr(G, name, value)
     return G
@@ -272,12 +281,15 @@ class Subgroup(_Value):
         self._validate()
 
     def _validate(self) -> None:
-        m = self.mask
+        m, G = self.mask, self.parent
         if not m & 1:
             raise GroupError("subgroup must contain the identity")
-        if m >> self.parent.order:
+        if m >> G.order:
             raise GroupError("mask has elements outside the parent")
-        greedy_generators(self.parent, m)
+        if G._t.lattice is None:  # no lattice is built just for this check
+            greedy_generators(G, m)
+        elif m not in G._t.lattice.index_of:  # exact: the lattice lists every subgroup
+            raise GroupError(_NOT_CLOSED)
 
     @property
     def order(self) -> int:
@@ -331,6 +343,9 @@ def elements_of(mask: int) -> list[int]:
     return out
 
 
+_NOT_CLOSED = "subset not closed under product"
+
+
 def greedy_generators(G: Group, mask: int) -> tuple[int, ...]:
     """Greedy generators of the subgroup with this mask, which must contain
     the identity: the least member not yet reached joins the generators, and
@@ -352,7 +367,7 @@ def greedy_generators(G: Group, mask: int) -> tuple[int, ...]:
                 c = row[g]
                 if not (reached >> c) & 1:
                     if not (mask >> c) & 1:
-                        raise GroupError("subset not closed under product")
+                        raise GroupError(_NOT_CLOSED)
                     reached |= 1 << c
                     walk.append(c)
     return tuple(gens)
@@ -579,21 +594,20 @@ def subgroup_embedding(S: Subgroup) -> Homomorphism:
     """Subgroup as a standalone Group; returns the inclusion into the parent.
 
     Elements are relabelled in increasing parent-id order, so the identity
-    keeps id 0.  The standalone group is the source of the returned map.
-    The table is built once per subgroup of a table, and the map once per
-    subgroup and parent label, so a repeat call returns the same object.
+    keeps id 0.  The standalone group is the source of the returned map,
+    and the map's image is the subgroup's element tuple.  The map is kept
+    once per subgroup and parent label, on the parent's table, so a repeat
+    call returns the same object; the subgroup's table is built with each
+    map and interned, so every label's map has one source table.
     """
     G = S.parent
-    entry = G._t.embeddings.get(S.mask)
-    if entry is None:
+    key = S.mask, G.label
+    f = G._t.embeddings.get(key)
+    if f is None:
         elems = tuple(S.elements())
         back = {e: i for i, e in enumerate(elems)}
-        table = tuple(tuple(back[G.table[a][b]] for b in elems) for a in elems)
-        entry = G._t.embeddings[S.mask] = _intern(table), elems, {}
-    t, elems, maps = entry
-    f = maps.get(G.label)
-    if f is None:
-        f = maps[G.label] = _trusted(Homomorphism, _group(t, f"{G.label}|{t.order}"), G, elems)
+        t = _intern(tuple(tuple(back[G.table[a][b]] for b in elems) for a in elems))
+        f = G._t.embeddings[key] = _trusted(Homomorphism, _group(t, f"{G.label}|{t.order}"), G, elems)
     return f
 
 

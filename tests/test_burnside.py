@@ -293,6 +293,35 @@ def test_equal_elements_have_equal_fields(case):
     assert repr(up) == repr(down) == repr(x)
 
 
+@st.composite
+def sparse_pairs(draw):
+    """(catalog index, basis, a, b): dense vectors, mostly zero, where b
+    repeats, halves or cancels a's entry at some classes, so a sum meets
+    zero terms and common factors."""
+    i = draw(st.integers(0, len(CATALOG) - 1))
+    nc = enumerate_subgroups(CATALOG[i]).n_classes()
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_rationals)
+    a = tuple(draw(st.lists(entry, min_size=nc, max_size=nc)))
+    b = tuple(draw(st.sampled_from((Fraction(0), -v, v, v / 2, draw(small_rationals)))) for v in a)
+    return i, draw(st.sampled_from([TRANSITIVE, IDEMPOTENT])), a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_pairs())
+def test_sums_match_dense_fractions_in_canonical_form(case):
+    """a + b, a - b and a - a agree with entrywise Fraction sums, and each
+    result keeps no zero numerator and a denominator coprime to them."""
+    i, basis, a, b = case
+    G = CATALOG[i]
+    x, y = BurnsideElement(G, basis, a), BurnsideElement(G, basis, b)
+    cases = ((x + y, [p + q for p, q in zip(a, b)]), (x - y, [p - q for p, q in zip(a, b)]),
+             (x - x, [Fraction(0)] * len(a)))
+    for got, want in cases:
+        assert got.coeffs == tuple(want) and got == BurnsideElement(G, basis, want)
+        assert 0 not in got._nums.values() and got.den > 0
+        assert gcd(got.den, *got._nums.values()) == 1
+
+
 def test_multiply_matches_transitive_combinatorics():
     """[G/X] * [G/X] for X of index 2: the product of two copies of a
     2-point set is 2 copies of it."""
@@ -668,14 +697,16 @@ def test_shifted_maps_are_kept_on_the_map_they_shift():
 
 
 def test_one_embedding_per_subgroup_and_parent_label():
-    """The map is kept per subgroup and parent label: each label gets a
-    source under its own label, and a repeat call returns the same object."""
+    """The map is kept per subgroup and parent label, on the parent's table:
+    each label gets a source under its own label over one interned table,
+    and a repeat call returns the same object."""
     A, B = make_cyclic(6, "A"), make_cyclic(6, "B")
     S = Subgroup(A, 0b001001)
     fa, fb = subgroup_embedding(S), subgroup_embedding(Subgroup(B, S.mask))
     assert fa.source.label == "A|2" and fb.source.label == "B|2"
     assert fa.target.label == "A" and fb.target.label == "B"
-    assert fa == fb and fa.source.table is fb.source.table
+    assert fa == fb and fa.source._t is fb.source._t and fa.image == (0, 3)
+    assert A._t.embeddings[S.mask, "A"] is fa and A._t.embeddings[S.mask, "B"] is fb
     assert subgroup_embedding(S) is fa and subgroup_embedding(Subgroup(B, S.mask)) is fb
 
 

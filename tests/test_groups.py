@@ -14,6 +14,9 @@ from bgroups.groups import (
     Product,
     Subgroup,
     _MR_BOUND,
+    _TABLES,
+    _Table,
+    _group,
     _is_prime,
     _trusted,
     alternating_4,
@@ -37,6 +40,7 @@ from bgroups.groups import (
     quotient,
     relabel,
     semidirect_product,
+    subgroup_as_group,
     subgroup_embedding,
     subgroup_generated,
     symmetric_group,
@@ -262,17 +266,34 @@ def test_subgroup_check_agrees_with_pairwise_closure(case):
         assert S.elements() == bits
 
 
+def _fresh_copy(G):
+    """G on a table of its own, not interned, so it has no lattice."""
+    return _group(_Table(G.table, G.inverse), G.label)
+
+
+def _check_error(G, mask):
+    """The text of the GroupError that Subgroup(G, mask) raises, or None."""
+    try:
+        Subgroup(G, mask)
+    except GroupError as exc:
+        return str(exc)
+    return None
+
+
 def test_subgroup_check_agrees_with_pairwise_closure_on_every_small_mask():
+    """The check reads the lattice when the table has one and walks the
+    greedy generators when it has none, and never enumerates to check:
+    both give the reference closure's verdict with the same error text."""
     for G in groups_up_to_order(8):
+        enumerate_subgroups(G)
+        fresh = _fresh_copy(G)
         for mask in range(1 << G.order):
             bits = [x for x in range(G.order) if (mask >> x) & 1]
             closed = sum(1 << x for x in pairwise_closure(G, bits))
-            try:
-                Subgroup(G, mask)
-                accepted = True
-            except GroupError:
-                accepted = False
-            assert accepted == (bool(mask & 1) and closed == mask), (G.label, bin(mask))
+            error = _check_error(G, mask)
+            assert error == _check_error(fresh, mask), (G.label, bin(mask))
+            assert (error is None) == (bool(mask & 1) and closed == mask), (G.label, bin(mask))
+        assert fresh._t.lattice is None
 
 
 def test_generating_sequence_matches_the_greedy_oracle():
@@ -290,10 +311,16 @@ def test_center_mask_matches_brute_force():
 
 
 def test_every_lattice_subgroup_passes_the_subgroup_check():
+    """Each lattice member is closed by the reference closure, which does
+    not read the lattice the check reads, and passes the check both on its
+    own table and on a fresh table with no lattice."""
     for G in groups_up_to_order(16):
+        fresh = _fresh_copy(G)
         for S in enumerate_subgroups(G).subgroups:
-            assert Subgroup(G, S.mask) == S
-            assert S.elements() == [x for x in range(G.order) if (S.mask >> x) & 1]
+            bits = [x for x in range(G.order) if (S.mask >> x) & 1]
+            assert S.elements() == bits and sorted(pairwise_closure(G, bits)) == bits
+            assert Subgroup(G, S.mask) == S and Subgroup(fresh, S.mask).mask == S.mask
+        assert fresh._t.lattice is None
 
 
 def _valid_maps():
@@ -705,6 +732,38 @@ def test_equal_tables_share_one_table_and_one_lattice():
     assert enumerate_subgroups(W) is enumerate_subgroups(V)
     with pytest.raises(GroupError):  # an interned table is still checked in full
         Group(4, rows, (0, 2, 1, 3))
+
+
+def test_derived_groups_and_embeddings_are_kept_per_table_and_label():
+    """A derived group is the one object on its table under its label, and
+    an inclusion map the one object per subgroup and parent label; the
+    checked constructor builds its own group, and ==, hash and repr go by
+    the table and label as before."""
+    S4, C2 = symmetric_group(4), make_cyclic(2)
+    N = next(N for N in normal_subgroups(S4) if N.order == 4)
+    S = subgroup_generated(S4, [1])
+    assert relabel(S4, "B") is relabel(S4, "B")
+    assert quotient(S4, N)[0] is quotient(S4, N)[0]
+    assert direct_product(S4, C2).group is direct_product(S4, C2).group
+    f = subgroup_embedding(S)
+    assert subgroup_embedding(S) is f and subgroup_embedding(Subgroup(S4, S.mask)) is f
+    assert f.image == tuple(S.elements()) and f.source._t is _TABLES[f.source.table]
+    assert f.source is subgroup_as_group(S) is relabel(f.source, "S4|2")
+    B = relabel(S4, "B")
+    W = Group(S4.order, S4.table, S4.inverse, "S4")
+    assert W is not S4 and W is not Group(S4.order, S4.table, S4.inverse, "S4")
+    assert W._t is S4._t and S4._t.groups["S4"] is S4
+    assert W == S4 == B and hash(W) == hash(S4) == hash(B)
+    assert repr(W) == repr(S4) == "Group(S4, order=24)" and repr(B) == "Group(B, order=24)"
+
+
+def test_a_second_pass_of_products_adds_no_group():
+    catalog, C2 = groups_up_to_order(16), make_cyclic(2)
+    first = [direct_product(G, C2).group for G in catalog]
+    kept = {id(t): len(t.groups) for t in _TABLES.values()}
+    second = [direct_product(G, C2).group for G in catalog]
+    assert all(P is Q for P, Q in zip(first, second))
+    assert {id(t): len(t.groups) for t in _TABLES.values()} == kept
 
 
 def _values():
