@@ -36,8 +36,6 @@ from .groups import (
     Subgroup,
     _trusted,
     direct_product,
-    elements_of,
-    mask_of,
     subgroup_embedding,
 )
 from .subgroups import SubgroupLattice, enumerate_subgroups
@@ -300,9 +298,12 @@ def _class_map(f: Homomorphism, classes) -> dict[int, int]:
         _set(f, "_biset", {})
     cmap = f._biset
     lat, lat_t = enumerate_subgroups(f.source), enumerate_subgroups(f.target)
+    image = f.image
     for cx in classes:
         if cx not in cmap:
-            mask = mask_of([f.image[a] for a in elements_of(lat.class_rep(cx).mask)])
+            mask = 0
+            for a in lat.class_rep(cx).members():
+                mask |= 1 << image[a]
             cmap[cx] = lat_t.conj_class[lat_t.index_of[mask]]
     return cmap
 

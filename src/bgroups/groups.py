@@ -8,11 +8,15 @@ contents.  A `Group` is a `_Table` under a label, so `==` and `hash` mean
 owns what is derived from the table alone: the subgroup lattice, generating
 sequence, element orders, over-K word plan, a transversal of G/Z(G), the
 derived groups on it (one per label), and memos of product and quotient
-tables and of subgroup inclusion maps (one per subgroup and parent label).
+tables, of subgroup tables (one per subgroup mask) and of subgroup
+inclusion maps (one per subgroup and parent label).
 Homomorphisms, subgroups and products are immutable values (`_Value`): their
-fields are read-only, and `==`, `hash` and `repr` go by the fields.  A
-`Subgroup` is slotted, and a `Homomorphism` carries the biset class maps of
-`burnside` outside its fields.
+fields are read-only, and `==`, `hash` and `repr` go by the fields.  What
+a value determines and keeps outside its fields takes no part in them:
+a `Subgroup` is slotted and keeps its member tuple (`members()`, filled on
+first use); a `Homomorphism` keeps its number of distinct images, counted
+once for `is_injective`, `is_surjective` and `is_bijective`, the biset
+class maps of `burnside` and its shifted maps f x Id_K.
 
 Values are checked where they enter: a direct `Group(...)`,
 `Homomorphism(...)` or `Subgroup(...)` call checks its input in full.  Both
@@ -94,13 +98,14 @@ class _Table:
     """One distinct Cayley table with the data derived from it alone."""
 
     __slots__ = ("order", "table", "inverse", "lattice", "gens", "orders", "word_plan",
-                 "transversal", "groups", "products", "embeddings", "quotients")
+                 "transversal", "groups", "products", "subtables", "embeddings", "quotients")
 
     def __init__(self, table, inverse):
         self.order, self.table, self.inverse = len(table), table, inverse
         self.lattice = self.gens = self.orders = self.word_plan = self.transversal = None
         self.groups = {}  # label -> the Group on this table under it
         self.products = {}  # other factor's _Table -> (product _Table, maps)
+        self.subtables = {}  # subgroup mask -> the subgroup's own _Table
         self.embeddings = {}  # (subgroup mask, parent label) -> inclusion map
         self.quotients = {}  # normal subgroup mask -> (quotient _Table, cosets)
 
@@ -220,14 +225,16 @@ def _group(t: _Table, label: str, G: Group | None = None) -> Group:
 class Homomorphism(_Value):
     """A map of groups given by the image of each source element.
 
-    `_biset` and `_shifted` are not fields: `_biset` holds this map's class
-    map, from each source subgroup class to the class of its image, which
-    `burnside._class_map` fills lazily for all five biset operations, and
-    `_shifted` the maps f x Id_K that `burnside.shift_hom` built, by K's
-    table and label.  So they take no part in `==`, `hash` or `repr`."""
+    `_biset`, `_shifted` and `_image_size` are not fields: `_biset` holds
+    this map's class map, from each source subgroup class to the class of
+    its image, which `burnside._class_map` fills lazily for all five biset
+    operations; `_shifted` the maps f x Id_K that `burnside.shift_hom`
+    built, by K's table and label; and `_image_size` the number of distinct
+    images, counted on the first injectivity or surjectivity test.  So they
+    take no part in `==`, `hash` or `repr`."""
 
     _fields = ("source", "target", "image")
-    _biset = _shifted = None
+    _biset = _shifted = _image_size = None
 
     def __init__(self, source: Group, target: Group, image: tuple[int, ...]):
         _setattr(self, "source", source)
@@ -247,11 +254,16 @@ class Homomorphism(_Value):
     def __call__(self, a: int) -> int:
         return self.image[a]
 
+    def _image_order(self) -> int:
+        if self._image_size is None:
+            _setattr(self, "_image_size", len(set(self.image)))
+        return self._image_size
+
     def is_injective(self) -> bool:
-        return len(set(self.image)) == self.source.order
+        return self._image_order() == self.source.order
 
     def is_surjective(self) -> bool:
-        return len(set(self.image)) == self.target.order
+        return self._image_order() == self.target.order
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.source.order == self.target.order
@@ -273,7 +285,14 @@ class Homomorphism(_Value):
 
 
 class Subgroup(_Value):
-    __slots__ = _fields = ("parent", "mask")  # mask: bitset over parent element ids
+    """A subgroup of `parent`, given by a bit mask over its element ids.
+
+    `_members` is a slot but not a field: the member tuple, filled by
+    `members()` on first use, so it takes no part in `==`, `hash` or
+    `repr`."""
+
+    _fields = ("parent", "mask")  # mask: bitset over parent element ids
+    __slots__ = (*_fields, "_members")
 
     def __init__(self, parent: Group, mask: int):
         _setattr(self, "parent", parent)
@@ -295,9 +314,17 @@ class Subgroup(_Value):
     def order(self) -> int:
         return self.mask.bit_count()
 
+    def members(self) -> tuple[int, ...]:
+        """The member ids, ascending, as the tuple kept on this subgroup."""
+        try:
+            return self._members
+        except AttributeError:
+            _setattr(self, "_members", tuple(elements_of(self.mask)))
+            return self._members
+
     def elements(self) -> list[int]:
-        """The member ids, ascending."""
-        return elements_of(self.mask)
+        """The member ids, ascending, in a new list."""
+        return list(self.members())
 
     def __contains__(self, a: int) -> bool:
         return bool((self.mask >> a) & 1)
@@ -498,7 +525,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
     if N.mask not in G._t.quotients:  # the table, once per normal subgroup of a table
         if not is_normal(N):
             raise GroupError("subgroup is not normal")
-        t, nelems = G.table, N.elements()
+        t, nelems = G.table, N.members()
         coset_of = [-1] * G.order
         reps: list[int] = []
         for g in range(G.order):
@@ -595,18 +622,30 @@ def subgroup_embedding(S: Subgroup) -> Homomorphism:
 
     Elements are relabelled in increasing parent-id order, so the identity
     keeps id 0.  The standalone group is the source of the returned map,
-    and the map's image is the subgroup's element tuple.  The map is kept
+    and the map's image is the subgroup's member tuple.  The map is kept
     once per subgroup and parent label, on the parent's table, so a repeat
-    call returns the same object; the subgroup's table is built with each
-    map and interned, so every label's map has one source table.
+    call returns the same object.  The subgroup's interned table is kept
+    there once per mask, so a map under another parent label reuses it.
     """
     G = S.parent
     key = S.mask, G.label
     f = G._t.embeddings.get(key)
     if f is None:
-        elems = tuple(S.elements())
-        back = {e: i for i, e in enumerate(elems)}
-        t = _intern(tuple(tuple(back[G.table[a][b]] for b in elems) for a in elems))
+        elems = S.members()
+        t = G._t.subtables.get(S.mask)
+        if t is None:
+            back = [0] * G.order  # parent id -> subgroup id, for the members
+            for i, e in enumerate(elems):
+                back[e] = i
+            # rows from lists: a tuple built from a generator starts at 10
+            # slots and is shrunk, so the rows `_intern` discards would
+            # collect in CPython's per-size tuple free lists, which that
+            # path never draws from
+            rows = []
+            for a in elems:
+                row = G.table[a]
+                rows.append(tuple([back[row[b]] for b in elems]))
+            t = G._t.subtables[S.mask] = _intern(tuple(rows))
         f = G._t.embeddings[key] = _trusted(Homomorphism, _group(t, f"{G.label}|{t.order}"), G, elems)
     return f
 

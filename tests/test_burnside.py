@@ -11,6 +11,7 @@ from bgroups.burnside import (
     BurnsideElement,
     IDEMPOTENT,
     TRANSITIVE,
+    _class_map,
     deflate,
     gluck_idempotent,
     identity_element,
@@ -37,6 +38,7 @@ from bgroups.groups import (
     GroupError,
     Homomorphism,
     Subgroup,
+    _trusted,
     alternating_4,
     dicyclic_3,
     dihedral_group,
@@ -58,10 +60,12 @@ from bgroups.subgroups import enumerate_subgroups, normal_subgroups
 from util import (
     DenseBurnside,
     brute_mark,
+    class_map_oracle,
     idempotent_corpus,
     inflate_oracle,
     moebius_oracle,
     restrict_oracle,
+    ring_pairs,
 )
 
 SMALL_GROUPS = [
@@ -694,6 +698,39 @@ def test_shifted_maps_are_kept_on_the_map_they_shift():
     assert second == inflate(transitive_basis_element(QK, qlat.class_rep(1)), _fresh(shift_hom(pi, K)))
     for g in (f, pi):
         assert g._shifted and g == _fresh(g) and hash(g) == hash(_fresh(g)) and repr(g) == repr(_fresh(g))
+
+
+def _ring_maps():
+    """For each of the 108 `ring` products G x K: the shifted projection
+    (G ->> G/N) x Id_K for each normal N of G, and the embedding of each
+    subgroup class representative of G x K, as the deflation check uses
+    them."""
+    for G, K in ring_pairs():
+        for N in normal_subgroups(G):
+            yield shift_hom(quotient(G, N)[1], K)
+        lat = enumerate_subgroups(direct_product(G, K).group)
+        for c in range(lat.n_classes()):
+            yield subgroup_embedding(lat.class_rep(c))
+
+
+def test_class_maps_and_image_tests_match_the_oracles_on_the_ring_products():
+    """On every shifted projection and embedding of the `ring` products,
+    the class map, filled from the kept member tuples, equals the
+    element-list oracle on every source class; and is_injective,
+    is_surjective and is_bijective equal direct counts of distinct images,
+    on the kept map read twice and on a fresh equal map."""
+    n_maps = 0
+    for f in _ring_maps():
+        n_maps += 1
+        classes = range(enumerate_subgroups(f.source).n_classes())
+        cmap = _class_map(f, classes)
+        assert [cmap[cx] for cx in classes] == [class_map_oracle(f, cx) for cx in classes]
+        n = len(set(f.image))
+        want = (n == f.source.order, n == f.target.order,
+                n == f.source.order == f.target.order)
+        for g in (f, f, _trusted(Homomorphism, f.source, f.target, f.image)):
+            assert (g.is_injective(), g.is_surjective(), g.is_bijective()) == want
+    assert n_maps == 3378
 
 
 def test_one_embedding_per_subgroup_and_parent_label():

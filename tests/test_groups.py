@@ -26,6 +26,7 @@ from bgroups.groups import (
     dicyclic_3,
     dihedral_group,
     direct_product,
+    elements_of,
     full_subgroup,
     group_from_permutations,
     image,
@@ -755,6 +756,88 @@ def test_derived_groups_and_embeddings_are_kept_per_table_and_label():
     assert W._t is S4._t and S4._t.groups["S4"] is S4
     assert W == S4 == B and hash(W) == hash(S4) == hash(B)
     assert repr(W) == repr(S4) == "Group(S4, order=24)" and repr(B) == "Group(B, order=24)"
+
+
+def test_a_relabelled_parent_reuses_the_subgroup_table(monkeypatch):
+    """The subgroup's interned table is kept once per mask on the parent's
+    table: an embedding under a second parent label builds and interns no
+    table, and gets a map of its own over the same source table."""
+    import bgroups.groups as groups
+
+    G = dihedral_group(6)
+    S = subgroup_generated(G, [2])
+    fa = subgroup_embedding(S)
+    assert G._t.subtables[S.mask] is fa.source._t
+    calls = []
+    intern = groups._intern
+    monkeypatch.setattr(groups, "_intern", lambda table: calls.append(table) or intern(table))
+    B = relabel(G, "B")
+    fb = subgroup_embedding(Subgroup(B, S.mask))
+    assert calls == [] and fb is not fa and fb == fa
+    assert fb.source._t is fa.source._t and fb.source.label == "B|6" and fb.target is B
+    assert G._t.embeddings[S.mask, "B"] is fb
+
+
+@pytest.mark.parametrize("G", [trivial_group(), make_cyclic(2), symmetric_group(3), dihedral_group(4)],
+                         ids=lambda G: G.label)
+def test_trivial_and_full_subgroups_embed(G):
+    """A one-element subgroup is the trivial group on ((0,),), and the full
+    subgroup is G's own table under the identity map."""
+    one = subgroup_embedding(trivial_subgroup(G))
+    assert one.image == (0,) and one.source.table == ((0,),) and one.source.order == 1
+    assert one.is_injective() and one.is_surjective() == (G.order == 1)
+    full = subgroup_embedding(full_subgroup(G))
+    assert full.image == tuple(range(G.order)) and full.source._t is G._t
+    assert full.is_bijective()
+
+
+def test_every_lattice_subgroup_keeps_its_members():
+    """On every lattice subgroup of the catalog, the kept member tuple is
+    the mask's set bits, ascending, and one object on each read."""
+    for G in groups_up_to_order(16):
+        for S in enumerate_subgroups(G).subgroups:
+            assert S.members() == tuple(elements_of(S.mask)) and S.members() is S.members()
+            assert S.elements() == list(S.members())
+
+
+def test_elements_is_a_new_list_each_call():
+    S = subgroup_generated(symmetric_group(4), [1, 2])
+    first = S.elements()
+    assert first is not S.elements() and first == S.elements()
+    first.append(99)
+    first[0] = 5
+    assert S.elements() == elements_of(S.mask) and S.members() == tuple(elements_of(S.mask))
+
+
+def test_kept_members_and_image_size_are_not_fields():
+    """What a subgroup or a map keeps outside its fields changes neither its
+    fields, nor ==, hash or repr, whether it was built checked or trusted,
+    and cannot be assigned from outside."""
+    assert Subgroup._fields == ("parent", "mask")
+    assert Homomorphism._fields == ("source", "target", "image")
+    S3 = symmetric_group(3)
+    A3 = subgroup_generated(S3, [3])
+    sign = quotient(S3, A3)[1]
+    builds = [
+        (lambda: Subgroup(S3, A3.mask), lambda S: S.members(), "Subgroup(order=3 of S3)"),
+        (lambda: _trusted(Subgroup, S3, A3.mask), lambda S: S.members(), "Subgroup(order=3 of S3)"),
+        (lambda: Homomorphism(S3, sign.target, sign.image), lambda f: f.is_surjective(), repr(sign)),
+        (lambda: _trusted(Homomorphism, S3, sign.target, sign.image), lambda f: f.is_injective(),
+         repr(sign)),
+    ]
+    for build, fill, text in builds:
+        value, other = build(), build()
+        fields, digest = value._key(value), hash(value)
+        fill(value)
+        assert value._key(value) == fields and hash(value) == digest == hash(other)
+        assert value == other and repr(value) == repr(other) == text
+    f = _trusted(Homomorphism, S3, sign.target, sign.image)
+    assert f._image_size is None and f.is_surjective() and f._image_size == 2
+    with pytest.raises(AttributeError):
+        f._image_size = 6
+    with pytest.raises(AttributeError):
+        A3._members = ()
+    assert f.is_surjective() and not f.is_injective() and A3.members() == (0, 3, 4)
 
 
 def test_a_second_pass_of_products_adds_no_group():

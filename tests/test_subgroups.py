@@ -33,7 +33,6 @@ from bgroups.groups import (
     semidirect_product,
     subgroup_generated,
     symmetric_group,
-    trivial_group,
     trivial_subgroup,
 )
 import bgroups.subgroups
@@ -52,6 +51,7 @@ from util import (
     cyclic_join_oracle,
     moebius_oracle,
     pairwise_closure,
+    ring_pairs,
 )
 
 ORACLE_GROUPS = [
@@ -209,11 +209,8 @@ def _lattice_corpus() -> list[Group]:
 
 
 def _ring_corpus() -> list[Group]:
-    """The 108 products G x K of the benchmark's `ring` workload: G in the
-    catalog, K in 1, C2, C4, and |G x K| <= 48."""
-    return [direct_product(G, K).group
-            for K in (trivial_group(), make_cyclic(2), make_cyclic(4))
-            for G in groups_up_to_order(16) if G.order * K.order <= 48]
+    """The 108 products G x K of the benchmark's `ring` workload."""
+    return [direct_product(G, K).group for G, K in ring_pairs()]
 
 
 # SHA-256 over each group's (masks, conj_class, class_reps, class_sizes), in

@@ -23,6 +23,7 @@ from bgroups.groups import (
     dicyclic_3,
     dihedral_group,
     direct_product,
+    elements_of,
     kernel,
     make_cyclic,
     mask_of,
@@ -31,6 +32,7 @@ from bgroups.groups import (
     quotient,
     subgroup_embedding,
     symmetric_group,
+    trivial_group,
 )
 from bgroups.catalog import groups_up_to_order
 from bgroups.ideals import ideal_eval
@@ -247,6 +249,23 @@ def components_oracle(rel) -> list[list[int]]:
                         stack.append(b)
             comps.append(sorted(comp))
     return comps
+
+
+def ring_pairs() -> list[tuple]:
+    """The 108 pairs (G, K) of the benchmark's `ring` workload: G in the
+    catalog, K in 1, C2, C4, and |G x K| <= 48, in the workload's order."""
+    return [(G, K) for K in (trivial_group(), make_cyclic(2), make_cyclic(4))
+            for G in groups_up_to_order(16) if G.order * K.order <= 48]
+
+
+def class_map_oracle(f, cx) -> int:
+    """The class of f(X) in f's target, X the representative of f's source
+    class cx: the images of X's element list, made a mask by `mask_of` and
+    looked up in the target's lattice.  It reads no member tuple kept on X
+    and no class map kept on f."""
+    X = enumerate_subgroups(f.source).class_rep(cx)
+    lat_t = enumerate_subgroups(f.target)
+    return lat_t.conj_class[lat_t.index_of[mask_of([f.image[a] for a in elements_of(X.mask)])]]
 
 
 def moebius_oracle(lat) -> dict[tuple[int, int], int]:
