@@ -96,11 +96,16 @@ class BurnsideElement:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The dense vector, one Fraction per subgroup class."""
+        """The dense vector, one Fraction per subgroup class; equal entries
+        are one object, built once per distinct numerator."""
         if self._coeffs is None:
             vec = [_ZERO] * self.lattice.n_classes()
+            made: dict[int, Fraction] = {}
             for c, n in self._nums.items():
-                vec[c] = Fraction(n, self.den)
+                f = made.get(n)
+                if f is None:
+                    f = made[n] = Fraction(n, self.den)
+                vec[c] = f
             _set(self, "_coeffs", tuple(vec))
         return self._coeffs
 
@@ -226,11 +231,11 @@ def marks_of(elem: BurnsideElement) -> tuple[Fraction, ...]:
 def to_idempotent_basis(elem: BurnsideElement) -> BurnsideElement:
     if elem.basis == IDEMPOTENT:
         return elem
-    cols = elem.lattice.mark_columns()
+    column = elem.lattice.mark_column
     # the mark at X sums n_Y marks[X][Y] over the Y in the support
     nums: dict[int, int] = {}
     for y, n in elem._nums.items():
-        xs, ms = cols[y]
+        xs, ms = column(y)
         for x, m in zip(xs, ms):
             nums[x] = nums.get(x, 0) + n * m
     return _element(elem.group, IDEMPOTENT, nums, elem.den)
@@ -239,7 +244,7 @@ def to_idempotent_basis(elem: BurnsideElement) -> BurnsideElement:
 def to_transitive_basis(elem: BurnsideElement) -> BurnsideElement:
     if elem.basis == TRANSITIVE:
         return elem
-    cols = elem.lattice.mark_columns()
+    column = elem.lattice.mark_column
     # classes are ordered by subgroup size, so the marks are triangular:
     # solve marks · u = elem from the top class down, each u[y] != 0 pushing
     # marks[x][y] u[y] onto the rows x < y.  u and the pushed sums are
@@ -249,11 +254,11 @@ def to_transitive_basis(elem: BurnsideElement) -> BurnsideElement:
     scale = 1
     out: dict[int, int] = {}
     pushed: dict[int, int] = {}
-    for x in range(len(cols) - 1, -1, -1):
+    for x in range(max(nums, default=-1), -1, -1):
         s = nums.get(x, 0) * scale - pushed.pop(x, 0)
         if not s:
             continue
-        xs, ms = cols[x]
+        xs, ms = column(x)
         d = ms[-1]  # marks[x][x]
         f = d // gcd(s, d)
         if f > 1:

@@ -23,8 +23,12 @@ and a, with closure checked on the coset representatives only (Dimino's
 algorithm, Butler 1991), and is G as soon as it outgrows |G|/p, p the least
 prime dividing |G|.  The normal subgroups are the classes of size one
 (`groups.is_normal` tests one subgroup without a lattice).  Marks come from
-containment counts (Pfeiffer 1997), with |N_G(Y)| read off the class size
-of Y, and are kept by column, nonzero entries only, each column packed as a
+containment counts (Pfeiffer 1997), one column per class y, built when a
+caller first reads it and kept: one pass over the down-set of Y's
+representative counts the conjugates X' of each class x inside Y, and
+counting the pairs (X' ~ X, Y' ~ Y, X' <= Y') two ways turns that into
+marks[x][y] = |G| · count_x / (|Y| · |class x|), with no walk over the
+conjugates of Y.  A column keeps its nonzero entries only, packed as a
 tuple of classes and a tuple of marks.  The idempotent and m-constant sums
 over X <= L walk the Moebius column of L, which keeps only the X with
 mu(X, L) != 0, and is P. Hall's closed form when |L| is a prime power.  The
@@ -59,13 +63,13 @@ class SubgroupLattice:
                  conj_class: list[int], class_reps: list[int], class_sizes: list[int]):
         self.parent = parent
         self.subgroups = subgroups  # sorted by (order, mask)
-        self.index_of = index_of  # mask -> position
+        self.index_of = index_of  # mask -> position, in lattice order
         self.conj_class = conj_class  # class id per subgroup
         self.class_reps = class_reps  # subgroup index of each class representative
         self.class_sizes = class_sizes  # number of subgroups in each class; 1: normal
         self._mu_columns: dict[int, dict[int, int]] = {}
         self._m_constants: dict[tuple[int, int], Fraction] = {}  # (L, N) masks
-        self._mark_columns: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
+        self._mark_columns: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._idempotents: dict = {}  # class -> e_L, filled by burnside
 
     def __len__(self) -> int:
@@ -145,41 +149,44 @@ class SubgroupLattice:
 
     # -- marks --------------------------------------------------------------
 
-    def mark_columns(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Per class y, the classes x with a nonzero marks[x][y], by
-        increasing x, and those marks: two tuples, whose last entries are y
-        and the diagonal marks[y][y].
+    def mark_column(self, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The classes x with a nonzero marks[x][y], by increasing x, and
+        those marks: two tuples, whose last entries are y and the diagonal
+        marks[y][y].  Built on first read and kept per class.
 
-        X fixes gY exactly when X <= gYg^-1, and each conjugate of Y is
-        gYg^-1 for |N_G(Y)|/|Y| cosets gY, so
-        marks[cX][cY] = |N_G(Y)|/|Y| · #{Y' ~ Y : X <= Y'}.
+        X fixes gY exactly when X <= gYg^-1.  Counting the pairs
+        (X' ~ X, Y' ~ Y) with X' <= Y' two ways, |class x| ·
+        #{Y' ~ Y : X <= Y'} = |class y| · count_x, where count_x is the
+        number of conjugates of X inside Y itself, so
+        marks[x][y] = |N_G(Y)|/|Y| · #{Y' ~ Y : X <= Y'}
+                    = |G| · count_x / (|Y| · |class x|),
+        an exact integer.  The counts come from one pass over Y's down-set:
+        the subgroups up to Y's representative in (order, mask).
         """
-        if self._mark_columns is None:
-            per_conjugate = [self.normalizer_order(r) // self.subgroups[r].order
-                             for r in self.class_reps]  # |N_G(Y)|/|Y|
-            masks = [S.mask for S in self.subgroups]
-            xs: list[list[int]] = [[] for _ in self.class_reps]
-            ms: list[list[int]] = [[] for _ in self.class_reps]
-            for x, r in enumerate(self.class_reps):
-                xm = masks[r]
-                count: dict[int, int] = {}
-                # a subgroup containing X comes at or after X in (order, mask)
-                for m, cy in zip(masks[r:], self.conj_class[r:]):
-                    if m & xm == xm:
-                        count[cy] = count.get(cy, 0) + 1
-                for cy, cnt in count.items():
-                    xs[cy].append(x)
-                    ms[cy].append(cnt * per_conjugate[cy])
-            self._mark_columns = [(tuple(x), tuple(m)) for x, m in zip(xs, ms)]
-        return self._mark_columns
+        col = self._mark_columns.get(y)
+        if col is None:
+            r = self.class_reps[y]
+            ym = self.subgroups[r].mask
+            count: dict[int, int] = {}
+            # index_of lists the masks in (order, mask); Y's subgroups come
+            # at or before Y
+            for m, cx in zip(self.index_of, self.conj_class[:r + 1]):
+                if m & ym == m:
+                    count[cx] = count.get(cx, 0) + 1
+            xs = tuple(sorted(count))
+            per = self.parent.order // ym.bit_count()  # |G:Y|
+            sizes = self.class_sizes
+            col = self._mark_columns[y] = (
+                xs, tuple(per * count[x] // sizes[x] for x in xs))
+        return col
 
     def marks(self) -> list[list[int]]:
         """marks[cX][cY] = number of fixed points of X on G/Y (class reps):
-        a new dense table, rendered from `mark_columns`."""
+        a new dense table, rendered column by column from `mark_column`."""
         n = len(self.class_reps)
         M = [[0] * n for _ in range(n)]
-        for y, (xs, ms) in enumerate(self.mark_columns()):
-            for x, m in zip(xs, ms):
+        for y in range(n):
+            for x, m in zip(*self.mark_column(y)):
                 M[x][y] = m
         return M
 

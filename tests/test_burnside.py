@@ -56,7 +56,7 @@ from bgroups.groups import (
     trivial_group,
     trivial_subgroup,
 )
-from bgroups.subgroups import enumerate_subgroups, normal_subgroups
+from bgroups.subgroups import _enumerate, enumerate_subgroups, normal_subgroups
 from util import (
     DenseBurnside,
     brute_mark,
@@ -168,12 +168,34 @@ def test_packed_mark_columns_match_brute_marks(G):
     lat = enumerate_subgroups(G)
     nc = lat.n_classes()
     M = lat.marks()
-    for y, (xs, ms) in enumerate(lat.mark_columns()):
+    for y in range(nc):
+        xs, ms = lat.mark_column(y)
         assert type(xs) is tuple and type(ms) is tuple and xs[-1] == y
         want = [brute_mark(lat, x, y) for x in range(nc)]
         assert [M[x][y] for x in range(nc)] == want
         assert marks_of(transitive_basis_element(G, lat.class_rep(y))) == tuple(map(Fraction, want))
         assert dict(zip(xs, ms)) == {x: m for x, m in enumerate(want) if m}
+
+
+def test_marks_of_an_idempotent_build_only_its_down_set(monkeypatch):
+    """On a fresh C2^5 lattice, the marks of e_L for |L| = 4 build exactly
+    the mark columns of the classes <= L, which are e_L's support, and
+    solving them back to the transitive basis builds no other column."""
+    G = trivial_group()
+    for _ in range(5):
+        G = direct_product(G, make_cyclic(2)).group
+    fours = [S for S in enumerate_subgroups(G).subgroups if S.order == 4]
+    for L in (fours[0], fours[-1]):
+        lat = _enumerate(G)
+        monkeypatch.setattr(G._t, "lattice", lat)
+        e = gluck_idempotent(G, L)
+        below = {lat.conj_class[i] for i, S in enumerate(lat.subgroups) if S.mask & L.mask == S.mask}
+        assert len(below) == 5 and lat._mark_columns == {}
+        marks = to_idempotent_basis(e)
+        assert marks.coeffs == tuple(Fraction(int(c == lat.class_of(L))) for c in range(lat.n_classes()))
+        assert set(lat._mark_columns) == below
+        assert to_transitive_basis(marks) == e
+        assert set(lat._mark_columns) == below
 
 
 def test_marks_of_identity_and_zero():
@@ -267,6 +289,37 @@ def test_sparse_arithmetic_matches_dense_oracle(case):
     else:
         assert to_t.coeffs == dense.to_transitive(a) and to_i.coeffs == a
     assert marks_of(x) == to_i.coeffs
+
+
+def _coeffs_are_shared_fractions(elem):
+    """elem.coeffs holds Fraction(n, den) for each term and 0 elsewhere,
+    and equal entries of the vector are one object."""
+    vec = elem.coeffs
+    assert len(vec) == elem.lattice.n_classes()
+    nums = dict(elem.terms)
+    one: dict[Fraction, Fraction] = {}
+    for c, f in enumerate(vec):
+        assert type(f) is Fraction and f == Fraction(nums.get(c, 0), elem.den)
+        assert one.setdefault(f, f) is f
+
+
+repeating = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3, 4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(CATALOG) - 1), st.sampled_from([TRANSITIVE, IDEMPOTENT]), st.data())
+def test_coeffs_build_one_fraction_per_numerator(i, basis, data):
+    """The dense vector of a checked element and of the elements derived
+    from it: products, basis changes, a scalar multiple."""
+    G = CATALOG[i]
+    nc = enumerate_subgroups(G).n_classes()
+    vec = data.draw(st.lists(repeating, min_size=nc, max_size=nc))
+    s = data.draw(small_rationals)
+    x = BurnsideElement(G, basis, vec)
+    assert x.coeffs == tuple(vec)
+    for elem in (x, to_idempotent_basis(x), to_transitive_basis(x), multiply(x, x),
+                 s * x, x + x):
+        _coeffs_are_shared_fractions(elem)
 
 
 @settings(max_examples=40, deadline=None)

@@ -382,10 +382,24 @@ def test_p_lattice_renders_a_count_over_4300_digits(monkeypatch, capsys):
     assert f"total-ideals: {digits}" in out.splitlines()
 
 
-def _limit_address_space():
-    import resource
+def _address_space_limit(mib: int):
+    """A preexec_fn that caps the child's address space at mib MiB."""
+    def limit():
+        import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (96 * 2**20, 96 * 2**20))
+        resource.setrlimit(resource.RLIMIT_AS, (mib * 2**20, mib * 2**20))
+    return limit
+
+
+C2_7_SPEC = (
+    "group C2 = cyclic 2\n"
+    "group E4 = product C2 C2\n"
+    "group E8 = product E4 C2\n"
+    "group E16 = product E8 C2\n"
+    "group E32 = product E16 C2\n"
+    "group E64 = product E32 C2\n"
+    "group E128 = product E64 C2\n"
+)
 
 
 def test_p_lattice_verifies_on_elementary_abelian_128(tmp_path):
@@ -394,19 +408,11 @@ def test_p_lattice_verifies_on_elementary_abelian_128(tmp_path):
     a time in a child limited to 96 MiB of address space: the check peaks
     near 60 MiB, and one poset over all classes would need about 121 MiB."""
     spec = tmp_path / "c2_7.bspec"
-    spec.write_text(
-        "group C2 = cyclic 2\n"
-        "group E4 = product C2 C2\n"
-        "group E8 = product E4 C2\n"
-        "group E16 = product E8 C2\n"
-        "group E32 = product E16 C2\n"
-        "group E64 = product E32 C2\n"
-        "group E128 = product E64 C2\n"
-    )
+    spec.write_text(C2_7_SPEC)
     proc = subprocess.run(
         [sys.executable, "-m", "bgroups.cli", "p-lattice", str(spec), "--k", "E128",
          "--p", "2"],
-        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
+        capture_output=True, text=True, timeout=300, preexec_fn=_address_space_limit(96),
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -415,6 +421,27 @@ def test_p_lattice_verifies_on_elementary_abelian_128(tmp_path):
     assert "nc-count: 29084" in lines
     assert f"total-ideals: {_decimal_digits(3**128 * 2**29084)}" in lines
     assert "verified: pass" in lines
+
+
+def test_idempotent_of_a_small_subgroup_of_elementary_abelian_128(tmp_path):
+    """C2^7 has 29,212 subgroup classes, but the marks of e_L for |L| = 4
+    read the columns of the five classes <= L only, each built from its
+    down-set on first read: about 1-2 s and a 43 MB peak on a shared 2-vCPU
+    box, run in a child limited to 64 MiB of address space (it needs
+    40-48 MiB) and 30 s.  Building every column by the all-pairs scan took
+    42 s and 119 MB, and fails under a 96 MiB limit."""
+    spec = tmp_path / "c2_7.bspec"
+    spec.write_text(C2_7_SPEC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgroups.cli", "idempotent", str(spec), "--group", "E128",
+         "--subgroup", "1,2"],
+        capture_output=True, text=True, timeout=30, preexec_fn=_address_space_limit(64),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "group: E128 order=128" in lines
+    assert "subgroup: 4<1,2>" in lines and "subgroup-classes: 29212" in lines
+    assert "check-marks-indicator: pass" in lines
 
 
 def test_p_lattice_check_bounds_the_poset_nodes(capsys):

@@ -341,6 +341,30 @@ def brute_mark(lat, cx, cy) -> int:
     return cnt // Y.order
 
 
+def mark_columns_oracle(lat) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Reference mark columns by an all-pairs containment scan (Pfeiffer
+    1997): for each class representative X, every subgroup at or after X
+    in (order, mask) that contains X counts towards its class y, and
+    marks[x][y] = |N_G(Y)|/|Y| · #{Y' ~ Y : X <= Y'}.  Per class y, the
+    classes x with a nonzero mark, by increasing x, and those marks; the
+    lattice's own mark code is not called."""
+    per_conjugate = [lat.normalizer_order(r) // lat.subgroups[r].order
+                     for r in lat.class_reps]  # |N_G(Y)|/|Y|
+    masks = [S.mask for S in lat.subgroups]
+    xs: list[list[int]] = [[] for _ in lat.class_reps]
+    ms: list[list[int]] = [[] for _ in lat.class_reps]
+    for x, r in enumerate(lat.class_reps):
+        xm = masks[r]
+        count: dict[int, int] = {}
+        for m, cy in zip(masks[r:], lat.conj_class[r:]):
+            if m & xm == xm:
+                count[cy] = count.get(cy, 0) + 1
+        for cy, cnt in count.items():
+            xs[cy].append(x)
+            ms[cy].append(cnt * per_conjugate[cy])
+    return [(tuple(x), tuple(m)) for x, m in zip(xs, ms)]
+
+
 class DenseBurnside:
     """Reference Burnside-ring arithmetic on dense Fraction vectors, one
     entry per subgroup class of lat.  The marks come from `brute_mark`, a
