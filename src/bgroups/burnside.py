@@ -200,11 +200,10 @@ def gluck_idempotent(G: Group, L: Subgroup) -> BurnsideElement:
     """Primitive idempotent e_L in the transitive basis:
     (1/|N_G(L)|) sum over X <= L of |X| mu(X, L) [G/X].
 
-    Built once per conjugacy class and kept on the lattice; the Moebius
-    column walked for it is not kept.  A call with G under another label
-    than the kept element's gets an equal element over G, which shares the
-    kept one's numerators and dense vector and is kept instead, so a repeat
-    call returns the same object."""
+    Built once per conjugacy class and kept on the lattice, over the
+    lattice's group, the table's own; the Moebius column walked for it is
+    not kept.  A repeat call, with G under any label, returns the same
+    object."""
     lat = enumerate_subgroups(G)
     li = lat.index(L)
     c = lat.conj_class[li]
@@ -214,11 +213,7 @@ def gluck_idempotent(G: Group, L: Subgroup) -> BurnsideElement:
         for j, mu in lat.moebius_column(li, keep=False).items():
             cj = lat.conj_class[j]
             totals[cj] = totals.get(cj, 0) + lat.subgroups[j].order * mu
-        e = lat._idempotents[c] = _element(G, TRANSITIVE, totals, lat.normalizer_order(li))
-    elif e.group.label != G.label:  # equal, under G's label, kept in its place
-        coeffs = e._coeffs
-        e = lat._idempotents[c] = _element(G, e.basis, e._nums, e.den)
-        _set(e, "_coeffs", coeffs)
+        e = lat._idempotents[c] = _element(lat.parent, TRANSITIVE, totals, lat.normalizer_order(li))
     return e
 
 
@@ -370,20 +365,17 @@ def transport(elem: BurnsideElement, iso: Homomorphism) -> BurnsideElement:
 def shift_hom(f: Homomorphism, K: Group) -> Homomorphism:
     """f x Id_K between the canonical direct products.
 
-    Kept on f once per table and label of K, so a repeat call returns the
-    same map and its class map fills once."""
+    Kept on f once per table of K, between the own groups of the two
+    product tables, so a repeat call under any label of K returns the same
+    map and its class map fills once."""
     if f._shifted is None:
         _set(f, "_shifted", {})
-    key = K._t, K.label
-    fs = f._shifted.get(key)
+    fs = f._shifted.get(K._t)
     if fs is None:
-        P = direct_product(f.source, K)
-        Pp = direct_product(f.target, K)
+        P, Pp = direct_product(f.source, K).group._t, direct_product(f.target, K).group._t
         m = K.order
-        image = tuple(
-            f.image[i // m] * m + (i % m) for i in range(P.group.order)
-        )
-        fs = f._shifted[key] = _trusted(Homomorphism, P.group, Pp.group, image)
+        image = tuple(f.image[i // m] * m + (i % m) for i in range(P.order))
+        fs = f._shifted[K._t] = _trusted(Homomorphism, P.group, Pp.group, image)
     return fs
 
 

@@ -10,8 +10,9 @@ Four subcommands over a group specification document:
 Common flags: --max-order N, --no-validate, --format {text,json},
 --check/--no-check, --out FILE.
 
-Exit codes: 0 success, 2 parse/validation error, 3 resource cap exceeded,
-4 mathematical precondition failed.
+Exit codes: 0 success, 2 parse/validation error or a spec or --out file
+that cannot be opened, 3 resource cap exceeded, 4 mathematical precondition
+failed.
 
 Reports are deterministic: the same document and flags produce byte-identical
 output.  Rationals are always rendered as "num/den".
@@ -365,8 +366,12 @@ def main(argv: list[str] | None = None) -> int:
     text = render_text(report) if args.format == "text" else render_json(report)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # an --out path that cannot be written ends like a bad spec path
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     return EXIT_OK
 
 

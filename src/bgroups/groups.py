@@ -5,11 +5,12 @@ distinct Cayley table is interned once, as a `_Table`, in one content-keyed
 map that holds it for the life of the process; nothing else hashes table
 contents.  A `Group` is a `_Table` under a label, so `==` and `hash` mean
 "same contents, labels ignored" without reading the table.  The `_Table`
-owns what is derived from the table alone: the subgroup lattice, generating
-sequence, element orders, over-K word plan, a transversal of G/Z(G), the
-derived groups on it (one per label), and memos of product and quotient
-tables, of subgroup tables (one per subgroup mask) and of subgroup
-inclusion maps (one per subgroup and parent label).
+owns what is derived from the table alone: its own group, labelled `T` and
+the order, to which every object the library keeps refers; the subgroup
+lattice, generating sequence, element orders, over-K word plan, a
+transversal of G/Z(G); memos of product and quotient tables and of
+inclusion maps (one per subgroup mask); and the labelled groups that the
+public constructors return, one per label.
 Homomorphisms, subgroups and products are immutable values (`_Value`): their
 fields are read-only, and `==`, `hash` and `repr` go by the fields.  What
 a value determines and keeps outside its fields takes no part in them:
@@ -97,16 +98,15 @@ def _trusted(cls, *fields):
 class _Table:
     """One distinct Cayley table with the data derived from it alone."""
 
-    __slots__ = ("order", "table", "inverse", "lattice", "gens", "orders", "word_plan",
-                 "transversal", "groups", "products", "subtables", "embeddings", "quotients")
+    __slots__ = ("order", "table", "inverse", "group", "lattice", "gens", "orders", "word_plan",
+                 "transversal", "groups", "products", "embeddings", "quotients")
 
     def __init__(self, table, inverse):
         self.order, self.table, self.inverse = len(table), table, inverse
-        self.lattice = self.gens = self.orders = self.word_plan = self.transversal = None
+        self.group = self.lattice = self.gens = self.orders = self.word_plan = self.transversal = None
         self.groups = {}  # label -> the Group on this table under it
         self.products = {}  # other factor's _Table -> (product _Table, maps)
-        self.subtables = {}  # subgroup mask -> the subgroup's own _Table
-        self.embeddings = {}  # (subgroup mask, parent label) -> inclusion map
+        self.embeddings = {}  # subgroup mask -> inclusion map
         self.quotients = {}  # normal subgroup mask -> (quotient _Table, cosets)
 
 
@@ -114,10 +114,12 @@ _TABLES: dict[tuple[tuple[int, ...], ...], _Table] = {}
 
 
 def _intern(table) -> _Table:
-    """The one `_Table` with these contents, made on first sight."""
+    """The one `_Table` with these contents, made on first sight together
+    with its own group, labelled `T` and the order."""
     t = _TABLES.get(table)
     if t is None:
         t = _TABLES[table] = _Table(table, tuple(row.index(0) for row in table))
+        t.group = _group(t, f"T{t.order}", object.__new__(Group))
     return t
 
 
@@ -209,9 +211,10 @@ class Group:
 
 def _group(t: _Table, label: str, G: Group | None = None) -> Group:
     """The Group on the table t under this label, built without a check:
-    the one kept in `t.groups`, made on first use, so every derived group
-    with this table and label is one object; or G, the checked
-    constructor's own object, filled in and not kept."""
+    the one kept in `t.groups`, made on first use, so every group a public
+    constructor derives with this table and label is one object; or G, a
+    new object filled in and not kept (the checked constructor's own, or
+    the table's own group)."""
     if G is None:
         G = t.groups.get(label)
         if G is not None:
@@ -229,7 +232,7 @@ class Homomorphism(_Value):
     this map's class map, from each source subgroup class to the class of
     its image, which `burnside._class_map` fills lazily for all five biset
     operations; `_shifted` the maps f x Id_K that `burnside.shift_hom`
-    built, by K's table and label; and `_image_size` the number of distinct
+    built, by K's table; and `_image_size` the number of distinct
     images, counted on the first injectivity or surjectivity test.  So they
     take no part in `==`, `hash` or `repr`."""
 
@@ -621,32 +624,29 @@ def subgroup_embedding(S: Subgroup) -> Homomorphism:
     """Subgroup as a standalone Group; returns the inclusion into the parent.
 
     Elements are relabelled in increasing parent-id order, so the identity
-    keeps id 0.  The standalone group is the source of the returned map,
-    and the map's image is the subgroup's member tuple.  The map is kept
-    once per subgroup and parent label, on the parent's table, so a repeat
-    call returns the same object.  The subgroup's interned table is kept
-    there once per mask, so a map under another parent label reuses it.
+    keeps id 0.  The map is kept once per subgroup mask on the parent's
+    table, so a repeat call, under any parent label, returns the same
+    object.  Its source and target are the own groups of the subgroup's
+    interned table and of the parent's, and its image is the subgroup's
+    member tuple.
     """
     G = S.parent
-    key = S.mask, G.label
-    f = G._t.embeddings.get(key)
+    f = G._t.embeddings.get(S.mask)
     if f is None:
         elems = S.members()
-        t = G._t.subtables.get(S.mask)
-        if t is None:
-            back = [0] * G.order  # parent id -> subgroup id, for the members
-            for i, e in enumerate(elems):
-                back[e] = i
-            # rows from lists: a tuple built from a generator starts at 10
-            # slots and is shrunk, so the rows `_intern` discards would
-            # collect in CPython's per-size tuple free lists, which that
-            # path never draws from
-            rows = []
-            for a in elems:
-                row = G.table[a]
-                rows.append(tuple([back[row[b]] for b in elems]))
-            t = G._t.subtables[S.mask] = _intern(tuple(rows))
-        f = G._t.embeddings[key] = _trusted(Homomorphism, _group(t, f"{G.label}|{t.order}"), G, elems)
+        back = [0] * G.order  # parent id -> subgroup id, for the members
+        for i, e in enumerate(elems):
+            back[e] = i
+        # rows from lists: a tuple built from a generator starts at 10
+        # slots and is shrunk, so the rows `_intern` discards would
+        # collect in CPython's per-size tuple free lists, which that
+        # path never draws from
+        rows = []
+        for a in elems:
+            row = G.table[a]
+            rows.append(tuple([back[row[b]] for b in elems]))
+        f = G._t.embeddings[S.mask] = _trusted(
+            Homomorphism, _intern(tuple(rows)).group, G._t.group, elems)
     return f
 
 

@@ -71,12 +71,14 @@ def trivial_over(K: Group) -> GroupOverK:
 
 
 def embedding_over(K: Group, H: Subgroup) -> GroupOverK:
-    """(H, j_H): a subgroup of K with its inclusion map.  H may come from the
-    lattice shared with a group equal to K; the labels come from K."""
+    """(H, j_H): a subgroup of K with its inclusion map into K itself.  H
+    may come from the lattice shared with a group equal to K; the label and
+    the target of j_H come from K."""
     if H.parent != K:
         raise GroupError("H must be a subgroup of K")
-    j = subgroup_embedding(_trusted(Subgroup, K, H.mask))
-    return GroupOverK(j.source, j, f"({j.source.label},incl)")
+    j = subgroup_embedding(H)
+    phi = _trusted(Homomorphism, j.source, K, j.image)
+    return GroupOverK(j.source, phi, f"({K.label}|{j.source.order},incl)")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ ignored.  Every name must be defined before use.
 `quotient` defines both the quotient group and the projection map.
 The constructions check their input; `validate=False` skips only the
 homomorphism law of `hom` maps, whose images are range-checked regardless.
+Every error met while parsing a line, an unknown name included, is raised
+as a `SpecError` that starts with the line number, added in one place.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .groups import (
 
 
 class SpecError(ValueError):
-    """Raised on any parse or validation failure, with a line number."""
+    """Raised on any parse or validation failure, with a line number when
+    the failure is on a line of the document."""
 
 
 class GroupSpecDocument:
@@ -59,43 +62,43 @@ class GroupSpecDocument:
         return self.homs[name]
 
 
-def _parse_cycles(text: str, n: int, lineno: int) -> tuple[int, ...]:
+def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
     """'(0 1 2)(3 4)' -> permutation of range(n) as an image tuple."""
     perm = list(range(n))
     body = text.strip()
     if not body.startswith("("):
-        raise SpecError(f"line {lineno}: expected cycle notation, got {text!r}")
+        raise SpecError(f"expected cycle notation, got {text!r}")
     depth = 0
     cycles: list[list[int]] = []
     cur: list[str] = []
     for ch in body:
         if ch == "(":
             if depth:
-                raise SpecError(f"line {lineno}: nested parenthesis in {text!r}")
+                raise SpecError(f"nested parenthesis in {text!r}")
             depth, cur = 1, []
         elif ch == ")":
             if not depth:
-                raise SpecError(f"line {lineno}: unbalanced parenthesis in {text!r}")
+                raise SpecError(f"unbalanced parenthesis in {text!r}")
             depth = 0
             cycles.append([int(tok) for tok in "".join(cur).split()])
         elif depth:
             cur.append(ch)
         elif not ch.isspace():
-            raise SpecError(f"line {lineno}: stray character {ch!r} in {text!r}")
+            raise SpecError(f"stray character {ch!r} in {text!r}")
     if depth:
-        raise SpecError(f"line {lineno}: unbalanced parenthesis in {text!r}")
+        raise SpecError(f"unbalanced parenthesis in {text!r}")
     for cyc in cycles:
         if any(not 0 <= p < n for p in cyc) or len(set(cyc)) != len(cyc):
-            raise SpecError(f"line {lineno}: bad cycle {cyc} on {n} points")
+            raise SpecError(f"bad cycle {cyc} on {n} points")
         for i, p in enumerate(cyc):
             perm[p] = cyc[(i + 1) % len(cyc)]
     return tuple(perm)
 
 
-def _parse_group_expr(doc: GroupSpecDocument, name: str, expr: str, lineno: int) -> Group:
+def _parse_group_expr(doc: GroupSpecDocument, name: str, expr: str) -> Group:
     toks = expr.split()
     if not toks:
-        raise SpecError(f"line {lineno}: empty group expression")
+        raise SpecError("empty group expression")
     kind = toks[0]
     try:
         if kind in ("cyclic", "symmetric", "dihedral"):
@@ -105,51 +108,47 @@ def _parse_group_expr(doc: GroupSpecDocument, name: str, expr: str, lineno: int)
             g = symmetric_group(n) if kind == "symmetric" else dihedral_group(n)
         elif kind == "product":
             if len(toks) < 3:
-                raise SpecError(f"line {lineno}: product needs two or more factors")
+                raise SpecError("product needs two or more factors")
             g = doc.group(toks[1])
             for factor in toks[2:]:
                 g = direct_product(g, doc.group(factor)).group
         elif kind == "semidirect":
             if len(toks) < 4 or toks[3] != "action":
-                raise SpecError(
-                    f"line {lineno}: expected 'semidirect N H action h:images ...'"
-                )
+                raise SpecError("expected 'semidirect N H action h:images ...'")
             N, H = doc.group(toks[1]), doc.group(toks[2])
             action: list[tuple[int, ...]] = [()] * H.order
             seen = set()
             for item in toks[4:]:
                 if ":" not in item:
-                    raise SpecError(f"line {lineno}: bad action item {item!r}")
+                    raise SpecError(f"bad action item {item!r}")
                 h_txt, imgs_txt = item.split(":", 1)
                 h = int(h_txt)
                 if not 0 <= h < H.order or h in seen:
-                    raise SpecError(f"line {lineno}: bad or repeated element {h}")
+                    raise SpecError(f"bad or repeated element {h}")
                 seen.add(h)
                 action[h] = tuple(int(v) for v in imgs_txt.split(","))
                 if len(action[h]) != N.order:
-                    raise SpecError(
-                        f"line {lineno}: action of {h} must list {N.order} images"
-                    )
+                    raise SpecError(f"action of {h} must list {N.order} images")
             if len(seen) != H.order:
-                raise SpecError(f"line {lineno}: action must cover every element of H")
+                raise SpecError("action must cover every element of H")
             g = semidirect_product(N, H, tuple(action))
         elif kind == "perm":
             npoints = int(toks[1])
             rest = expr.split(None, 2)[2]
             gens = [
-                _parse_cycles(part, npoints, lineno)
+                _parse_cycles(part, npoints)
                 for part in rest.split(",")
                 if part.strip()
             ]
             if not gens:
-                raise SpecError(f"line {lineno}: perm needs at least one generator")
+                raise SpecError("perm needs at least one generator")
             g = group_from_permutations(npoints, gens, label=name)
         else:
-            raise SpecError(f"line {lineno}: unknown construction {kind!r}")
+            raise SpecError(f"unknown construction {kind!r}")
     except (IndexError, ValueError) as exc:
         if isinstance(exc, SpecError):
             raise
-        raise SpecError(f"line {lineno}: malformed group expression {expr!r}") from exc
+        raise SpecError(f"malformed group expression {expr!r}") from exc
     return relabel(g, name)
 
 
@@ -171,26 +170,22 @@ def parse_spec(text: str, validate: bool = True) -> GroupSpecDocument:
         try:
             if toks[0] == "group":
                 if len(toks) < 4 or toks[2] != "=":
-                    raise SpecError(f"line {lineno}: expected 'group NAME = ...'")
+                    raise SpecError("expected 'group NAME = ...'")
                 name = toks[1]
                 if name in doc.groups:
-                    raise SpecError(f"line {lineno}: group {name!r} redefined")
-                doc.groups[name] = _parse_group_expr(
-                    doc, name, line.split("=", 1)[1].strip(), lineno
-                )
+                    raise SpecError(f"group {name!r} redefined")
+                doc.groups[name] = _parse_group_expr(doc, name, line.split("=", 1)[1].strip())
             elif toks[0] == "quotient":
                 # quotient QNAME HOMNAME = GNAME by e1 e2 ...
                 if len(toks) < 7 or toks[3] != "=" or toks[5] != "by":
-                    raise SpecError(
-                        f"line {lineno}: expected 'quotient Q PI = G by elems...'"
-                    )
+                    raise SpecError("expected 'quotient Q PI = G by elems...'")
                 qname, hname, gname = toks[1], toks[2], toks[4]
                 if qname in doc.groups or hname in doc.homs:
-                    raise SpecError(f"line {lineno}: name redefined")
+                    raise SpecError("name redefined")
                 G = doc.group(gname)
                 elems = [int(t) for t in toks[6:]]
                 if any(not 0 <= e < G.order for e in elems):
-                    raise SpecError(f"line {lineno}: element id out of range")
+                    raise SpecError("element id out of range")
                 Q, pi = quotient(G, _normal_closure(G, elems))
                 doc.groups[qname] = Q = relabel(Q, qname)
                 doc.homs[hname] = _trusted(Homomorphism, G, Q, pi.image)
@@ -198,27 +193,22 @@ def parse_spec(text: str, validate: bool = True) -> GroupSpecDocument:
                 # hom NAME = SRC -> DST images i0 i1 ...
                 if (len(toks) < 8 or toks[2] != "=" or toks[4] != "->"
                         or toks[6] != "images"):
-                    raise SpecError(
-                        f"line {lineno}: expected 'hom NAME = SRC -> DST images ...'"
-                    )
+                    raise SpecError("expected 'hom NAME = SRC -> DST images ...'")
                 name = toks[1]
                 if name in doc.homs:
-                    raise SpecError(f"line {lineno}: homomorphism {name!r} redefined")
+                    raise SpecError(f"homomorphism {name!r} redefined")
                 src, dst = doc.group(toks[3]), doc.group(toks[5])
                 img = tuple(int(t) for t in toks[7:])
                 if len(img) != src.order:
-                    raise SpecError(
-                        f"line {lineno}: expected {src.order} images, got {len(img)}"
-                    )
+                    raise SpecError(f"expected {src.order} images, got {len(img)}")
                 if any(not 0 <= v < dst.order for v in img):
-                    raise SpecError(f"line {lineno}: image element out of range")
+                    raise SpecError("image element out of range")
                 doc.homs[name] = (Homomorphism(src, dst, img) if validate
                                   else _trusted(Homomorphism, src, dst, img))
             else:
-                raise SpecError(f"line {lineno}: unknown directive {toks[0]!r}")
-        except ValueError as exc:
-            if isinstance(exc, SpecError):
-                raise
+                raise SpecError(f"unknown directive {toks[0]!r}")
+        except ValueError as exc:  # a SpecError, a GroupError, or a bad int
+            # one place adds the line number, also to an unknown name
             raise SpecError(f"line {lineno}: {exc}") from exc
     return doc
 

@@ -36,8 +36,9 @@ lattice keeps the m-constants and Glück's idempotent e_L per class (filled
 by `burnside.gluck_idempotent`); a column walked only for an idempotent is
 not kept.
 Enumeration takes no size limit and keeps one lattice per interned table,
-shared by equal groups; a caller that must bound the work (the CLI's
---max-order) checks the group order before asking for it.
+over the table's own group, shared by equal groups; a caller that must
+bound the work (the CLI's --max-order) checks the group order before
+asking for it.
 """
 
 from __future__ import annotations
@@ -259,11 +260,12 @@ def enumerate_subgroups(G: Group) -> SubgroupLattice:
       their representatives, and G as soon as the cosets outnumber
       |G|/(p·|h|), p the least prime dividing |G|.
     The classes are the orbits, numbered by first member in (order, mask).
-    Built once per interned table; the generators each extended subgroup
-    was closed from, and the masks, are dropped when the enumeration ends.
+    Built once per interned table, over its own group; the generators each
+    extended subgroup was closed from, and the masks, are dropped when the
+    enumeration ends.
     """
     if G._t.lattice is None:
-        G._t.lattice = _enumerate(G)
+        G._t.lattice = _enumerate(G._t.group)
     return G._t.lattice
 
 

@@ -38,6 +38,8 @@ from bgroups.groups import (
     GroupError,
     Homomorphism,
     Subgroup,
+    _TABLES,
+    _Table,
     _trusted,
     alternating_4,
     dicyclic_3,
@@ -135,8 +137,8 @@ def _normaliser_order(G, mask):
 def test_idempotent_memo_matches_moebius_oracle(G):
     """e_L = (1/|N_G(L)|) sum |X| mu(X, L) [G/X], with mu from the reference
     recursion, for a class representative and a conjugate of it; a repeat
-    call returns the kept element, and the table under another label gets an
-    equal element over the relabelled group."""
+    call returns the kept element, over the table's own group, and so does
+    a call with the table under another label."""
     lat = enumerate_subgroups(G)
     mu = moebius_oracle(lat)
     nc = lat.n_classes()
@@ -156,9 +158,8 @@ def test_idempotent_memo_matches_moebius_oracle(G):
         conjugates = [S for S, k in zip(lat.subgroups, lat.conj_class) if k == c and S != L]
         for S in conjugates[:1]:
             assert gluck_idempotent(G, S).coeffs == want
-        f = gluck_idempotent(H, Subgroup(H, L.mask))
-        assert f == e and f.coeffs == e.coeffs
-        assert f.group.label == H.label and e.group.label == G.label
+        assert gluck_idempotent(H, Subgroup(H, L.mask)) is e
+        assert e.group is lat.parent is G._t.group and e.group == G == H
 
 
 @pytest.mark.parametrize("G", SMALL_GROUPS, ids=lambda g: g.label)
@@ -665,10 +666,10 @@ def test_class_maps_on_a_map_never_leak(f, kind):
 @pytest.mark.parametrize("G", [make_cyclic(6), symmetric_group(3), dihedral_group(4), quaternion_group()],
                          ids=lambda g: g.label)
 def test_no_operation_changes_an_element_it_reads(G):
-    """Elements may share one dict of numerators (an idempotent under a
-    second label shares the kept one's), and the basis changes read it in
-    place, so no public operation may change the numerators or denominator
-    of an element it is given or has returned.  Every element below is
+    """Elements may share one dict of numerators (a kept idempotent is
+    returned to every caller, under every label of its group), and the
+    basis changes read it in place, so no public operation may change the
+    numerators or denominator of an element it is given or has returned.  Every element below is
     snapshot when it is first seen, results are fed back in, and every
     snapshot is compared at the end."""
     from bgroups.overk import isomorphisms
@@ -712,17 +713,17 @@ def test_no_operation_changes_an_element_it_reads(G):
     keep([transport(e, auto) for e in xs] + [shifted_transport(e, auto, K) for e in pxs])
     other = relabel(G, "other")
     shared = keep([gluck_idempotent(other, X) for X in reps])
-    assert all(e.group.label == "other" and e._nums is k._nums for e, k in zip(shared, xs))
+    assert all(e is k for e, k in zip(shared, xs))
     ring_round(ring_round(shared))
-    assert [gluck_idempotent(G, X) for X in reps] == xs[:len(reps)]
+    assert all(gluck_idempotent(G, X) is e for X, e in zip(reps, xs))
     for e, terms, den in seen:
         assert (e.terms, e.den) == (terms, den), e
 
 
 def test_shifted_maps_are_kept_on_the_map_they_shift():
-    """shift_hom keeps f x Id_K on f once per table and label of K: a repeat
-    call returns the same map, K under another label gets a map of its own
-    whose groups carry that label, a second shifted inflation along one map
+    """shift_hom keeps f x Id_K on f once per table of K: a repeat call,
+    with K under any label, returns the same map, whose groups are the own
+    groups of the product tables; a second shifted inflation along one map
     fills no new class-map entry, and none of it shows in ==, hash or
     repr."""
     G, K = symmetric_group(3), make_cyclic(2)
@@ -732,10 +733,10 @@ def test_shifted_maps_are_kept_on_the_map_they_shift():
     fk = shift_hom(f, K)
     assert shift_hom(f, K) is fk
     B = relabel(K, "B")
-    fb = shift_hom(f, B)
-    assert fb is not fk and fb == fk and shift_hom(f, B) is fb
-    assert (fb.source.label, fb.target.label) == (f"{f.source.label}xB", f"{G.label}xB")
-    assert (fk.source.label, fk.target.label) == (f"{f.source.label}xC2", f"{G.label}xC2")
+    assert shift_hom(f, B) is fk and f._shifted[K._t] is fk
+    assert fk.source is direct_product(f.source, B).group._t.group
+    assert fk.target is direct_product(G, B).group._t.group
+    assert (fk.source.label, fk.target.label) == ("T6", "T12")
     N = next(N for N in normal_subgroups(G) if N.order == 3)
     Q, pi = quotient(G, N)
     QK = direct_product(Q, K).group
@@ -786,18 +787,62 @@ def test_class_maps_and_image_tests_match_the_oracles_on_the_ring_products():
     assert n_maps == 3378
 
 
+def test_kept_objects_refer_to_each_table_own_group():
+    """After every shifted projection and class-representative embedding of
+    the `ring` products is built, with their idempotents and the shifts of
+    the embeddings of G's classes, under K's label and under another, every
+    interned table's kept objects are keyed by mask or table, not by label,
+    and refer to the table's own group: the lattice parent and each lattice
+    subgroup's, each kept idempotent's group, and the source and target of
+    each kept inclusion map and of each map shifted from it or from a
+    projection."""
+    shifted = []
+    for G, K in ring_pairs():
+        B = relabel(K, "B")
+        for N in normal_subgroups(G):
+            pi = quotient(G, N)[1]
+            assert shift_hom(pi, B) is shift_hom(pi, K) and list(pi._shifted) == [K._t]
+            shifted.append(pi)
+        glat = enumerate_subgroups(G)
+        for c in range(glat.n_classes()):
+            shift_hom(subgroup_embedding(glat.class_rep(c)), B)
+        GK = direct_product(G, K).group
+        lat = enumerate_subgroups(GK)
+        for c in range(lat.n_classes()):
+            subgroup_embedding(lat.class_rep(c))
+            gluck_idempotent(GK, lat.class_rep(c))
+    n_maps = 0
+    for t in list(_TABLES.values()):
+        own = t.group
+        assert own._t is t and own.label == f"T{t.order}"
+        if t.lattice is not None:
+            assert t.lattice.parent is own
+            assert all(S.parent is own for S in t.lattice.subgroups)
+            assert all(e.group is own for e in t.lattice._idempotents.values())
+        for mask, f in t.embeddings.items():
+            assert type(mask) is int and f.target is own and f.source is f.source._t.group
+            shifted.append(f)
+    for f in shifted:
+        for kt, fs in (f._shifted or {}).items():
+            n_maps += 1
+            assert type(kt) is _Table
+            assert fs.source is fs.source._t.group and fs.target is fs.target._t.group
+    assert n_maps >= 2 * 108
+
+
 def test_one_embedding_per_subgroup_and_parent_label():
-    """The map is kept per subgroup and parent label, on the parent's table:
-    each label gets a source under its own label over one interned table,
-    and a repeat call returns the same object."""
+    """The map is kept once per subgroup mask on the parent's table, for
+    every parent label: its source and target are the own groups of the
+    subgroup's and the parent's tables, and a repeat call under either
+    label returns the same object."""
     A, B = make_cyclic(6, "A"), make_cyclic(6, "B")
     S = Subgroup(A, 0b001001)
     fa, fb = subgroup_embedding(S), subgroup_embedding(Subgroup(B, S.mask))
-    assert fa.source.label == "A|2" and fb.source.label == "B|2"
-    assert fa.target.label == "A" and fb.target.label == "B"
-    assert fa == fb and fa.source._t is fb.source._t and fa.image == (0, 3)
-    assert A._t.embeddings[S.mask, "A"] is fa and A._t.embeddings[S.mask, "B"] is fb
-    assert subgroup_embedding(S) is fa and subgroup_embedding(Subgroup(B, S.mask)) is fb
+    assert fa is fb and fa.image == (0, 3)
+    assert fa.source is fa.source._t.group and fa.source.label == "T2"
+    assert fa.target is A._t.group and fa.target == A == B and fa.target.label == "T6"
+    assert A._t.embeddings[S.mask] is fa
+    assert subgroup_embedding(S) is fa and subgroup_embedding(Subgroup(B, S.mask)) is fa
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,51 @@ def test_golden_output_after_use_under_other_labels(fname, args, capsys):
     assert out == golden(fname)
 
 
+_RELABELLED_THEN_GOLDEN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from test_cli import GOLDEN_CASES, SPEC, _use_under_other_labels
+from bgroups.cli import main
+from bgroups.groups import Homomorphism, relabel
+from bgroups.ideals import minimal_groups, p_ideal_lattice, simple_dim
+from bgroups.overk import GroupOverK, is_bk_group
+from bgroups.specdoc import load_spec
+
+doc = load_spec(SPEC)
+_use_under_other_labels(doc)
+other = {name: relabel(G, "Other" + name) for name, G in doc.groups.items()}
+x = GroupOverK(other["L"], Homomorphism(other["L"], other["K"], doc.hom("phi").image), "OtherPair")
+assert is_bk_group(x)
+minimal_groups(x)
+for name in ("G1", "G2"):
+    simple_dim(x, other[name])
+p_ideal_lattice(other["C4"], 2, verify=True)
+runs = []
+for fname, args in GOLDEN_CASES:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    runs.append((fname, code, out.getvalue()))
+print(json.dumps(runs))
+"""
+
+
+def test_golden_output_in_a_process_that_used_every_spec_group_relabelled():
+    """A fresh process first runs the library paths of the five golden
+    commands with every spec group under another label: each class's
+    idempotent and embedding, beta_K, the minimal groups and simple
+    dimensions at G1 and G2, and the p = 2 lattice of C4 with its check.
+    The five commands it then runs through `main` print their golden files
+    byte for byte."""
+    proc = subprocess.run([sys.executable, "-c", _RELABELLED_THEN_GOLDEN, HERE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [fname for fname, _, _ in runs] == [fname for fname, _ in GOLDEN_CASES]
+    for fname, code, out in runs:
+        assert code == 0 and out == golden(fname), fname
+
+
 def test_class_labels_match_the_greedy_oracle():
     """The generator word of each class label is the greedy choice made with
     the brute-force closure, over every class of the catalog groups up to
@@ -246,6 +291,36 @@ def test_out_flag_writes_report(tmp_path, capsys):
     code, out = run_cli(GOLDEN_CASES[1][1] + ["--out", str(out_file)], capsys)
     assert code == 0
     assert out_file.read_text() == out
+
+
+def test_out_into_a_missing_directory_exits_2_without_a_traceback(tmp_path):
+    """An --out path that cannot be opened ends like an unreadable spec:
+    exit 2 and one error line naming the path, after the report."""
+    missing = str(tmp_path / "no-such-dir" / "x")
+    proc = subprocess.run([sys.executable, "-m", "bgroups.cli", "idempotent", SPEC, "--group", "L",
+                           "--subgroup", "full", "--out", missing], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert missing in proc.stderr
+    assert proc.stdout.startswith("report-version: 1\n")
+
+
+@pytest.mark.parametrize("line", [
+    "group A = product X C2",
+    "group A = semidirect C2 X action 0:0,1 1:0,1",
+    "hom f = C2 -> X images 0 0",
+    "quotient Q q = X by 1",
+])
+def test_unknown_name_in_a_spec_line_names_the_line(line):
+    """A name looked up while parsing a line is reported with that line's
+    number; a command-line name keeps the bare message."""
+    with pytest.raises(SpecError) as err:
+        parse_spec(f"group C2 = cyclic 2\n\n{line}\n")
+    assert str(err.value) == "line 3: unknown group 'X'"
+    with pytest.raises(SpecError) as err:
+        parse_spec("group C2 = cyclic 2").group("NOPE")
+    assert str(err.value) == "unknown group 'NOPE'"
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

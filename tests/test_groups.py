@@ -707,11 +707,16 @@ def test_op_minimality_by_enumeration():
 
 
 def test_cached_constructions_keep_their_labels():
-    C3 = make_cyclic(3)
-    assert direct_product(make_cyclic(2, "A"), C3).group.label == "AxC3"
-    assert direct_product(make_cyclic(2, "B"), C3).group.label == "BxC3"
-    assert subgroup_embedding(full_subgroup(make_cyclic(2, "A"))).source.label == "A|2"
-    assert subgroup_embedding(full_subgroup(make_cyclic(2, "B"))).source.label == "B|2"
+    """A constructed group keeps the label built from its factors' labels,
+    as one object per label; an inclusion map is one object for every
+    parent label, over the own groups of its tables."""
+    C3, A, B = make_cyclic(3), make_cyclic(2, "A"), make_cyclic(2, "B")
+    PA, PB = direct_product(A, C3).group, direct_product(B, C3).group
+    assert PA.label == "AxC3" and PB.label == "BxC3"
+    assert direct_product(A, C3).group is PA and direct_product(B, C3).group is PB
+    f = subgroup_embedding(full_subgroup(A))
+    assert subgroup_embedding(full_subgroup(B)) is f
+    assert f.source is f.target is A._t.group and f.source.label == "T2"
 
 
 def test_relabelled_constructions_share_their_tables():
@@ -737,9 +742,10 @@ def test_equal_tables_share_one_table_and_one_lattice():
 
 def test_derived_groups_and_embeddings_are_kept_per_table_and_label():
     """A derived group is the one object on its table under its label, and
-    an inclusion map the one object per subgroup and parent label; the
-    checked constructor builds its own group, and ==, hash and repr go by
-    the table and label as before."""
+    an inclusion map the one object per subgroup, for every parent label,
+    between the own groups of the two tables; the checked constructor
+    builds its own group, and ==, hash and repr go by the table and label
+    as before."""
     S4, C2 = symmetric_group(4), make_cyclic(2)
     N = next(N for N in normal_subgroups(S4) if N.order == 4)
     S = subgroup_generated(S4, [1])
@@ -749,8 +755,9 @@ def test_derived_groups_and_embeddings_are_kept_per_table_and_label():
     f = subgroup_embedding(S)
     assert subgroup_embedding(S) is f and subgroup_embedding(Subgroup(S4, S.mask)) is f
     assert f.image == tuple(S.elements()) and f.source._t is _TABLES[f.source.table]
-    assert f.source is subgroup_as_group(S) is relabel(f.source, "S4|2")
+    assert f.source is subgroup_as_group(S) is f.source._t.group and f.source.label == "T2"
     B = relabel(S4, "B")
+    assert subgroup_embedding(Subgroup(B, S.mask)) is f and f.target is S4._t.group
     W = Group(S4.order, S4.table, S4.inverse, "S4")
     assert W is not S4 and W is not Group(S4.order, S4.table, S4.inverse, "S4")
     assert W._t is S4._t and S4._t.groups["S4"] is S4
@@ -759,23 +766,24 @@ def test_derived_groups_and_embeddings_are_kept_per_table_and_label():
 
 
 def test_a_relabelled_parent_reuses_the_subgroup_table(monkeypatch):
-    """The subgroup's interned table is kept once per mask on the parent's
-    table: an embedding under a second parent label builds and interns no
-    table, and gets a map of its own over the same source table."""
+    """The inclusion map is kept once per mask on the parent's table: an
+    embedding under a second parent label builds and interns no table and
+    returns the kept map, whose groups are the own groups of the two
+    tables."""
     import bgroups.groups as groups
 
     G = dihedral_group(6)
     S = subgroup_generated(G, [2])
     fa = subgroup_embedding(S)
-    assert G._t.subtables[S.mask] is fa.source._t
-    calls = []
+    assert G._t.embeddings[S.mask] is fa
+    calls, n_tables = [], len(groups._TABLES)
     intern = groups._intern
     monkeypatch.setattr(groups, "_intern", lambda table: calls.append(table) or intern(table))
     B = relabel(G, "B")
     fb = subgroup_embedding(Subgroup(B, S.mask))
-    assert calls == [] and fb is not fa and fb == fa
-    assert fb.source._t is fa.source._t and fb.source.label == "B|6" and fb.target is B
-    assert G._t.embeddings[S.mask, "B"] is fb
+    assert calls == [] and len(groups._TABLES) == n_tables and fb is fa
+    assert fa.source is fa.source._t.group and fa.target is G._t.group
+    assert (fa.source.label, fa.target.label) == ("T6", "T12")
 
 
 @pytest.mark.parametrize("G", [trivial_group(), make_cyclic(2), symmetric_group(3), dihedral_group(4)],

@@ -544,14 +544,18 @@ def test_classify_klein_four_top_class_has_no_extension():
 
 
 def test_classify_labels_come_from_k():
-    # the lattice cache returns the lattice of the first equal group, "A"
-    enumerate_subgroups(make_cyclic(4, "A"))
-    out = classify_p_persistent_bk(make_cyclic(4, "B"), 2)
+    """The lattice kept on C4's table is over the table's own group, whatever
+    label asked first; the classification over C4 under the label B takes
+    its labels, and its phi's target, from that B."""
+    A, B = make_cyclic(4, "A"), make_cyclic(4, "B")
+    lat = enumerate_subgroups(A)
+    assert lat.parent is A._t.group and lat.parent.label == "T4"
+    out = classify_p_persistent_bk(B, 2)
     assert [x.label for x, _ in out] == [
         "(B|1,incl)", "Cp2x(B|1,incl)", "(B|2,incl)", "Cpx(B|2,incl)",
         "(B|4,incl)", "Cpx(B|4,incl)",
     ]
-    assert all(x.K.label == "B" for x, _ in out)
+    assert all(x.K is B and x.phi.target is B for x, _ in out)
 
 
 # every catalog K with |K| <= 8 and p in 2, 3 whose classified nodes all have
