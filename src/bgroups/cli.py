@@ -36,7 +36,6 @@ from .groups import (
     full_subgroup,
     greedy_generators,
     kernel,
-    subgroup_as_group,
     subgroup_generated,
     trivial_subgroup,
 )
@@ -256,7 +255,7 @@ def cmd_p_lattice(doc: GroupSpecDocument, args) -> Report:
     _check_orders(args, K.order)
     lat = enumerate_subgroups(K)
     reps = [lat.class_rep(c) for c in range(lat.n_classes())]
-    cases = [p_persistent_case(subgroup_as_group(H), p) for H in reps]
+    cases = [p_persistent_case(H, p) for H in reps]
     if args.check:  # the check enumerates every node's lattice: H, C_p x H, C_p^2 x H
         extra = {CASE_CP: p, CASE_CP2: p * p}
         _check_orders(args, *(H.order * extra.get(c, 1) for H, c in zip(reps, cases)))

@@ -19,7 +19,10 @@ first use); a `Homomorphism` keeps its number of distinct images, counted
 once for `is_injective`, `is_surjective` and `is_bijective`, the biset
 class maps of `burnside` and its shifted maps f x Id_K.
 
-Values are checked where they enter: a direct `Group(...)`,
+A construction from parameters (cyclic, cyclic extension, symmetric,
+product, semidirect, permutation closure) refuses a group over
+MAX_GROUP_ORDER before it builds the table.  Values are checked where they
+enter: a direct `Group(...)`,
 `Homomorphism(...)` or `Subgroup(...)` call checks its input in full.  Both
 laws are checked exactly on a generating sequence only: associativity by
 Light's test, and the homomorphism law by `_is_hom`.  One greedy walk,
@@ -48,6 +51,17 @@ class GroupError(ValueError):
 
 class ResourceLimit(GroupError):
     """Raised when a computation would pass one of its size limits."""
+
+
+MAX_GROUP_ORDER = 2048  # the largest group a construction builds a table for
+
+
+def _check_order(order: int, text: str | None = None) -> None:
+    """Refuse, before its table is built, a group of this order (written as
+    `text` when given) over MAX_GROUP_ORDER."""
+    if order > MAX_GROUP_ORDER:
+        raise ResourceLimit(
+            f"group order {text or order} exceeds construction limit {MAX_GROUP_ORDER}")
 
 
 _setattr = object.__setattr__  # past the read-only __setattr__ of a Group or a _Value
@@ -450,6 +464,7 @@ def relabel(G: Group, label: str) -> Group:
 def make_cyclic(n: int, label: str | None = None) -> Group:
     if n < 1:
         raise GroupError("cyclic group order must be >= 1")
+    _check_order(n)
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return _group(_intern(table), label or f"C{n}")
 
@@ -471,6 +486,7 @@ def direct_product(G: Group, H: Group) -> Product:
     """G x H with element id (a, b) -> a*|H| + b."""
     n, m = G.order, H.order
     if H._t not in G._t.products:  # the table and maps, once per pair of tables
+        _check_order(n * m)
         table = tuple(
             tuple(G.table[a1][a2] * m + H.table[b1][b2] for a2 in range(n) for b2 in range(m))
             for a1 in range(n)
@@ -498,6 +514,7 @@ def semidirect_product(N: Group, H: Group, action) -> Group:
     """N semidirect H; action[h] is a permutation of N's elements, and
     h -> action[h] must be a homomorphism H -> Aut(N)."""
     n, m = N.order, H.order
+    _check_order(n * m)
     action = tuple(tuple(a) for a in action)
     if len(action) != m:
         raise GroupError("action must assign an automorphism to each element of H")
@@ -595,17 +612,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def o_p_subgroup(G: Group, p: int) -> Subgroup:
-    """Smallest normal subgroup with p-group quotient: closure of p'-elements."""
+def o_p_subgroup(S: Subgroup, p: int) -> Subgroup:
+    """O^p(S), the smallest normal subgroup of S with p-group quotient, as a
+    subgroup of S's parent: the closure of S's p'-elements."""
     if not _is_prime(p):
         raise GroupError("p must be prime")
-    seeds = [a for a, o in enumerate(G.element_orders()) if o % p != 0]
-    return subgroup_generated(G, seeds)
-
-
-def p_residual_quotient(G: Group, p: int) -> tuple[Group, Homomorphism]:
-    """The quotient G/O^p(G), a p-group, with its projection."""
-    return quotient(G, o_p_subgroup(G, p))
+    orders = S.parent.element_orders()
+    return subgroup_generated(S.parent, [a for a in elements_of(S.mask) if orders[a] % p])
 
 
 def inner_automorphisms(K: Group) -> list[Homomorphism]:
@@ -650,10 +663,6 @@ def subgroup_embedding(S: Subgroup) -> Homomorphism:
     return f
 
 
-def subgroup_as_group(S: Subgroup) -> Group:
-    return subgroup_embedding(S).source
-
-
 # ---------------------------------------------------------------------------
 # named groups used throughout the test corpus and the CLI
 
@@ -664,6 +673,10 @@ def symmetric_group(n: int) -> Group:
     order."""
     if n < 0:
         raise GroupError("S_n needs n >= 0")
+    order = 1
+    for k in range(2, n + 1):  # stops at the first k! past the limit
+        order *= k
+        _check_order(order, f"{n}!")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = tuple(
@@ -687,6 +700,7 @@ def cyclic_extension(n: int, t: int, r: int, label: str | None = None) -> Group:
     """
     if n < 1 or (r * r - 1) % n != 0 or (t * (r - 1)) % n != 0:
         raise GroupError("parameters do not define a group")
+    _check_order(2 * n)
     r %= n
     t %= n
 
@@ -754,6 +768,7 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
+                    _check_order(len(seen), f"at least {len(seen)}")
         nxt.sort()
         elems.extend(nxt)
         frontier = nxt

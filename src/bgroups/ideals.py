@@ -27,7 +27,6 @@ from .groups import (
     kernel,
     mask_of,
     quotient,
-    subgroup_as_group,
 )
 from .overk import (
     GroupOverK,
@@ -225,7 +224,7 @@ def p_ideal_lattice(K: Group, p: int, verify: bool = True) -> IdealLatticeDescri
     for ci in range(lat.n_classes()):
         H = lat.class_rep(ci)
         label = f"ord{H.order}#{ci}"
-        case = p_persistent_case(subgroup_as_group(H), p)
+        case = p_persistent_case(H, p)
         if case is not None:  # H^[p] cyclic
             c += 1
             components.append((label, "chain2"))

@@ -32,13 +32,12 @@ from .groups import (
     conjugate_mask,
     direct_product,
     elements_of,
+    full_subgroup,
     kernel,
     make_cyclic,
     mask_of,
     o_p_subgroup,
-    p_residual_quotient,
     quotient,
-    subgroup_as_group,
     subgroup_embedding,
     trivial_group,
 )
@@ -303,7 +302,7 @@ def beta_k(x: GroupOverK) -> GroupOverK:
 
 def is_p_persistent(x: GroupOverK, p: int) -> bool:
     """m_{L, O^p(L) n Ker phi} != 0."""
-    O = o_p_subgroup(x.L, p)
+    O = o_p_subgroup(full_subgroup(x.L), p)
     ker = kernel(x.phi)
     return m_const(x.L, _trusted(Subgroup, x.L, O.mask & ker.mask)) != 0
 
@@ -313,13 +312,23 @@ CASE_CP = "cp_extension"
 CASE_CP2 = "cp2_extension"
 
 
-def p_persistent_case(H: Group, p: int) -> str | None:
+def p_persistent_case(H: Subgroup, p: int) -> str | None:
     """The case that H^[p] = H/O^p(H) adds to (H, j_H): CASE_CP2 when H^[p]
-    is trivial, CASE_CP when it is cyclic and nontrivial, None otherwise."""
-    Hp, _ = p_residual_quotient(H, p)
-    if Hp.order == 1:
+    is trivial, CASE_CP when it is cyclic and nontrivial, None otherwise.
+    Read off the masks of H and O = O^p(H) in H's parent, with no table for
+    H: H^[p] is trivial when O = H, and cyclic when some coset hO has order
+    |H:O|, that is when h first lands in O at that power."""
+    O = o_p_subgroup(H, p).mask
+    if O == H.mask:
         return CASE_CP2
-    return CASE_CP if Hp.is_cyclic() else None
+    t, index = H.parent.table, H.order // O.bit_count()
+    for h in elements_of(H.mask & ~O):
+        x, k = h, 1
+        while not (O >> x) & 1:
+            x, k = t[x][h], k + 1
+        if k == index:
+            return CASE_CP
+    return None
 
 
 def p_persistent_nodes(K: Group, H: Subgroup, p: int, case: str | None) -> list[tuple[GroupOverK, str]]:
@@ -343,7 +352,7 @@ def classify_p_persistent_bk(K: Group, p: int) -> list[tuple[GroupOverK, str]]:
     out: list[tuple[GroupOverK, str]] = []
     for c in range(lat.n_classes()):
         H = lat.class_rep(c)
-        out.extend(p_persistent_nodes(K, H, p, p_persistent_case(subgroup_as_group(H), p)))
+        out.extend(p_persistent_nodes(K, H, p, p_persistent_case(H, p)))
     return out
 
 

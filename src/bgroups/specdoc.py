@@ -16,17 +16,22 @@ ignored.  Every name must be defined before use.
 `semidirect N H action ...` lists, for every element h of H in id order,
 `h:` followed by the images of all elements of N under the action of h.
 `quotient` defines both the quotient group and the projection map.
-The constructions check their input; `validate=False` skips only the
-homomorphism law of `hom` maps, whose images are range-checked regardless.
-Every error met while parsing a line, an unknown name included, is raised
-as a `SpecError` that starts with the line number, added in one place.
+The constructions check their input, and refuse a group over
+`groups.MAX_GROUP_ORDER` before building it, whether or not a command
+uses it; `validate=False` skips only the homomorphism law of `hom` maps,
+whose images are range-checked regardless.  Every error met while parsing
+a line, an unknown name included, is raised as a `SpecError` that starts
+with the line number, added in one place, except a group past the order
+limit, which stays a `ResourceLimit` with the same prefix.
 """
 
 from __future__ import annotations
 
 from .groups import (
     Group,
+    GroupError,
     Homomorphism,
+    ResourceLimit,
     _trusted,
     dihedral_group,
     direct_product,
@@ -146,7 +151,7 @@ def _parse_group_expr(doc: GroupSpecDocument, name: str, expr: str) -> Group:
         else:
             raise SpecError(f"unknown construction {kind!r}")
     except (IndexError, ValueError) as exc:
-        if isinstance(exc, SpecError):
+        if isinstance(exc, (SpecError, GroupError)):  # a construction's own reason
             raise
         raise SpecError(f"malformed group expression {expr!r}") from exc
     return relabel(g, name)
@@ -208,8 +213,10 @@ def parse_spec(text: str, validate: bool = True) -> GroupSpecDocument:
             else:
                 raise SpecError(f"unknown directive {toks[0]!r}")
         except ValueError as exc:  # a SpecError, a GroupError, or a bad int
-            # one place adds the line number, also to an unknown name
-            raise SpecError(f"line {lineno}: {exc}") from exc
+            # one place adds the line number, also to an unknown name; a
+            # construction past its order limit stays a ResourceLimit
+            error = ResourceLimit if isinstance(exc, ResourceLimit) else SpecError
+            raise error(f"line {lineno}: {exc}") from exc
     return doc
 
 

@@ -3,6 +3,8 @@ where its own oracles are too slow.  Nothing here imports from `bgroups`:
 each form takes plain integers and subgroup bit masks, so it shares no
 code with what it checks."""
 
+from fractions import Fraction
+
 
 def abelian_mark(order: int, x_mask: int, y_mask: int) -> int:
     """The mark of X on G/Y, G abelian of the given order: for x in X,
@@ -16,3 +18,28 @@ def abelian_mark_column(order: int, masks: list[int], y: int) -> dict[int, int]:
     given order, whose subgroups, each its own class, are `masks`."""
     marks = {x: abelian_mark(order, m, masks[y]) for x, m in enumerate(masks)}
     return {x: m for x, m in marks.items() if m}
+
+
+def gaussian_binomial(n: int, k: int, p: int) -> int:
+    """[n k]_p, the number of k-dimensional subspaces of GF(p)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def elementary_abelian_subgroup_count(p: int, n: int) -> int:
+    """The number of subgroups of C_p^n, the subspaces of GF(p)^n of every
+    dimension: sum_k [n k]_p."""
+    return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+
+
+def elementary_abelian_m_constant(p: int, n: int, d: int) -> Fraction:
+    """m_{E,N} for N of rank d in E = C_p^n: prod_{i<d} (1 - p^(n-d-1+i)).
+    The exponent is negative only at d = n, i = 0, where the factor is
+    1 - 1/p; for d = n >= 2 the i = 1 factor is 0."""
+    m = Fraction(1)
+    for i in range(d):
+        m *= 1 - Fraction(p) ** (n - d - 1 + i)
+    return m

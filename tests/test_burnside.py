@@ -51,7 +51,6 @@ from bgroups.groups import (
     quaternion_group,
     quotient,
     relabel,
-    subgroup_as_group,
     subgroup_embedding,
     subgroup_generated,
     symmetric_group,
@@ -68,6 +67,7 @@ from util import (
     moebius_oracle,
     restrict_oracle,
     ring_pairs,
+    subgroup_as_group,
 )
 
 SMALL_GROUPS = [

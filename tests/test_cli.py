@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from bgroups.burnside import gluck_idempotent
 from bgroups.catalog import groups_up_to_order
 from bgroups.cli import class_label, main, read_report, render_text
 from bgroups.groups import (
+    MAX_GROUP_ORDER,
     Group,
     GroupError,
     Homomorphism,
@@ -336,15 +338,79 @@ def test_exit_code_dihedral_order_below_one(tmp_path, capsys, n):
     bad = tmp_path / "bad.bspec"
     bad.write_text(f"group D = dihedral {n}\n")
     assert main(["idempotent", str(bad), "--group", "D", "--subgroup", "full"]) == 2
-    assert "malformed group expression" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: line 1: parameters do not define a group\n"
 
 
-@pytest.mark.parametrize("expr", ["symmetric -3", "symmetric -1", "perm -1 ()", "perm -2 (), ()"])
-def test_exit_code_negative_degree(tmp_path, capsys, expr):
+@pytest.mark.parametrize("expr, reason", [
+    ("symmetric -3", "S_n needs n >= 0"),
+    ("symmetric -1", "S_n needs n >= 0"),
+    ("perm -1 ()", "a permutation group needs n >= 0 points"),
+    ("perm -2 (), ()", "a permutation group needs n >= 0 points"),
+], ids=["symmetric -3", "symmetric -1", "perm -1 ()", "perm -2 (), ()"])
+def test_exit_code_negative_degree(tmp_path, capsys, expr, reason):
     bad = tmp_path / "bad.bspec"
     bad.write_text(f"group A = {expr}\n")
     assert main(["idempotent", str(bad), "--group", "A", "--subgroup", "full"]) == 2
-    assert "malformed group expression" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: line 1: {reason}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("group C2 = cyclic 2\ngroup C3 = cyclic 3\n"
+     "group X = semidirect C3 C2 action 0:0,1,2 1:0,1,1\n",
+     "line 3: action image is not a permutation"),
+    ("group Y = cyclic 0\n", "line 1: cyclic group order must be >= 1"),
+], ids=["semidirect", "cyclic"])
+def test_spec_error_keeps_the_construction_reason(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.bspec"
+    bad.write_text(text)
+    assert main(["idempotent", str(bad), "--group", "X", "--subgroup", "full"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("expr, order", [
+    ("cyclic 99999999999", "99999999999"),
+    ("symmetric 9", "9!"),
+    ("symmetric 99999999999", "99999999999!"),
+    ("symmetric 7", "7!"),
+    ("product C64 C64", "4096"),
+], ids=["cyclic", "symmetric 9", "symmetric huge", "symmetric 7", "product"])
+def test_spec_group_past_the_construction_limit_exits_3(tmp_path, capsys, expr, order):
+    """Every spec group obeys MAX_GROUP_ORDER, checked before its table is
+    built, even one that the command does not use; the error keeps its
+    line number and exits 3."""
+    spec = tmp_path / "big.bspec"
+    spec.write_text(f"group C2 = cyclic 2\ngroup C64 = cyclic 64\ngroup A = {expr}\n")
+    start = time.perf_counter()
+    assert main(["idempotent", str(spec), "--group", "C2", "--subgroup", "full"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: line 3: group order {order} exceeds construction limit {MAX_GROUP_ORDER}\n")
+
+
+def test_spec_groups_within_the_construction_limit_load(tmp_path, capsys):
+    """S6 (order 720) loads though no command uses it, and the benchmark's
+    cyclic 150 runs under --max-order 200."""
+    spec = tmp_path / "ok.bspec"
+    spec.write_text("group C2 = cyclic 2\ngroup S6 = symmetric 6\ngroup C150 = cyclic 150\n")
+    assert main(["idempotent", str(spec), "--group", "C2", "--subgroup", "full"]) == 0
+    assert main(["idempotent", str(spec), "--group", "C150", "--subgroup", "full",
+                 "--max-order", "200"]) == 0
+    assert "check-marks-indicator: pass" in capsys.readouterr().out
+
+
+def test_spec_group_past_the_limit_exits_3_in_a_small_child(tmp_path):
+    """In a fresh process limited to 256 MiB, the two spec lines that used to
+    end in a MemoryError or run on exit 3 naming the limit."""
+    spec = tmp_path / "big.bspec"
+    for expr in ("cyclic 99999999999", "symmetric 9"):
+        spec.write_text(f"group A = {expr}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bgroups.cli", "idempotent", str(spec), "--group", "A",
+             "--subgroup", "full"],
+            capture_output=True, text=True, timeout=30, preexec_fn=_address_space_limit(256),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert f"exceeds construction limit {MAX_GROUP_ORDER}" in proc.stderr
 
 
 @pytest.mark.parametrize("expr", ["cyclic 4 5", "symmetric 3 x", "dihedral 4 7"])

@@ -1,6 +1,7 @@
 """Core group constructions: Cayley tables, homomorphisms, products,
 quotients, residual subgroups."""
 
+import re
 from math import gcd, isqrt
 
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, strategies as st
 
 from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
+    MAX_GROUP_ORDER,
     Group,
     GroupError,
     Homomorphism,
     Product,
+    ResourceLimit,
     Subgroup,
     _MR_BOUND,
     _TABLES,
@@ -36,12 +39,10 @@ from bgroups.groups import (
     make_cyclic,
     mask_of,
     o_p_subgroup,
-    p_residual_quotient,
     quaternion_group,
     quotient,
     relabel,
     semidirect_product,
-    subgroup_as_group,
     subgroup_embedding,
     subgroup_generated,
     symmetric_group,
@@ -56,7 +57,9 @@ from util import (
     is_action,
     is_group_table,
     is_homomorphism,
+    p_residual_quotient,
     pairwise_closure,
+    subgroup_as_group,
 )
 
 
@@ -149,6 +152,26 @@ def test_malformed_homomorphism_rejected(image):
 )
 def test_negative_degree_rejected(build):
     with pytest.raises(GroupError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [(lambda: make_cyclic(MAX_GROUP_ORDER + 1), MAX_GROUP_ORDER + 1),
+     (lambda: dihedral_group(MAX_GROUP_ORDER), 2 * MAX_GROUP_ORDER),
+     (lambda: symmetric_group(10**12), "1000000000000!"),
+     (lambda: direct_product(make_cyclic(64), make_cyclic(33)).group, 64 * 33),
+     (lambda: semidirect_product(make_cyclic(64), make_cyclic(64), ()), 64 * 64),
+     (lambda: group_from_permutations(7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]),
+      f"at least {MAX_GROUP_ORDER + 1}")],
+    ids=["cyclic", "dihedral", "symmetric", "product", "semidirect", "perm"],
+)
+def test_constructions_refuse_an_order_past_the_limit(build, order):
+    """Each construction checks the order of its result against the one
+    limit before it builds a table; a permutation closure stops as soon as
+    it passes the limit."""
+    with pytest.raises(ResourceLimit, match=f"^group order {re.escape(str(order))} exceeds "
+                                            f"construction limit {MAX_GROUP_ORDER}$"):
         build()
 
 
@@ -641,17 +664,28 @@ def test_image_of_projection_is_full():
 
 
 def test_o2_of_c4_trivial():
-    assert o_p_subgroup(make_cyclic(4), 2).is_trivial()
+    assert o_p_subgroup(full_subgroup(make_cyclic(4)), 2).is_trivial()
 
 
 def test_o2_of_s3_is_c3():
     S3 = symmetric_group(3)
-    O = o_p_subgroup(S3, 2)
+    O = o_p_subgroup(full_subgroup(S3), 2)
     assert O.order == 3
 
 
 def test_o3_of_s3_is_s3():
-    assert o_p_subgroup(symmetric_group(3), 3).is_full()
+    assert o_p_subgroup(full_subgroup(symmetric_group(3)), 3).is_full()
+
+
+def test_op_of_a_subgroup_is_op_of_its_own_group():
+    """O^p of a subgroup H, taken in the parent, is the image under H's
+    inclusion of O^p of H as a group on its own table."""
+    G = direct_product(symmetric_group(4), make_cyclic(2)).group
+    for H in enumerate_subgroups(G).subgroups:
+        f = subgroup_embedding(H)
+        for p in (2, 3):
+            O = o_p_subgroup(full_subgroup(f.source), p)
+            assert o_p_subgroup(H, p).mask == mask_of(f.image[a] for a in O.elements())
 
 
 def test_p_residual_quotients():
@@ -665,7 +699,7 @@ def test_p_residual_quotients():
 
 def test_op_requires_prime():
     with pytest.raises(GroupError):
-        o_p_subgroup(make_cyclic(6), 4)
+        o_p_subgroup(full_subgroup(make_cyclic(6)), 4)
 
 
 def test_is_prime_agrees_with_trial_division():
@@ -692,7 +726,7 @@ def test_op_minimality_by_enumeration():
     for G in (make_cyclic(12), symmetric_group(3), symmetric_group(4),
               alternating_4(), dihedral_group(6)):
         for p in (2, 3):
-            O = o_p_subgroup(G, p)
+            O = o_p_subgroup(full_subgroup(G), p)
             assert is_normal(O)
             idx = G.order // O.order
             while idx % p == 0:

@@ -9,11 +9,11 @@ import bgroups.ideals as ideals
 from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
     Homomorphism,
+    dihedral_group,
     direct_product,
     kernel,
     make_cyclic,
     quotient,
-    subgroup_as_group,
     subgroup_generated,
     symmetric_group,
     trivial_group,
@@ -47,6 +47,7 @@ from util import (
     isomorphisms_oracle,
     klein_four,
     quotient_over_k_oracle,
+    subgroup_as_group,
 )
 
 
@@ -340,6 +341,19 @@ def test_p_ideal_lattice_verifies_on_the_catalog(K, p):
     (|K| <= 16), at p = 2 and at p = 3 when 3 divides |K|."""
     assert len(_CENSUS) == 53
     assert p_ideal_lattice(K, p, verify=True).verified
+
+
+def test_p_ideal_lattice_census_builds_no_subgroup_table():
+    """Without the check, the census reads each class's case off its mask in
+    K: no subgroup of K gets a Cayley table or an inclusion map of its
+    own."""
+    K = direct_product(make_cyclic(5), dihedral_group(5)).group
+    lat = enumerate_subgroups(K)
+    before = dict(K._t.embeddings)
+    assert any(lat.class_rep(c).mask not in before for c in range(lat.n_classes()))
+    for p in (2, 5):
+        p_ideal_lattice(K, p, verify=False)
+        assert K._t.embeddings == before
 
 
 def test_p_ideal_lattice_check_fails_without_the_quotient_relation(monkeypatch):

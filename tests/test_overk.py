@@ -47,6 +47,7 @@ from bgroups.overk import (
     is_p_persistent,
     is_quotient_over_k,
     isomorphisms,
+    p_persistent_case,
     quotient_over_k,
 )
 from bgroups.subgroups import enumerate_subgroups, m_constant, normal_subgroups
@@ -61,6 +62,7 @@ from util import (
     over_k_class_oracle,
     p_graph_subgroup,
     p_persistent_bk_search,
+    p_persistent_case_oracle,
     quotients_over_k_oracle,
 )
 
@@ -512,6 +514,22 @@ def test_embeddings_always_persistent():
 # classification of p-persistent B_K-groups
 
 
+_CASE_GROUPS = groups_up_to_order(16) + [
+    symmetric_group(4), symmetric_group(5),
+    direct_product(symmetric_group(4), make_cyclic(4)).group,
+]
+
+
+@pytest.mark.parametrize("G", _CASE_GROUPS, ids=lambda g: f"{g.label}-{g.order}")
+def test_p_persistent_case_matches_the_quotient_oracle(G):
+    """The case read off H's mask in G is the one that the quotient group
+    H/O^p(H), built on H's own table, gives: for every subgroup H of every
+    catalog group, S4, S5 and S4xC4, at p = 2, 3 and 5."""
+    for H in enumerate_subgroups(G).subgroups:
+        for p in (2, 3, 5):
+            assert p_persistent_case(H, p) == p_persistent_case_oracle(H, p), (H, p)
+
+
 def test_classify_trivial_k():
     out = classify_p_persistent_bk(trivial_group(), 2)
     assert len(out) == 2
@@ -598,7 +616,7 @@ def test_classified_instances_verify_independently(K):
             for a in ker.elements() for g in range(x.L.order)
         )
         # persistence forces O^p(L) to miss the kernel
-        assert o_p_subgroup(x.L, 2).mask & ker.mask == 1
+        assert o_p_subgroup(full_subgroup(x.L), 2).mask & ker.mask == 1
     # pairwise distinct classes
     for i in range(len(out)):
         for j in range(i):

@@ -46,7 +46,12 @@ from bgroups.subgroups import (
     m_constant,
     normal_subgroups,
 )
-from closed_forms import abelian_mark, abelian_mark_column
+from closed_forms import (
+    abelian_mark,
+    abelian_mark_column,
+    elementary_abelian_m_constant,
+    elementary_abelian_subgroup_count,
+)
 from util import (
     brute_mark,
     conjugate_elements,
@@ -242,15 +247,6 @@ def test_enumeration_output_is_pinned(corpus):
     assert digest.hexdigest() == want
 
 
-def _gaussian_binomial_2(n: int, k: int) -> int:
-    """[n k]_2, the number of k-dimensional subspaces of GF(2)^n."""
-    num = den = 1
-    for i in range(k):
-        num *= 2 ** (n - i) - 1
-        den *= 2 ** (i + 1) - 1
-    return num // den
-
-
 def test_counts():
     assert len(enumerate_subgroups(make_cyclic(5))) == 2
     latv = enumerate_subgroups(direct_product(make_cyclic(2), make_cyclic(2)).group)
@@ -264,14 +260,56 @@ def test_counts():
 def test_counts_elementary_abelian_64():
     lat = enumerate_subgroups(_elementary_abelian(6))
     assert len(lat) == lat.n_classes() == 2825
-    assert len(lat) == sum(_gaussian_binomial_2(6, k) for k in range(7))
+    assert len(lat) == elementary_abelian_subgroup_count(2, 6)
 
 
 def test_counts_elementary_abelian_128():
     """C2^7 has sum_k [7 k]_2 subgroups, each its own class."""
     lat = enumerate_subgroups(_elementary_abelian(7))
     assert len(lat) == lat.n_classes() == 29212
-    assert len(lat) == sum(_gaussian_binomial_2(7, k) for k in range(8))
+    assert len(lat) == elementary_abelian_subgroup_count(2, 7)
+
+
+def _rank(order: int, p: int) -> int:
+    n = 0
+    while order > 1:
+        order //= p
+        n += 1
+    return n
+
+
+# the catalog's elementary abelian groups C_p^n, n >= 1, with p and n
+_ELEMENTARY_ABELIAN_CATALOG = [
+    (G, p, _rank(G.order, p))
+    for G in groups_up_to_order(16) if G.order > 1 and G.is_abelian()
+    for p in [min(o for o in G.element_orders() if o > 1)] if G.exponent() == p
+]
+
+
+@pytest.mark.parametrize("G, p, n", _ELEMENTARY_ABELIAN_CATALOG,
+                         ids=lambda v: getattr(v, "label", str(v)))
+def test_elementary_abelian_closed_forms_match_the_oracles(G, p, n):
+    """The subgroup count sum_k [n k]_p against the brute-force enumeration,
+    and m_{E,N} = prod_{i<d} (1 - p^(n-d-1+i)) against the sum
+    (1/|E|) sum of |X| mu(X, E) over X with XN = E, mu from the recursion
+    oracle: on every elementary abelian group of the catalog."""
+    assert len(_ELEMENTARY_ABELIAN_CATALOG) == 10
+    assert len(brute_force_subgroups(G)) == elementary_abelian_subgroup_count(p, n)
+    lat = enumerate_subgroups(G)
+    mu = moebius_oracle(lat)
+    top = len(lat) - 1
+    for N in lat.subgroups:
+        want = Fraction(sum(X.order * mu[xi, top] for xi, X in enumerate(lat.subgroups)
+                            if (xi, top) in mu and len(pairwise_closure(
+                                G, X.elements() + N.elements())) == G.order), G.order)
+        assert elementary_abelian_m_constant(p, n, _rank(N.order, p)) == want
+
+
+@pytest.mark.parametrize("p, n, count", [(3, 4, 212), (5, 3, 64)], ids=["C3^4", "C5^3"])
+def test_counts_elementary_abelian_at_the_cap(p, n, count):
+    """C3^4 and C5^3, each subgroup its own class (C2^7 is pinned above)."""
+    lat = enumerate_subgroups(_elementary_abelian(n, p))
+    assert len(lat) == lat.n_classes() == count == elementary_abelian_subgroup_count(p, n)
 
 
 def test_contains_trivial_and_full_and_is_sorted():
@@ -683,3 +721,12 @@ def test_m_constant_memo_matches_moebius_oracle(G):
     if len(lat) > 1:
         with pytest.raises(GroupError):
             m_constant(lat, bottom, top)
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 3)], ids=["C2^6", "C3^4", "C5^3"])
+def test_m_constants_match_the_elementary_abelian_closed_form(p, n):
+    """Every m_{E,N} of C2^6 (2,825 subgroups N), C3^4 and C5^3 is
+    prod_{i<d} (1 - p^(n-d-1+i)) for N of rank d."""
+    E = _elementary_abelian(n, p)
+    for N in enumerate_subgroups(E).subgroups:
+        assert m_const(E, N) == elementary_abelian_m_constant(p, n, _rank(N.order, p)), N

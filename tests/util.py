@@ -24,10 +24,11 @@ from bgroups.groups import (
     dihedral_group,
     direct_product,
     elements_of,
+    full_subgroup,
     kernel,
     make_cyclic,
     mask_of,
-    p_residual_quotient,
+    o_p_subgroup,
     quaternion_group,
     quotient,
     subgroup_embedding,
@@ -37,6 +38,8 @@ from bgroups.groups import (
 from bgroups.catalog import groups_up_to_order
 from bgroups.ideals import ideal_eval
 from bgroups.overk import (
+    CASE_CP,
+    CASE_CP2,
     GroupOverK,
     groups_over_k,
     is_bk_group,
@@ -44,6 +47,26 @@ from bgroups.overk import (
     is_p_persistent,
 )
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
+
+
+def subgroup_as_group(S: Subgroup):
+    """S as a group on its own Cayley table: the source of its inclusion."""
+    return subgroup_embedding(S).source
+
+
+def p_residual_quotient(G, p: int):
+    """The quotient G/O^p(G), a p-group, with its projection."""
+    return quotient(G, o_p_subgroup(full_subgroup(G), p))
+
+
+def p_persistent_case_oracle(H: Subgroup, p: int):
+    """The case of H^[p] from the quotient group itself, built on H's own
+    table: CASE_CP2 when it is trivial, CASE_CP when it is cyclic, else
+    None."""
+    Q, _ = p_residual_quotient(subgroup_as_group(H), p)
+    if Q.order == 1:
+        return CASE_CP2
+    return CASE_CP if Q.is_cyclic() else None
 
 
 def graph_subgroup(x) -> Subgroup:
