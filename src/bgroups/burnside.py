@@ -9,14 +9,17 @@ numerators), so equal elements have equal dicts and denominators.  The
 dict is built once and never changed, so a result may keep its input's
 dict and operations read it in place.  Every operation walks the nonzero
 terms only; the sorted `terms` and the dense vector of Fractions,
-`coeffs`, are derived on demand.
+`coeffs`, are derived on demand.  The Fractions of `coeffs` are kept on
+the group's lattice, one object per value, so equal entries of any
+elements over one group are one object and compare by identity.
 Conversion between the bases goes through the table of marks (triangular
 solve), so the explicit idempotent formula can be cross-checked against
 the marks characterization instead of being the only path.
 
 Induction, deflation and transport push each [X] to [f(X)] along one class
-map kept on the homomorphism f; restriction and inflation pull marks back
-along it, as the result's mark at X is the argument's mark at f(X).
+map kept on the homomorphism f, filled for every class of f's source on
+first use; restriction and inflation pull marks back along it, as the
+result's mark at X is the argument's mark at f(X).
 
 The shifted ring over a fixed group K is the plain ring of the direct
 product G x K; the shifted elementary operations act on the G factor and
@@ -96,15 +99,21 @@ class BurnsideElement:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The dense vector, one Fraction per subgroup class; equal entries
-        are one object, built once per distinct numerator."""
+        """The dense vector, one Fraction per subgroup class.  Each value is
+        read from the lattice's table of kept values, so equal entries of
+        any elements over one group are one object."""
         if self._coeffs is None:
-            vec = [_ZERO] * self.lattice.n_classes()
-            made: dict[int, Fraction] = {}
+            lat = self.lattice
+            vec = [_ZERO] * lat.n_classes()
+            values, den = lat._values, self.den
+            row = values.get(den)
+            if row is None:
+                row = values[den] = {}
             for c, n in self._nums.items():
-                f = made.get(n)
-                if f is None:
-                    f = made[n] = Fraction(n, self.den)
+                f = row.get(n)
+                if f is None:  # one object per value, however it is written
+                    f = Fraction(n, den)
+                    f = row[n] = values.setdefault(f.denominator, {}).setdefault(f.numerator, f)
                 vec[c] = f
             _set(self, "_coeffs", tuple(vec))
         return self._coeffs
@@ -131,7 +140,8 @@ class BurnsideElement:
 
     def __rmul__(self, scalar) -> "BurnsideElement":
         s = scalar if type(scalar) is Fraction else Fraction(scalar)
-        nums = {c: n * s.numerator for c, n in self._nums.items()}
+        sn = s.numerator
+        nums = {c: n * sn for c, n in self._nums.items()}
         return _element(self.group, self.basis, nums, self.den * s.denominator)
 
     def support(self) -> frozenset[int]:
@@ -146,14 +156,15 @@ def _element(G: Group, basis: str, nums: dict[int, int], den: int,
     after this call."""
     if 0 in nums.values():
         nums = {c: n for c, n in nums.items() if n}
-    g = den
-    for n in nums.values():  # stops once the gcd is 1, as it mostly soon is
-        if g == 1:
-            break
-        g = gcd(g, n)
-    if g > 1:
-        den //= g
-        nums = {c: n // g for c, n in nums.items()}
+    if den > 1:
+        g = den
+        for n in nums.values():  # stops once the gcd is 1, as it mostly soon is
+            if g == 1:
+                break
+            g = gcd(g, n)
+        if g > 1:
+            den //= g
+            nums = {c: n // g for c, n in nums.items()}
     obj = object.__new__(BurnsideElement) if obj is None else obj
     _set(obj, "group", G)
     _set(obj, "basis", basis)
@@ -205,7 +216,9 @@ def gluck_idempotent(G: Group, L: Subgroup) -> BurnsideElement:
     not kept.  A repeat call, with G under any label, returns the same
     object."""
     lat = enumerate_subgroups(G)
-    li = lat.index(L)
+    li = lat.index_of.get(L.mask) if L.parent == lat.parent else None  # lat.index, inline
+    if li is None:
+        raise GroupError("subgroup does not belong to this lattice")
     c = lat.conj_class[li]
     e = lat._idempotents.get(c)
     if e is None:
@@ -292,26 +305,28 @@ def restrict(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
     return _pull(elem, incl)
 
 
-def _class_map(f: Homomorphism, classes) -> dict[int, int]:
-    """f's class map X -> class of f(X), kept on f, with `classes` filled."""
-    if f._biset is None:
-        _set(f, "_biset", {})
+def _class_map(f: Homomorphism) -> dict[int, int]:
+    """f's class map X -> class of f(X), over every class of f's source,
+    filled on first use and kept on f."""
     cmap = f._biset
-    lat, lat_t = enumerate_subgroups(f.source), enumerate_subgroups(f.target)
-    image = f.image
-    for cx in classes:
-        if cx not in cmap:
+    if cmap is None:
+        lat, lat_t = enumerate_subgroups(f.source), enumerate_subgroups(f.target)
+        subgroups, image = lat.subgroups, f.image
+        index_of, conj_class = lat_t.index_of, lat_t.conj_class
+        cmap = {}
+        for cx, i in enumerate(lat.class_reps):
             mask = 0
-            for a in lat.class_rep(cx).members():
+            for a in subgroups[i].members():
                 mask |= 1 << image[a]
-            cmap[cx] = lat_t.conj_class[lat_t.index_of[mask]]
+            cmap[cx] = conj_class[index_of[mask]]
+        _set(f, "_biset", cmap)
     return cmap
 
 
 def _push(elem: BurnsideElement, f: Homomorphism) -> BurnsideElement:
     """Send each [X] in elem to [f(X)] over f's target."""
     elem = to_transitive_basis(elem)
-    cmap = _class_map(f, elem._nums)
+    cmap = _class_map(f)
     coeffs: dict[int, int] = {}
     for cx, coeff in elem._nums.items():
         c = cmap[cx]
@@ -324,7 +339,7 @@ def _pull(elem: BurnsideElement, f: Homomorphism) -> BurnsideElement:
     restriction along an injection, inflation along a surjection."""
     marks = to_idempotent_basis(elem)
     at = marks._nums
-    cmap = _class_map(f, range(enumerate_subgroups(f.source).n_classes()))
+    cmap = _class_map(f)
     nums = {cx: at.get(c, 0) for cx, c in cmap.items()}
     return to_transitive_basis(_element(f.source, IDEMPOTENT, nums, marks.den))
 

@@ -262,7 +262,7 @@ def cmd_p_lattice(doc: GroupSpecDocument, args) -> Report:
     report = Report(meta=_base_meta("p-lattice", args))
     report.meta["k"] = f"{K.label} order={K.order}"
     report.meta["p"] = str(p)
-    desc = p_ideal_lattice(K, p, verify=args.check)
+    desc = p_ideal_lattice(K, p, verify=args.check, cases=cases)
     report.tables["components"] = [
         [class_label(lat, ci), kind, "+".join(filter(None, (CASE_EMBEDDING, cases[ci])))]
         for ci, (_, kind) in enumerate(desc.components)
@@ -369,7 +369,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:  # an --out path that cannot be written ends like a bad spec path
-            print(f"error: {exc}", file=sys.stderr)
+            # a failed write or flush (a full disk) names no file, so name it here
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_PARSE
     return EXIT_OK
 

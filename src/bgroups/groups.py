@@ -54,6 +54,7 @@ class ResourceLimit(GroupError):
 
 
 MAX_GROUP_ORDER = 2048  # the largest group a construction builds a table for
+MAX_PERM_DEGREE = 2048  # the most points a permutation group is built on
 
 
 def _check_order(order: int, text: str | None = None) -> None:
@@ -62,6 +63,14 @@ def _check_order(order: int, text: str | None = None) -> None:
     if order > MAX_GROUP_ORDER:
         raise ResourceLimit(
             f"group order {text or order} exceeds construction limit {MAX_GROUP_ORDER}")
+
+
+def _check_degree(n: int) -> None:
+    """Refuse, before any point list is built, a permutation group on more
+    than MAX_PERM_DEGREE points."""
+    if n > MAX_PERM_DEGREE:
+        raise ResourceLimit(
+            f"permutation degree {n} exceeds construction limit {MAX_PERM_DEGREE}")
 
 
 _setattr = object.__setattr__  # past the read-only __setattr__ of a Group or a _Value
@@ -244,8 +253,8 @@ class Homomorphism(_Value):
 
     `_biset`, `_shifted` and `_image_size` are not fields: `_biset` holds
     this map's class map, from each source subgroup class to the class of
-    its image, which `burnside._class_map` fills lazily for all five biset
-    operations; `_shifted` the maps f x Id_K that `burnside.shift_hom`
+    its image, which `burnside._class_map` fills whole when one of the five
+    biset operations first needs it; `_shifted` the maps f x Id_K that `burnside.shift_hom`
     built, by K's table; and `_image_size` the number of distinct
     images, counted on the first injectivity or surjectivity test.  So they
     take no part in `==`, `hash` or `repr`."""
@@ -749,32 +758,49 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
     """Group generated by permutations of {0..n-1}, as an explicit table.
 
     Elements are ordered: identity first, then BFS by generator application,
-    ties broken by permutation lexicographic order.
+    ties broken by permutation lexicographic order.  The walk keeps, per
+    generator g, the row x -> g·x, where (g·x)(i) = g(x(i)); each element a
+    is g·b for the element b it was first reached from, so a's table row is
+    b's row sent through g's: |P|·|gens|·n work for the walk and |P|^2 for
+    the table.
     """
     if n < 0:
         raise GroupError("a permutation group needs n >= 0 points")
+    _check_degree(n)
     ident = tuple(range(n))
+    gens = sorted(gens)
     for g in gens:
-        if sorted(g) != list(range(n)):
+        if sorted(g) != list(ident):
             raise GroupError("not a permutation of range(n)")
     elems = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in sorted(gens):
-                q = tuple(g[p[i]] for i in range(n))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-                    _check_order(len(seen), f"at least {len(seen)}")
-        nxt.sort()
-        elems.extend(nxt)
-        frontier = nxt
-    index = {p: i for i, p in enumerate(elems)}
-    m = len(elems)
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in elems) for p in elems
-    )
-    return _group(_intern(table), label)
+    index = {ident: 0}
+    reached: list[tuple[int, int]] = []  # per element after the identity: (generator, element) it came from
+    rows: list[list[int]] = [[] for _ in gens]  # rows[k][x]: the id of gens[k]·elems[x]
+    start = 0
+    while start < len(elems):
+        end = len(elems)
+        found: dict[tuple[int, ...], tuple[int, int]] = {}
+        later = []  # (k, x, q) with q new at this level: its id is known once the level is sorted
+        for x in range(start, end):
+            p = elems[x]
+            for k, g in enumerate(gens):
+                q = tuple(map(g.__getitem__, p))
+                i = index.get(q)
+                if i is None:
+                    if q not in found:
+                        found[q] = (k, x)
+                        _check_order(end + len(found), f"at least {end + len(found)}")
+                    later.append((k, x, q))
+                    i = -1
+                rows[k].append(i)
+        for q in sorted(found):
+            index[q] = len(elems)
+            elems.append(q)
+            reached.append(found[q])
+        for k, x, q in later:
+            rows[k][x] = index[q]
+        start = end
+    table = [tuple(range(len(elems)))]
+    for k, b in reached:
+        table.append(tuple(map(rows[k].__getitem__, table[b])))
+    return _group(_intern(tuple(table)), label)

@@ -30,6 +30,7 @@ from .groups import (
 )
 from .overk import (
     GroupOverK,
+    _mask_conjugators,
     beta_k,
     classify_p_persistent_bk,
     dedupe_over_k,
@@ -126,13 +127,25 @@ def ideal_eval(bk: GroupOverK, G: Group) -> IdealEvaluation:
 
 
 def simple_dim(bk: GroupOverK, G: Group) -> int:
-    """dim of the simple quotient at G: classes X with beta_K(X,p2) iso bk."""
+    """dim of the simple quotient at G: classes X with beta_K(X,p2) iso bk.
+    beta_K(X, p2) is a quotient of (X, p2|_X) by a subgroup of the kernel,
+    so its order divides |X| and its image is p2(X).  A class X whose order
+    |L| does not divide, or whose image is not a K-conjugate of phi(L),
+    cannot match, and gets no pair and no beta_K."""
     if not is_bk_group(bk):
         raise GroupError("not a B_K-group; reduce with beta_k first")
-    _, pairs = _product_pairs(G, bk.K)
-    return sum(
-        1 for _, X, pair in pairs if is_isomorphic_over_k(beta_k(pair), bk)
-    )
+    P = direct_product(G, bk.K)
+    lat, p2 = enumerate_subgroups(P.group), P.proj2.image
+    order, image = bk.L.order, mask_of(bk.phi.image)
+    dim = 0
+    for c in range(lat.n_classes()):
+        X = lat.class_rep(c)
+        if X.order % order or next(_mask_conjugators(
+                bk.K, mask_of(p2[a] for a in X.members()), image), None) is None:
+            continue
+        if is_isomorphic_over_k(beta_k(pair_from_subgroup(X, P.proj2)), bk):
+            dim += 1
+    return dim
 
 
 def minimal_groups(bk: GroupOverK) -> list[Group]:
@@ -212,19 +225,23 @@ def closed_subsets(poset: BkPoset, cap: int = DEFAULT_CLOSED_SET_CAP) -> list[fr
     return [frozenset(elements_of(s)) for s in order]
 
 
-def p_ideal_lattice(K: Group, p: int, verify: bool = True) -> IdealLatticeDescription:
+def p_ideal_lattice(K: Group, p: int, verify: bool = True,
+                    cases: list[str | None] | None = None) -> IdealLatticeDescription:
     """Component census of the p-restricted ideal lattice: one factor per
     subgroup class of K, a 3-chain when H^[p] is cyclic, a 2-chain otherwise;
     total ideal count 3^c * 2^nc.  With verify, the closed sets of each
-    class's own nodes are counted, and their product must equal the total."""
+    class's own nodes are counted, and their product must equal the total.
+    `cases`, when given, is p_persistent_case of each class representative,
+    by class, as a caller that needed them first has them."""
     lat = enumerate_subgroups(K)
+    if cases is None:
+        cases = [p_persistent_case(lat.class_rep(ci), p) for ci in range(lat.n_classes())]
     c = nc = 0
     components: list[tuple[str, str]] = []
     count = 1
-    for ci in range(lat.n_classes()):
+    for ci, case in enumerate(cases):
         H = lat.class_rep(ci)
         label = f"ord{H.order}#{ci}"
-        case = p_persistent_case(H, p)
         if case is not None:  # H^[p] cyclic
             c += 1
             components.append((label, "chain2"))

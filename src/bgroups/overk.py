@@ -185,8 +185,12 @@ def _image_conjugators(x: GroupOverK, y: GroupOverK):
     phi_y(L_y), none when the images differ in order.  Over K, x ->> y, and
     so x ~= y, only if some g does: a surjection f with phi_y . f =
     c_g . phi_x maps phi_x(L_x) onto phi_y(L_y) by c_g."""
-    K = x.K
-    xm, ym = mask_of(x.phi.image), mask_of(y.phi.image)
+    return _mask_conjugators(x.K, mask_of(x.phi.image), mask_of(y.phi.image))
+
+
+def _mask_conjugators(K: Group, xm: int, ym: int):
+    """Yield each g of K's Z(K)-transversal with g X g^-1 = Y, for the
+    subgroups of K with masks xm and ym."""
     if xm.bit_count() == ym.bit_count():
         for g in _transversal(K):
             if (conjugate_mask(K, xm, g) if g else xm) == ym:

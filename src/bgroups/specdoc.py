@@ -17,12 +17,13 @@ ignored.  Every name must be defined before use.
 `h:` followed by the images of all elements of N under the action of h.
 `quotient` defines both the quotient group and the projection map.
 The constructions check their input, and refuse a group over
-`groups.MAX_GROUP_ORDER` before building it, whether or not a command
-uses it; `validate=False` skips only the homomorphism law of `hom` maps,
-whose images are range-checked regardless.  Every error met while parsing
-a line, an unknown name included, is raised as a `SpecError` that starts
+`groups.MAX_GROUP_ORDER`, or a `perm` on more than `groups.MAX_PERM_DEGREE`
+points, before building it, whether or not a command uses it;
+`validate=False` skips only the homomorphism law of `hom` maps, whose
+images are range-checked regardless.  Every error met while parsing a
+line, an unknown name included, is raised as a `SpecError` that starts
 with the line number, added in one place, except a group past the order
-limit, which stays a `ResourceLimit` with the same prefix.
+or degree limit, which stays a `ResourceLimit` with the same prefix.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .groups import (
     GroupError,
     Homomorphism,
     ResourceLimit,
+    _check_degree,
     _trusted,
     dihedral_group,
     direct_product,
@@ -139,6 +141,7 @@ def _parse_group_expr(doc: GroupSpecDocument, name: str, expr: str) -> Group:
             g = semidirect_product(N, H, tuple(action))
         elif kind == "perm":
             npoints = int(toks[1])
+            _check_degree(npoints)  # before _parse_cycles builds a list of the points
             rest = expr.split(None, 2)[2]
             gens = [
                 _parse_cycles(part, npoints)

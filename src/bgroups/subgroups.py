@@ -32,9 +32,10 @@ conjugates of Y.  A column keeps its nonzero entries only, packed as a
 tuple of classes and a tuple of marks.  The idempotent and m-constant sums
 over X <= L walk the Moebius column of L, which keeps only the X with
 mu(X, L) != 0, and is P. Hall's closed form when |L| is a prime power.  The
-lattice keeps the m-constants and Glück's idempotent e_L per class (filled
-by `burnside.gluck_idempotent`); a column walked only for an idempotent is
-not kept.
+lattice keeps the m-constants, Glück's idempotent e_L per class (filled
+by `burnside.gluck_idempotent`) and one Fraction per coefficient value of
+the Burnside elements over its group (filled by `BurnsideElement.coeffs`);
+a column walked only for an idempotent is not kept.
 Enumeration takes no size limit and keeps one lattice per interned table,
 over the table's own group, shared by equal groups; a caller that must
 bound the work (the CLI's --max-order) checks the group order before
@@ -72,6 +73,7 @@ class SubgroupLattice:
         self._m_constants: dict[tuple[int, int], Fraction] = {}  # (L, N) masks
         self._mark_columns: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._idempotents: dict = {}  # class -> e_L, filled by burnside
+        self._values: dict = {}  # den -> {num -> Fraction}, one object per value, filled by burnside
 
     def __len__(self) -> int:
         return len(self.subgroups)

@@ -43,3 +43,17 @@ def elementary_abelian_m_constant(p: int, n: int, d: int) -> Fraction:
     for i in range(d):
         m *= 1 - Fraction(p) ** (n - d - 1 + i)
     return m
+
+
+def p_group_is_b_group(p: int, order: int, cyclic: bool) -> bool:
+    """Over K = 1, the p-groups that are B-groups are exactly 1 and
+    C_p x C_p (Bouc, *Biset Functors for Finite Groups*, LNM 1990, ch. 5)."""
+    return order == 1 or (order == p * p and not cyclic)
+
+
+def p_group_beta_order(p: int, cyclic: bool) -> int:
+    """|beta(P)| for a p-group P over K = 1.  Each quotient of a cyclic P is
+    cyclic, and of those only 1 is a B-group.  A noncyclic P maps onto
+    P/Phi(P) = C_p^r with r >= 2, hence onto C_p x C_p, and no quotient of
+    order p^3 or more is a B-group.  So 1 when P is cyclic, p^2 otherwise."""
+    return 1 if cyclic else p * p

@@ -292,13 +292,14 @@ def test_sparse_arithmetic_matches_dense_oracle(case):
     assert marks_of(x) == to_i.coeffs
 
 
-def _coeffs_are_shared_fractions(elem):
+def _coeffs_are_shared_fractions(elem, one: dict[Fraction, Fraction]):
     """elem.coeffs holds Fraction(n, den) for each term and 0 elsewhere,
-    and equal entries of the vector are one object."""
+    and each entry is the object `one` holds for its value, if any: equal
+    entries of this vector, and of the vectors checked before it with the
+    same `one`, are one object."""
     vec = elem.coeffs
     assert len(vec) == elem.lattice.n_classes()
     nums = dict(elem.terms)
-    one: dict[Fraction, Fraction] = {}
     for c, f in enumerate(vec):
         assert type(f) is Fraction and f == Fraction(nums.get(c, 0), elem.den)
         assert one.setdefault(f, f) is f
@@ -311,16 +312,48 @@ repeating = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1,
 @given(st.integers(0, len(CATALOG) - 1), st.sampled_from([TRANSITIVE, IDEMPOTENT]), st.data())
 def test_coeffs_build_one_fraction_per_numerator(i, basis, data):
     """The dense vector of a checked element and of the elements derived
-    from it: products, basis changes, a scalar multiple."""
+    from it: products, basis changes, a scalar multiple; equal entries of
+    any two of them are one object."""
     G = CATALOG[i]
     nc = enumerate_subgroups(G).n_classes()
     vec = data.draw(st.lists(repeating, min_size=nc, max_size=nc))
     s = data.draw(small_rationals)
     x = BurnsideElement(G, basis, vec)
     assert x.coeffs == tuple(vec)
+    one: dict[Fraction, Fraction] = {}
     for elem in (x, to_idempotent_basis(x), to_transitive_basis(x), multiply(x, x),
                  s * x, x + x):
-        _coeffs_are_shared_fractions(elem)
+        _coeffs_are_shared_fractions(elem, one)
+
+
+@pytest.mark.parametrize("G", [*SMALL_GROUPS, symmetric_group(4),
+                               direct_product(dihedral_group(4), make_cyclic(2)).group],
+                         ids=lambda g: g.label)
+def test_equal_coefficients_over_one_group_are_one_object(G):
+    """The coefficients come from the lattice's table of kept values, so
+    over one group equal entries of any elements are one object, each equal
+    to a fresh Fraction(n, den), whichever (n, den) wrote it: 1/2 is one
+    object in [1/2, 1/4, ...] (2 over 4) and in [1/2, 0, ...] (1 over 2).
+    The elements are every e_L, its marks, scalar multiples, sums, a
+    product, and the deflations of the e_L along each quotient map."""
+    lat = enumerate_subgroups(G)
+    nc = lat.n_classes()
+    es = [gluck_idempotent(G, lat.class_rep(c)) for c in range(nc)]
+    elems = es + [to_idempotent_basis(e) for e in es] + [Fraction(1, 2) * e for e in es]
+    elems += [e + f for e, f in zip(es, es[1:])] + [multiply(es[-1], es[-1] + es[0])]
+    halves = [BurnsideElement(G, TRANSITIVE, [Fraction(1, 2), Fraction(1, 4)] + [0] * (nc - 2)),
+              BurnsideElement(G, TRANSITIVE, [Fraction(1, 2)] + [0] * (nc - 1))]
+    assert [h.den for h in halves] == [4, 2]
+    one: dict[Fraction, Fraction] = {}
+    for elem in elems + halves:
+        _coeffs_are_shared_fractions(elem, one)
+    assert halves[0].coeffs[0] is halves[1].coeffs[0]
+    for N in normal_subgroups(G):
+        Q, pi = quotient(G, N)
+        qone: dict[Fraction, Fraction] = {}
+        for e in es:
+            _coeffs_are_shared_fractions(deflate(e, pi), qone)
+            _coeffs_are_shared_fractions(Fraction(1, 3) * deflate(e, pi), qone)
 
 
 @settings(max_examples=40, deadline=None)
@@ -777,7 +810,7 @@ def test_class_maps_and_image_tests_match_the_oracles_on_the_ring_products():
     for f in _ring_maps():
         n_maps += 1
         classes = range(enumerate_subgroups(f.source).n_classes())
-        cmap = _class_map(f, classes)
+        cmap = _class_map(f)
         assert [cmap[cx] for cx in classes] == [class_map_oracle(f, cx) for cx in classes]
         n = len(set(f.image))
         want = (n == f.source.order, n == f.target.order,

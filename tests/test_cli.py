@@ -19,6 +19,7 @@ from bgroups.catalog import groups_up_to_order
 from bgroups.cli import class_label, main, read_report, render_text
 from bgroups.groups import (
     MAX_GROUP_ORDER,
+    MAX_PERM_DEGREE,
     Group,
     GroupError,
     Homomorphism,
@@ -296,16 +297,20 @@ def test_out_flag_writes_report(tmp_path, capsys):
 
 
 def test_out_into_a_missing_directory_exits_2_without_a_traceback(tmp_path):
-    """An --out path that cannot be opened ends like an unreadable spec:
+    """An --out path that cannot be opened, or written (a full device fails
+    on the write, whose error names no file), ends like an unreadable spec:
     exit 2 and one error line naming the path, after the report."""
-    missing = str(tmp_path / "no-such-dir" / "x")
-    proc = subprocess.run([sys.executable, "-m", "bgroups.cli", "idempotent", SPEC, "--group", "L",
-                           "--subgroup", "full", "--out", missing], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert missing in proc.stderr
-    assert proc.stdout.startswith("report-version: 1\n")
+    paths = [str(tmp_path / "no-such-dir" / "x")]
+    if os.path.exists("/dev/full"):
+        paths.append("/dev/full")
+    for path in paths:
+        proc = subprocess.run([sys.executable, "-m", "bgroups.cli", "idempotent", SPEC, "--group", "L",
+                               "--subgroup", "full", "--out", path], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert path in proc.stderr
+        assert proc.stdout.startswith("report-version: 1\n")
 
 
 @pytest.mark.parametrize("line", [
@@ -413,6 +418,22 @@ def test_spec_group_past_the_limit_exits_3_in_a_small_child(tmp_path):
         assert f"exceeds construction limit {MAX_GROUP_ORDER}" in proc.stderr
 
 
+def test_perm_degree_past_the_limit_exits_3_in_a_small_child(tmp_path):
+    """In a fresh process limited to 256 MiB, a perm line on 10^8 points,
+    which used to end in a MemoryError traceback from its point list,
+    exits 3 at once naming its line, the degree and the limit."""
+    spec = tmp_path / "big.bspec"
+    spec.write_text("group C2 = cyclic 2\ngroup P = perm 100000000 (0 1)\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgroups.cli", "idempotent", str(spec), "--group", "C2",
+         "--subgroup", "full"],
+        capture_output=True, text=True, timeout=30, preexec_fn=_address_space_limit(256),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        f"error: line 2: permutation degree 100000000 exceeds construction limit {MAX_PERM_DEGREE}\n")
+
+
 @pytest.mark.parametrize("expr", ["cyclic 4 5", "symmetric 3 x", "dihedral 4 7"])
 def test_exit_code_extra_argument(tmp_path, capsys, expr):
     bad = tmp_path / "bad.bspec"
@@ -514,7 +535,7 @@ def test_p_lattice_renders_a_count_over_4300_digits(monkeypatch, capsys):
     import bgroups.ideals as ideals  # cmd_p_lattice imports p_ideal_lattice from here
 
     total = 3**128 * 2**29084
-    monkeypatch.setattr(ideals, "p_ideal_lattice", lambda K, p, verify: IdealLatticeDescription(
+    monkeypatch.setattr(ideals, "p_ideal_lattice", lambda K, p, verify, cases: IdealLatticeDescription(
         K, p, 128, 29084, total, [("ord1#0", "chain2"), ("ord2#1", "chain2")]))
     code, out = run_cli(["p-lattice", SPEC, "--k", "C2", "--p", "2", "--no-check"], capsys)
     assert code == 0
@@ -591,6 +612,29 @@ def test_p_lattice_check_bounds_the_poset_nodes(capsys):
     assert "group order 8 exceeds enumeration bound 4" in capsys.readouterr().err
     code, out = run_cli(args + ["--no-check"], capsys)
     assert code == 0 and "verified: skipped" in out
+
+
+@pytest.mark.parametrize("flag", ["--check", "--no-check"])
+def test_p_lattice_computes_each_class_case_once(monkeypatch, capsys, flag):
+    """The CLI's cases, which bound the check's node orders and fill the
+    components table, are the ones the census counts: one p_persistent_case
+    call per subgroup class of K, with or without the check."""
+    import bgroups.ideals as ideals
+    import bgroups.overk as overk
+
+    calls, case = [], overk.p_persistent_case
+
+    def counted(H, p):
+        calls.append(H.mask)
+        return case(H, p)
+
+    monkeypatch.setattr(overk, "p_persistent_case", counted)  # the CLI imports it from here
+    monkeypatch.setattr(ideals, "p_persistent_case", counted)
+    code, out = run_cli(["p-lattice", SPEC, "--k", "K", "--p", "2", flag], capsys)
+    assert code == 0
+    K = load_spec(SPEC).group("K")
+    lat = enumerate_subgroups(K)
+    assert sorted(calls) == sorted(lat.class_rep(c).mask for c in range(lat.n_classes()))
 
 
 @pytest.mark.parametrize("p, code, message", [

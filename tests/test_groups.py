@@ -2,6 +2,7 @@
 quotients, residual subgroups."""
 
 import re
+import time
 from math import gcd, isqrt
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from bgroups.catalog import groups_up_to_order
 from bgroups.groups import (
     MAX_GROUP_ORDER,
+    MAX_PERM_DEGREE,
     Group,
     GroupError,
     Homomorphism,
@@ -59,6 +61,7 @@ from util import (
     is_homomorphism,
     p_residual_quotient,
     pairwise_closure,
+    perm_table_oracle,
     subgroup_as_group,
 )
 
@@ -173,6 +176,49 @@ def test_constructions_refuse_an_order_past_the_limit(build, order):
     with pytest.raises(ResourceLimit, match=f"^group order {re.escape(str(order))} exceeds "
                                             f"construction limit {MAX_GROUP_ORDER}$"):
         build()
+
+
+def _cycle(n: int, points) -> tuple[int, ...]:
+    image = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        image[a] = b
+    return tuple(image)
+
+
+@pytest.mark.parametrize("n, gens", [
+    (3, [(1, 2, 0), (1, 0, 2)]),  # the CLI tests' perm 3 (0 1 2), (0 1)
+    (4, [(1, 2, 0, 3), (0, 2, 3, 1)]),  # A4p of the named corpus
+    (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),  # the subgroup tests' A5
+    (5, [(1, 2, 0, 4, 3), (1, 0, 2, 3, 4)]),  # perm 5 (0 1 2)(3 4), (0 1) of the README
+    (4, [(1, 2, 3, 0), (0, 3, 2, 1)]),  # D8 on the square's corners
+    (6, [_cycle(6, [0, 1, 2, 3, 4, 5]), _cycle(6, [0, 1])]),  # S6, order 720
+    (12, [_cycle(12, list(range(12)))]),
+    (7, [_cycle(7, [0, 1, 2]), _cycle(7, [0, 1, 2]), _cycle(7, [3, 4])]),  # a repeated generator
+    (0, [()]),
+    (4, []),
+], ids=["S3", "A4p", "A5", "P5", "D8", "S6", "C12", "C6-repeated", "0-points", "no-generators"])
+def test_perm_table_equals_the_pairwise_oracle(n, gens):
+    """The table built from per-generator rows is the one that composing
+    every pair of permutations gives, element order included."""
+    assert group_from_permutations(n, gens).table == perm_table_oracle(n, gens)
+
+
+def test_perm_degree_past_the_limit_is_refused():
+    """A degree past MAX_PERM_DEGREE is refused before any point list is
+    built: the generators are not even read."""
+    with pytest.raises(ResourceLimit, match=f"^permutation degree {MAX_PERM_DEGREE + 1} exceeds "
+                                            f"construction limit {MAX_PERM_DEGREE}$"):
+        group_from_permutations(MAX_PERM_DEGREE + 1, [None])
+    assert group_from_permutations(MAX_PERM_DEGREE, [tuple(range(MAX_PERM_DEGREE))]).order == 1
+
+
+def test_a_1000_point_cycle_builds_within_a_time_budget():
+    """perm 1000 (0 ... 999): |P|·n for the generator row and |P|^2 for the
+    table, about 10^6 steps; composing every pair would take 10^9."""
+    start = time.perf_counter()
+    G = group_from_permutations(1000, [_cycle(1000, list(range(1000)))])
+    assert time.perf_counter() - start < 5.0
+    assert G.order == 1000 and G.table[1][999] == 0 and G.table[999][1] == 0
 
 
 def test_subgroup_mask_outside_parent_rejected():

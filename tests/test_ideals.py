@@ -217,6 +217,41 @@ def test_simple_dim_nonzero_at_quotients_missing_kernel():
             assert simple_dim(bk, Q) >= 1
 
 
+def _simple_dim_cases():
+    """The worked example at G1, G2 and L; each p-persistent B_K-group
+    (p = 2) over K in 1, C2, C4, V4 and S3, at the catalog groups G with
+    |G x K| <= 24; and (H, j_H) for every subgroup H of S3, so that some
+    image is a conjugate of a class representative's other than itself."""
+    import os
+
+    from bgroups.catalog import groups_up_to_order
+    from bgroups.overk import classify_p_persistent_bk
+    from bgroups.specdoc import load_spec
+
+    doc = load_spec(os.path.join(os.path.dirname(__file__), "golden", "worked_example.bspec"))
+    x = GroupOverK(doc.group("L"), doc.hom("phi"), "L")
+    cases = [(x, doc.group(name)) for name in ("G1", "G2", "L")]
+    for K in (trivial_group(), make_cyclic(2), make_cyclic(4), V4, symmetric_group(3)):
+        for bk, _ in classify_p_persistent_bk(K, 2):
+            cases += [(bk, G) for G in groups_up_to_order(8) if G.order * K.order <= 24]
+    S3 = symmetric_group(3)
+    for H in enumerate_subgroups(S3).subgroups:
+        cases += [(embedding_over(S3, H), G) for G in groups_up_to_order(4)]
+    return cases
+
+
+def test_simple_dim_equals_the_unpruned_sum():
+    """Skipping the classes X whose order |L| does not divide, or whose
+    image is not K-conjugate to phi(L), changes no dimension: simple_dim
+    equals beta_K compared over K on every class."""
+    from util import simple_dim_oracle
+
+    cases = _simple_dim_cases()
+    dims = [simple_dim(bk, G) for bk, G in cases]
+    assert dims == [simple_dim_oracle(bk, G) for bk, G in cases]
+    assert dims[:3] == [1, 1, 7] and sum(dims) > len(dims) // 2
+
+
 def test_simple_dim_zero_below_minimal_order():
     one = trivial_group()
     bk = GroupOverK(V4, Homomorphism(V4, one, (0,) * 4))

@@ -51,8 +51,10 @@ from bgroups.overk import (
     quotient_over_k,
 )
 from bgroups.subgroups import enumerate_subgroups, m_constant, normal_subgroups
+from closed_forms import p_group_beta_order, p_group_is_b_group
 from util import (
     graph_subgroup,
+    is_b_group_oracle,
     hom_images_oracle,
     is_homomorphism,
     is_morphism_over_k,
@@ -422,6 +424,44 @@ def test_cp_is_not_b_group():
         x = GroupOverK(G, Homomorphism(G, one, (0,) * p))
         assert not is_bk_group(x)
         assert beta_k(x).L.order == 1
+
+
+def _is_cyclic_by_powers(G) -> bool:
+    """Some element's powers, walked in the Cayley table, reach every
+    element."""
+    for g in range(G.order):
+        x, n = g, 1
+        while x:
+            x, n = G.table[x][g], n + 1
+        if n == G.order:
+            return True
+    return False
+
+
+def _prime_of_p_group(order: int) -> int | None:
+    """p when order is a power p^n, n >= 1, of its least prime factor p;
+    1 for order 1; None otherwise."""
+    p = next((q for q in range(2, order + 1) if order % q == 0), 1)
+    n = order
+    while n % p == 0 and p > 1:
+        n //= p
+    return p if n == 1 else None
+
+
+_CATALOG_P_GROUPS = [(G, p) for G in groups_up_to_order(16)
+                     for p in [_prime_of_p_group(G.order)] if p is not None]
+
+
+@pytest.mark.parametrize("G, p", _CATALOG_P_GROUPS, ids=[G.label for G, _ in _CATALOG_P_GROUPS])
+def test_p_group_beta_closed_form(G, p):
+    """Over K = 1, a p-group is a B-group exactly when it is 1 or C_p x C_p,
+    by the all-N oracle; and beta_k of every catalog p-group has order 1
+    when the group is cyclic and p^2 otherwise."""
+    assert len(_CATALOG_P_GROUPS) == 30
+    cyclic = _is_cyclic_by_powers(G)
+    assert is_b_group_oracle(G) == p_group_is_b_group(p, G.order, cyclic)
+    x = GroupOverK(G, Homomorphism(G, trivial_group(), (0,) * G.order))
+    assert beta_k(x).L.order == p_group_beta_order(p, cyclic)
 
 
 def test_beta_of_klein_four_is_itself():

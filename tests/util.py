@@ -36,11 +36,12 @@ from bgroups.groups import (
     trivial_group,
 )
 from bgroups.catalog import groups_up_to_order
-from bgroups.ideals import ideal_eval
+from bgroups.ideals import _product_pairs, ideal_eval
 from bgroups.overk import (
     CASE_CP,
     CASE_CP2,
     GroupOverK,
+    beta_k,
     groups_over_k,
     is_bk_group,
     is_isomorphic_over_k,
@@ -92,6 +93,35 @@ def is_group_table(order, table, inverse) -> bool:
     return all(
         t[0][x] == x and t[x][0] == x and t[x][inverse[x]] == 0 for x in r
     ) and all(t[t[a][b]][c] == t[a][t[b][c]] for a in r for b in r for c in r)
+
+
+def simple_dim_oracle(bk, G) -> int:
+    """The simple dimension at G as the unpruned sum: beta_K of the pair
+    of every class X of G x K, each compared with bk over K."""
+    _, pairs = _product_pairs(G, bk.K)
+    return sum(1 for _, X, pair in pairs if is_isomorphic_over_k(beta_k(pair), bk))
+
+
+def perm_table_oracle(n: int, gens) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of the group generated by permutations of n points,
+    as `groups.group_from_permutations` orders it (identity, then each BFS
+    level sorted), built by composing every pair of permutations:
+    |P|^2·n work, with no generator rows."""
+    ident = tuple(range(n))
+    elems, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in sorted(gens):
+                q = tuple(g[p[i]] for i in range(n))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        nxt.sort()
+        elems.extend(nxt)
+        frontier = nxt
+    index = {p: i for i, p in enumerate(elems)}
+    return tuple(tuple(index[tuple(p[q[i]] for i in range(n))] for q in elems) for p in elems)
 
 
 def pairwise_closure(G, elements) -> set[int]:
@@ -318,6 +348,25 @@ def conjugate_elements(G, elements, g) -> set[int]:
     t = G.table
     gi = G.inverse[g]
     return {t[t[gi][x]][g] for x in elements}
+
+
+def is_b_group_oracle(G) -> bool:
+    """G over K = 1 is a B-group, by the all-N test: m_{G,N} = 0 for every
+    nontrivial normal N, with N normal when every element conjugates it
+    onto itself, mu from the recursion oracle, and XN = G by pairwise
+    closure."""
+    lat = enumerate_subgroups(G)
+    mu = moebius_oracle(lat)
+    top = len(lat) - 1
+    terms = [(X, mu[xi, top]) for xi, X in enumerate(lat.subgroups) if (xi, top) in mu]
+    for N in lat.subgroups[1:]:
+        members = set(N.elements())
+        if all(conjugate_elements(G, members, g) == members for g in range(G.order)):
+            m = sum(X.order * m for X, m in terms
+                    if len(pairwise_closure(G, X.elements() + N.elements())) == G.order)
+            if m:
+                return False
+    return True
 
 
 def cyclic_join_oracle(G) -> tuple[list[int], list[int], list[int], list[int]]:
