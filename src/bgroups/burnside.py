@@ -17,13 +17,15 @@ solve), so the explicit idempotent formula can be cross-checked against
 the marks characterization instead of being the only path.
 
 Induction, deflation and transport push each [X] to [f(X)] along one class
-map kept on the homomorphism f, filled for every class of f's source on
-first use; restriction and inflation pull marks back along it, as the
-result's mark at X is the argument's mark at f(X).
+map kept on the homomorphism f, a tuple indexed by the classes of f's
+source and filled whole on first use; restriction and inflation pull marks
+back along it, as the result's mark at X is the argument's mark at f(X).
 
 The shifted ring over a fixed group K is the plain ring of the direct
 product G x K; the shifted elementary operations act on the G factor and
-leave K alone, along f x Id_K, which is kept on f.
+leave K alone, along f x Id_K, which is kept on f.  A projection or an
+inclusion f is itself kept on its table, so f x Id_K and its class map are
+built once.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from .groups import (
     GroupError,
     Homomorphism,
     Subgroup,
+    _product,
     _trusted,
-    direct_product,
+    mask_of,
     subgroup_embedding,
 )
 from .subgroups import SubgroupLattice, enumerate_subgroups
@@ -305,20 +308,15 @@ def restrict(elem: BurnsideElement, incl: Homomorphism) -> BurnsideElement:
     return _pull(elem, incl)
 
 
-def _class_map(f: Homomorphism) -> dict[int, int]:
-    """f's class map X -> class of f(X), over every class of f's source,
+def _class_map(f: Homomorphism) -> tuple[int, ...]:
+    """f's class map, the class of f(X) at each class X of f's source,
     filled on first use and kept on f."""
     cmap = f._biset
     if cmap is None:
         lat, lat_t = enumerate_subgroups(f.source), enumerate_subgroups(f.target)
-        subgroups, image = lat.subgroups, f.image
-        index_of, conj_class = lat_t.index_of, lat_t.conj_class
-        cmap = {}
-        for cx, i in enumerate(lat.class_reps):
-            mask = 0
-            for a in subgroups[i].members():
-                mask |= 1 << image[a]
-            cmap[cx] = conj_class[index_of[mask]]
+        index_of, conj_class, at = lat_t.index_of, lat_t.conj_class, f.image.__getitem__
+        cmap = tuple(conj_class[index_of[mask_of(map(at, lat.subgroups[i].members()))]]
+                     for i in lat.class_reps)
         _set(f, "_biset", cmap)
     return cmap
 
@@ -339,8 +337,7 @@ def _pull(elem: BurnsideElement, f: Homomorphism) -> BurnsideElement:
     restriction along an injection, inflation along a surjection."""
     marks = to_idempotent_basis(elem)
     at = marks._nums
-    cmap = _class_map(f)
-    nums = {cx: at.get(c, 0) for cx, c in cmap.items()}
+    nums = {cx: at.get(c, 0) for cx, c in enumerate(_class_map(f))}
     return to_transitive_basis(_element(f.source, IDEMPOTENT, nums, marks.den))
 
 
@@ -387,10 +384,10 @@ def shift_hom(f: Homomorphism, K: Group) -> Homomorphism:
         _set(f, "_shifted", {})
     fs = f._shifted.get(K._t)
     if fs is None:
-        P, Pp = direct_product(f.source, K).group._t, direct_product(f.target, K).group._t
+        P, Pp = _product(f.source._t, K._t).group, _product(f.target._t, K._t).group
         m = K.order
         image = tuple(f.image[i // m] * m + (i % m) for i in range(P.order))
-        fs = f._shifted[K._t] = _trusted(Homomorphism, P.group, Pp.group, image)
+        fs = f._shifted[K._t] = _trusted(Homomorphism, P, Pp, image)
     return fs
 
 

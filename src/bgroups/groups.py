@@ -8,9 +8,10 @@ contents.  A `Group` is a `_Table` under a label, so `==` and `hash` mean
 owns what is derived from the table alone: its own group, labelled `T` and
 the order, to which every object the library keeps refers; the subgroup
 lattice, generating sequence, element orders, over-K word plan, a
-transversal of G/Z(G); memos of product and quotient tables and of
-inclusion maps (one per subgroup mask); and the labelled groups that the
-public constructors return, one per label.
+transversal of G/Z(G); one map object per key, between own groups: the
+product maps per other factor's table, and the quotient projection and
+subgroup inclusion per mask; and the labelled groups that the public
+constructors return, one per label.
 Homomorphisms, subgroups and products are immutable values (`_Value`): their
 fields are read-only, and `==`, `hash` and `repr` go by the fields.  What
 a value determines and keeps outside its fields takes no part in them:
@@ -40,7 +41,6 @@ Masks are ints over element ids; `mask_of` and `elements_of` convert.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import lcm
 from operator import attrgetter
 
@@ -128,9 +128,9 @@ class _Table:
         self.order, self.table, self.inverse = len(table), table, inverse
         self.group = self.lattice = self.gens = self.orders = self.word_plan = self.transversal = None
         self.groups = {}  # label -> the Group on this table under it
-        self.products = {}  # other factor's _Table -> (product _Table, maps)
+        self.products = {}  # other factor's _Table -> Product over the own groups
         self.embeddings = {}  # subgroup mask -> inclusion map
-        self.quotients = {}  # normal subgroup mask -> (quotient _Table, cosets)
+        self.quotients = {}  # normal subgroup mask -> projection
 
 
 _TABLES: dict[tuple[tuple[int, ...], ...], _Table] = {}
@@ -251,13 +251,12 @@ def _group(t: _Table, label: str, G: Group | None = None) -> Group:
 class Homomorphism(_Value):
     """A map of groups given by the image of each source element.
 
-    `_biset`, `_shifted` and `_image_size` are not fields: `_biset` holds
-    this map's class map, from each source subgroup class to the class of
-    its image, which `burnside._class_map` fills whole when one of the five
-    biset operations first needs it; `_shifted` the maps f x Id_K that `burnside.shift_hom`
-    built, by K's table; and `_image_size` the number of distinct
-    images, counted on the first injectivity or surjectivity test.  So they
-    take no part in `==`, `hash` or `repr`."""
+    `_biset`, `_shifted` and `_image_size` are not fields, so they take no
+    part in `==`, `hash` or `repr`: the class map, a tuple with the class of
+    the image at each source class, that `burnside._class_map` fills whole
+    on first use; the maps f x Id_K of `burnside.shift_hom`, by K's table;
+    and the number of distinct images, counted on the first injectivity or
+    surjectivity test."""
 
     _fields = ("source", "target", "image")
     _biset = _shifted = _image_size = None
@@ -469,7 +468,6 @@ def relabel(G: Group, label: str) -> Group:
     return _group(G._t, label)
 
 
-@lru_cache(maxsize=None)
 def make_cyclic(n: int, label: str | None = None) -> Group:
     if n < 1:
         raise GroupError("cyclic group order must be >= 1")
@@ -491,32 +489,33 @@ class Product(_Value):
         return a * self.proj2.target.order + b
 
 
-def direct_product(G: Group, H: Group) -> Product:
-    """G x H with element id (a, b) -> a*|H| + b."""
-    n, m = G.order, H.order
-    if H._t not in G._t.products:  # the table and maps, once per pair of tables
+def _product(g: _Table, h: _Table) -> Product:
+    """The product of two tables' own groups, with its maps between own
+    groups, kept on g once per h; element id (a, b) -> a*|h| + b."""
+    P = g.products.get(h)
+    if P is None:
+        n, m = g.order, h.order
         _check_order(n * m)
         table = tuple(
-            tuple(G.table[a1][a2] * m + H.table[b1][b2] for a2 in range(n) for b2 in range(m))
+            tuple(g.table[a1][a2] * m + h.table[b1][b2] for a2 in range(n) for b2 in range(m))
             for a1 in range(n)
             for b1 in range(m)
         )
-        G._t.products[H._t] = _intern(table), (
-            tuple(i // m for i in range(n * m)),
-            tuple(i % m for i in range(n * m)),
-            tuple(a * m for a in range(n)),
-            tuple(range(m)),
+        own = _intern(table).group
+        P = g.products[h] = _trusted(
+            Product, own,
+            _trusted(Homomorphism, own, g.group, tuple(i // m for i in range(n * m))),
+            _trusted(Homomorphism, own, h.group, tuple(i % m for i in range(n * m))),
+            _trusted(Homomorphism, g.group, own, tuple(a * m for a in range(n))),
+            _trusted(Homomorphism, h.group, own, tuple(range(m))),
         )
-    t, (p1, p2, i1, i2) = G._t.products[H._t]
-    P = _group(t, f"{G.label}x{H.label}")
-    return _trusted(
-        Product,
-        P,
-        _trusted(Homomorphism, P, G, p1),
-        _trusted(Homomorphism, P, H, p2),
-        _trusted(Homomorphism, G, P, i1),
-        _trusted(Homomorphism, H, P, i2),
-    )
+    return P
+
+
+def direct_product(G: Group, H: Group) -> Product:
+    """G x H under the label `GxH`, with the kept maps of `_product`."""
+    P = _product(G._t, H._t)
+    return _trusted(Product, _group(P.group._t, f"{G.label}x{H.label}"), P.proj1, P.proj2, P.inj1, P.inj2)
 
 
 def semidirect_product(N: Group, H: Group, action) -> Group:
@@ -548,10 +547,12 @@ def semidirect_product(N: Group, H: Group, action) -> Group:
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
-    """G/N with canonical projection; cosets ordered by minimal member id."""
+    """G/N under the label `G/N|N|`, with the canonical projection kept per
+    mask on G's table, between own groups; cosets ordered by least id."""
     if N.parent != G:
         raise GroupError("N must be a subgroup of G")
-    if N.mask not in G._t.quotients:  # the table, once per normal subgroup of a table
+    pi = G._t.quotients.get(N.mask)
+    if pi is None:
         if not is_normal(N):
             raise GroupError("subgroup is not normal")
         t, nelems = G.table, N.members()
@@ -563,10 +564,9 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
                     coset_of[t[g][x]] = len(reps)
                 reps.append(g)
         table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
-        G._t.quotients[N.mask] = _intern(table), tuple(coset_of)
-    t, coset_of = G._t.quotients[N.mask]
-    Q = _group(t, f"{G.label}/N{N.order}")
-    return Q, _trusted(Homomorphism, G, Q, coset_of)
+        pi = G._t.quotients[N.mask] = _trusted(
+            Homomorphism, G._t.group, _intern(table).group, tuple(coset_of))
+    return _group(pi.target._t, f"{G.label}/N{N.order}"), pi
 
 
 def kernel(f: Homomorphism) -> Subgroup:
@@ -676,7 +676,6 @@ def subgroup_embedding(S: Subgroup) -> Homomorphism:
 # named groups used throughout the test corpus and the CLI
 
 
-@lru_cache(maxsize=None)
 def symmetric_group(n: int) -> Group:
     """S_n on {0..n-1} (n >= 0); elements are permutations in lexicographic
     order."""
@@ -699,7 +698,6 @@ def dihedral_group(n: int) -> Group:
     return cyclic_extension(n, 0, -1, f"D{2*n}")
 
 
-@lru_cache(maxsize=None)
 def cyclic_extension(n: int, t: int, r: int, label: str | None = None) -> Group:
     """Order-2n group <a, b | a^n, b^2 = a^t, b a b^-1 = a^r>.
 
@@ -734,7 +732,6 @@ def quaternion_group() -> Group:
     return cyclic_extension(4, 2, 3, "Q8")
 
 
-@lru_cache(maxsize=None)
 def alternating_4() -> Group:
     """A4 as (C2 x C2) : C3, the 3-cycle permuting the involutions."""
     V = direct_product(make_cyclic(2), make_cyclic(2)).group
@@ -745,7 +742,6 @@ def alternating_4() -> Group:
     return relabel(semidirect_product(V, make_cyclic(3), (ident, rho, rho2)), "A4")
 
 
-@lru_cache(maxsize=None)
 def dicyclic_3() -> Group:
     """C3 : C4 with the generator of C4 acting by inversion."""
     C3, C4 = make_cyclic(3), make_cyclic(4)

@@ -70,8 +70,9 @@ class GroupSpecDocument:
 
 
 def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
-    """'(0 1 2)(3 4)' -> permutation of range(n) as an image tuple."""
-    perm = list(range(n))
+    """'(0 1 2)(3 4)' -> permutation of range(n) as an image tuple.  The
+    cycles are disjoint: a point named twice is refused, not composed."""
+    perm = [-1] * n  # -1: a point no cycle names, which stays fixed
     body = text.strip()
     if not body.startswith("("):
         raise SpecError(f"expected cycle notation, got {text!r}")
@@ -95,11 +96,13 @@ def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
     if depth:
         raise SpecError(f"unbalanced parenthesis in {text!r}")
     for cyc in cycles:
-        if any(not 0 <= p < n for p in cyc) or len(set(cyc)) != len(cyc):
+        if any(not 0 <= p < n for p in cyc):
             raise SpecError(f"bad cycle {cyc} on {n} points")
         for i, p in enumerate(cyc):
+            if perm[p] >= 0:
+                raise SpecError(f"point {p} appears twice in the cycles {body!r}")
             perm[p] = cyc[(i + 1) % len(cyc)]
-    return tuple(perm)
+    return tuple(q if q >= 0 else p for p, q in enumerate(perm))
 
 
 def _parse_group_expr(doc: GroupSpecDocument, name: str, expr: str) -> Group:

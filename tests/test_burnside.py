@@ -673,25 +673,25 @@ def test_class_maps_on_a_map_never_leak(f, kind):
     """Pushing (deflation, transport, induction) and pulling back (inflation,
     restriction) along one map object agrees with the same operation along a
     fresh equal map, before and after the map's class map fills, with either
-    operation first.  The class map is one dict, with the same entries
-    whichever operation filled it first, and the filled map changes neither
-    == nor hash."""
+    operation first.  The class map is one tuple, indexed by source class,
+    with the same entries whichever operation filled it first, and the
+    filled map changes neither == nor hash."""
     key = (f.source, f.target, f.image)
     assert f == _fresh(f) and hash(f) == hash(_fresh(f))
     push, pull = _OPS[kind]
     runs = [(push, _inputs(f.source)), (pull, _inputs(f.target))]
     filled = []
-    # two maps that start empty, one per order, then f itself (an embedding
-    # object is shared, so it may be filled already)
+    # two maps that start empty, one per order, then f itself (a kept
+    # embedding or projection is shared, so it may be filled already)
     for g, order in ((_fresh(f), runs), (_fresh(f), runs[::-1]), (f, runs)):
         for op, elems in order:
             for _ in range(2):  # the second pass reads the filled map
                 for e in elems:
                     assert op(e, g) == op(e, _fresh(f))
-        assert type(g._biset) is dict
+        assert type(g._biset) is tuple
         filled.append(g._biset)
     assert filled[0] == filled[1] == filled[2]
-    assert sorted(filled[0]) == list(range(enumerate_subgroups(f.source).n_classes()))
+    assert len(filled[0]) == enumerate_subgroups(f.source).n_classes()
     assert (f.source, f.target, f.image) == key
     assert f == _fresh(f) and hash(f) == hash(_fresh(f)) and repr(f) == repr(_fresh(f))
 
@@ -777,10 +777,9 @@ def test_shifted_maps_are_kept_on_the_map_they_shift():
     e = gluck_idempotent(QK, qlat.class_rep(1))
     first = shifted_inflate(e, pi, K)
     cmap = shift_hom(pi, K)._biset
-    filled = dict(cmap)
-    assert sorted(filled) == list(range(enumerate_subgroups(direct_product(G, K).group).n_classes()))
+    assert type(cmap) is tuple and len(cmap) == enumerate_subgroups(direct_product(G, K).group).n_classes()
     second = shifted_inflate(transitive_basis_element(QK, qlat.class_rep(1)), pi, K)
-    assert shift_hom(pi, K)._biset is cmap and cmap == filled
+    assert shift_hom(pi, K)._biset is cmap
     assert first == inflate(e, _fresh(shift_hom(pi, K)))
     assert second == inflate(transitive_basis_element(QK, qlat.class_rep(1)), _fresh(shift_hom(pi, K)))
     for g in (f, pi):
@@ -822,29 +821,36 @@ def test_class_maps_and_image_tests_match_the_oracles_on_the_ring_products():
 
 def test_kept_objects_refer_to_each_table_own_group():
     """After every shifted projection and class-representative embedding of
-    the `ring` products is built, with their idempotents and the shifts of
-    the embeddings of G's classes, under K's label and under another, every
-    interned table's kept objects are keyed by mask or table, not by label,
-    and refer to the table's own group: the lattice parent and each lattice
-    subgroup's, each kept idempotent's group, and the source and target of
-    each kept inclusion map and of each map shifted from it or from a
+    the `ring` products is built, with their idempotents, the shifts of the
+    embeddings of G's classes and the pairs over K of `ideals`, under K's
+    label and under another, every interned table's kept objects are keyed
+    by mask or table, not by label, and refer to the table's own group: the
+    lattice parent and each lattice subgroup's, each kept idempotent's
+    group, and the source and target of each kept inclusion map,
+    projection, product map, and map shifted from an inclusion or a
     projection."""
+    from bgroups.ideals import _product_pairs
+
     shifted = []
     for G, K in ring_pairs():
         B = relabel(K, "B")
         for N in normal_subgroups(G):
             pi = quotient(G, N)[1]
-            assert shift_hom(pi, B) is shift_hom(pi, K) and list(pi._shifted) == [K._t]
-            shifted.append(pi)
+            assert quotient(relabel(G, "A"), N)[1] is pi
+            assert shift_hom(pi, B) is shift_hom(pi, K) and K._t in pi._shifted
         glat = enumerate_subgroups(G)
         for c in range(glat.n_classes()):
             shift_hom(subgroup_embedding(glat.class_rep(c)), B)
-        GK = direct_product(G, K).group
+        P = direct_product(G, K)
+        GK = P.group
+        assert all(getattr(direct_product(relabel(G, "A"), B), name) is getattr(P, name)
+                   for name in ("proj1", "proj2", "inj1", "inj2"))
         lat = enumerate_subgroups(GK)
         for c in range(lat.n_classes()):
             subgroup_embedding(lat.class_rep(c))
             gluck_idempotent(GK, lat.class_rep(c))
-    n_maps = 0
+        assert all(pair.K == K for _, _, pair in _product_pairs(G, B)[1])
+    n_maps = n_products = 0
     for t in list(_TABLES.values()):
         own = t.group
         assert own._t is t and own.label == f"T{t.order}"
@@ -855,12 +861,21 @@ def test_kept_objects_refer_to_each_table_own_group():
         for mask, f in t.embeddings.items():
             assert type(mask) is int and f.target is own and f.source is f.source._t.group
             shifted.append(f)
+        for mask, pi in t.quotients.items():
+            assert type(mask) is int and pi.source is own and pi.target is pi.target._t.group
+            shifted.append(pi)
+        for h, P in t.products.items():
+            n_products += 1
+            assert type(h) is _Table and P.group is P.group._t.group
+            assert P.proj1.source is P.proj2.source is P.inj1.target is P.inj2.target is P.group
+            assert P.proj1.target is P.inj1.source is own
+            assert P.proj2.target is P.inj2.source is h.group
     for f in shifted:
         for kt, fs in (f._shifted or {}).items():
             n_maps += 1
             assert type(kt) is _Table
             assert fs.source is fs.source._t.group and fs.target is fs.target._t.group
-    assert n_maps >= 2 * 108
+    assert n_maps >= 2 * 108 and n_products >= 108
 
 
 def test_one_embedding_per_subgroup_and_parent_label():

@@ -359,6 +359,25 @@ def test_exit_code_negative_degree(tmp_path, capsys, expr, reason):
     assert capsys.readouterr().err == f"error: line 1: {reason}\n"
 
 
+@pytest.mark.parametrize("cycles, point", [
+    ("(0 1)(0 1)", 0),  # composed, the identity: it once loaded as a group of order 2
+    ("(0 1 2)(0 2 1)", 0),  # composed, the identity: it once loaded as C3
+    ("(0 1) (1 2)", 1),  # it once failed as "not a permutation of range(n)"
+    ("(0 1 2), (1 2)(2 0)", 2),  # in the second generator
+], ids=["twice-(0 1)", "3-cycle-and-inverse", "overlap", "second-generator"])
+def test_cycles_of_one_generator_are_disjoint(tmp_path, capsys, cycles, point):
+    """A point named twice in the cycles of one `perm` generator is refused
+    with the point and the line, exit 2; the cycles are not composed."""
+    bad = tmp_path / "bad.bspec"
+    bad.write_text(f"group C2 = cyclic 2\ngroup X = perm 3 {cycles}\n")
+    assert main(["idempotent", str(bad), "--group", "C2", "--subgroup", "full"]) == 2
+    gen = cycles.split(",")[-1].strip()
+    assert capsys.readouterr().err == f"error: line 2: point {point} appears twice in the cycles {gen!r}\n"
+    with pytest.raises(SpecError, match=f"point {point} appears twice"):
+        parse_spec(f"group X = perm 3 {cycles}")
+    assert parse_spec("group X = perm 3 (0 1)(2), (1 2)").group("X").order == 6
+
+
 @pytest.mark.parametrize("text, message", [
     ("group C2 = cyclic 2\ngroup C3 = cyclic 3\n"
      "group X = semidirect C3 C2 action 0:0,1,2 1:0,1,1\n",
@@ -817,7 +836,9 @@ def _decorator_name(node) -> str | None:
 
 def test_no_cache_is_keyed_on_groups():
     """What is derived from a Cayley table lives on its interned table, so
-    no lru_cache/cache in the core takes a Group or Subgroup argument."""
+    no lru_cache/cache in the core takes a Group or Subgroup argument, and
+    `groups` has none at all: its constructors return the group kept on
+    the table under each label."""
     src = os.path.join(HERE, os.pardir, "src", "bgroups")
     offenders = []
     for name in sorted(os.listdir(src)):
@@ -826,6 +847,10 @@ def test_no_cache_is_keyed_on_groups():
         with open(os.path.join(src, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
+            # in groups.py, no cache is imported or named at all
+            cache_name = node.name if isinstance(node, ast.alias) else _decorator_name(node)
+            if name == "groups.py" and cache_name in ("lru_cache", "cache"):
+                offenders.append(f"{name}:{node.lineno}")
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not any(
                 _decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list
             ):

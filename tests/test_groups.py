@@ -661,13 +661,18 @@ def test_is_normal_matches_brute_force():
 
 
 def test_quotient_is_built_once_per_table_and_normal_subgroup():
+    """The projection is kept once per normal subgroup mask on G's table,
+    between the own groups of the two tables, and returned for every label
+    of G; only the quotient group carries G's label."""
     S4 = symmetric_group(4)
     N = next(N for N in normal_subgroups(S4) if N.order == 4)
     Q1, pi1 = quotient(S4, N)
     T = relabel(S4, "T")
     Q2, pi2 = quotient(T, Subgroup(T, N.mask))
-    assert Q1.table is Q2.table and pi1.image is pi2.image
-    assert (Q1.label, Q2.label, pi2.source.label) == ("S4/N4", "T/N4", "T")
+    assert pi2 is pi1 and S4._t.quotients[N.mask] is pi1 and Q1.table is Q2.table
+    assert pi1.source is S4._t.group and pi1.target is Q1._t.group
+    assert (Q1.label, Q2.label, pi1.source.label, pi1.target.label) == ("S4/N4", "T/N4", "T24", "T6")
+    assert quotient(relabel(S4, "A"), N)[1] is pi1 and Q1 is quotient(S4, N)[0]
     H = subgroup_generated(S4, [1])  # order 2, not normal
     for _ in range(2):
         with pytest.raises(GroupError):
@@ -800,11 +805,19 @@ def test_cached_constructions_keep_their_labels():
 
 
 def test_relabelled_constructions_share_their_tables():
+    """A product under any labels of its factors has the labelled group
+    and the four maps kept on the first factor's table once per second
+    factor's table, between own groups."""
     C3 = make_cyclic(3)
     PA = direct_product(make_cyclic(2, "A"), C3)
     PB = direct_product(make_cyclic(2, "B"), C3)
-    assert PA.group.table is PB.group.table
-    assert PB.proj1.source is PB.group and PB.proj1.target.label == "B"
+    assert PA.group.table is PB.group.table and (PA.group.label, PB.group.label) == ("AxC3", "BxC3")
+    kept = make_cyclic(2)._t.products[C3._t]
+    for name in ("proj1", "proj2", "inj1", "inj2"):
+        assert getattr(PA, name) is getattr(PB, name) is getattr(kept, name)
+    assert kept.group is PB.group._t.group and PB.proj1.source is kept.group
+    assert PB.proj1.target is make_cyclic(2)._t.group and PB.proj1.target.label == "T2"
+    assert PB.inj2.source is C3._t.group and PB.pair(1, 2) == 5
     D8 = dihedral_group(4)
     assert D8.label == "D8" and relabel(D8, "X").table is D8.table
 
@@ -909,9 +922,11 @@ def test_kept_members_and_image_size_are_not_fields():
     builds = [
         (lambda: Subgroup(S3, A3.mask), lambda S: S.members(), "Subgroup(order=3 of S3)"),
         (lambda: _trusted(Subgroup, S3, A3.mask), lambda S: S.members(), "Subgroup(order=3 of S3)"),
-        (lambda: Homomorphism(S3, sign.target, sign.image), lambda f: f.is_surjective(), repr(sign)),
-        (lambda: _trusted(Homomorphism, S3, sign.target, sign.image), lambda f: f.is_injective(),
+        # the kept projection runs between own groups: S3's is labelled T6
+        (lambda: Homomorphism(sign.source, sign.target, sign.image), lambda f: f.is_surjective(),
          repr(sign)),
+        (lambda: _trusted(Homomorphism, sign.source, sign.target, sign.image),
+         lambda f: f.is_injective(), repr(sign)),
     ]
     for build, fill, text in builds:
         value, other = build(), build()
