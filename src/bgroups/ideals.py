@@ -152,13 +152,11 @@ def minimal_groups(bk: GroupOverK) -> list[Group]:
     """{L/N : N normal of maximal order with N n Ker phi = 1}, up to iso."""
     L = bk.L
     ker = kernel(bk.phi)
-    best = max(
-        (N for N in normal_subgroups(L) if N.mask & ker.mask == 1),
-        key=lambda N: N.order,
-    ).order
+    meet_trivially = [N for N in normal_subgroups(L) if N.mask & ker.mask == 1]
+    best = max(N.order for N in meet_trivially)
     out: list[Group] = []
-    for N in normal_subgroups(L):
-        if N.order == best and N.mask & ker.mask == 1:
+    for N in meet_trivially:
+        if N.order == best:
             Q, _ = quotient(L, N)
             if not any(is_isomorphic(Q, M) for M in out):
                 out.append(Q)

@@ -2,18 +2,17 @@
 quotient and isomorphism testing, B_K-group detection, beta_K, and the
 classification of p-persistent B_K-groups.
 
-One search, `_hom_images`, finds both the homomorphisms and the
-isomorphisms between two groups, by brute force over the images of the
-source's generators; it checks the homomorphism law on the chords of the
-word plan only, since each candidate is built along the plan's tree.
+One search, `_hom_images`, finds the homomorphisms and the surjections
+between two groups, by brute force over the images of the source's
+generators; it checks the homomorphism law on the chords of the word plan
+only, since each candidate is built along the plan's tree.
 
-The two over-K decisions first accept equal data, one table L with equal
-images phi, since the identity of L is then an isomorphism over K.  They
-next reject by exact invariants: |L|, |Ker phi|, and the K-conjugacy
-class of the image phi(L).  A search that is still needed runs once per
-distinct conjugation c_g, with g from a transversal of K/Z(K) kept on K's
-table, restricted to the fibres of phi_y over c_g . phi_x, so every map it
-finds is a morphism over K and no conjugate test follows.
+Both over-K decisions are one surjection search over K, `_onto_over_k`:
+x ~= y is x ->> y with |L_x| = |L_y|, and y ~= x/N for some N exactly
+when x ->> y, so no quotient is built.  Equal data are accepted, exact
+invariants of the orders and of the image's K-class reject, and a search
+still needed runs once per distinct c_g . phi_x, with g from K/Z(K), over
+the fibres of phi_y, so every map it finds is a morphism over K.
 """
 
 from __future__ import annotations
@@ -111,20 +110,24 @@ def _word_plan(G: Group):
     return G._t.word_plan
 
 
-def _hom_images(G: Group, H: Group, iso: bool = False, fibre=None):
-    """Yield the image tuple of every homomorphism G -> H, or with `iso` of
-    every isomorphism, by brute force over the images of G's generators: an
-    image h of a generator g needs ord h | ord g, or ord h = ord g with
-    `iso`.  With `fibre` = (psi, chi), image tuples on G's and on H's
-    elements, only the maps f with chi . f = psi on the generators are
-    tried, which for homomorphisms psi and chi means on all of G.
+def _hom_images(G: Group, H: Group, onto: bool = False, fibre=None):
+    """Yield the image tuple of every homomorphism G -> H, or with `onto` of
+    every surjection, by brute force over the images of G's generators: an
+    image h of a generator g needs ord h | ord g, and a surjection takes
+    |H| distinct values.  A surjection between groups of one order is an
+    isomorphism, so there h needs ord h = ord g, and G and H need equal
+    sorted element orders.  With `fibre` = (psi, chi), image tuples on G's
+    and on H's elements, only the maps f with chi . f = psi on the
+    generators are tried, which for homomorphisms psi and chi means on all
+    of G.
 
     Each assignment extends along the word plan's tree, so the homomorphism
     law is checked on its chords only, which is the whole law (`_is_hom`).
     Each assignment of images extends to at most one map, and distinct
     assignments give distinct maps, so no map is yielded twice."""
     gorders, horders = G.element_orders(), H.element_orders()
-    if iso and (G.order != H.order or sorted(gorders) != sorted(horders)):
+    iso = onto and G.order == H.order
+    if iso and sorted(gorders) != sorted(horders):
         return
     gens, steps, chords = _word_plan(G)
     s = H.table
@@ -140,7 +143,7 @@ def _hom_images(G: Group, H: Group, iso: bool = False, fibre=None):
         for y, x, gi in steps:
             out[y] = s[out[x]][images[gi]]
         if all(out[y] == s[out[x]][images[gi]] for y, x, gi in chords) and (
-            not iso or len(set(out)) == G.order
+            not onto or len(set(out)) == H.order
         ):
             yield tuple(out)
 
@@ -151,13 +154,14 @@ def homomorphisms(G: Group, H: Group) -> list[Homomorphism]:
 
 
 def isomorphisms(G: Group, H: Group):
-    """Yield all isomorphisms G -> H."""
-    for m in _hom_images(G, H, iso=True):
-        yield _trusted(Homomorphism, G, H, m)
+    """Yield all isomorphisms G -> H: the surjections, when |G| = |H|."""
+    if G.order == H.order:
+        for m in _hom_images(G, H, onto=True):
+            yield _trusted(Homomorphism, G, H, m)
 
 
 def is_isomorphic(G: Group, H: Group) -> bool:
-    return next(_hom_images(G, H, iso=True), None) is not None
+    return G.order == H.order and next(_hom_images(G, H, onto=True), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +184,6 @@ def _transversal(K: Group) -> tuple[int, ...]:
     return K._t.transversal
 
 
-def _image_conjugators(x: GroupOverK, y: GroupOverK):
-    """Yield each g of K's Z(K)-transversal with g phi_x(L_x) g^-1 =
-    phi_y(L_y), none when the images differ in order.  Over K, x ->> y, and
-    so x ~= y, only if some g does: a surjection f with phi_y . f =
-    c_g . phi_x maps phi_x(L_x) onto phi_y(L_y) by c_g."""
-    return _mask_conjugators(x.K, mask_of(x.phi.image), mask_of(y.phi.image))
-
-
 def _mask_conjugators(K: Group, xm: int, ym: int):
     """Yield each g of K's Z(K)-transversal with g X g^-1 = Y, for the
     subgroups of K with masks xm and ym."""
@@ -197,30 +193,38 @@ def _mask_conjugators(K: Group, xm: int, ym: int):
                 yield g
 
 
-def is_isomorphic_over_k(x: GroupOverK, y: GroupOverK) -> bool:
-    """True iff some isomorphism f: L_x -> L_y and inner automorphism c of K
-    satisfy phi_y . f = c . phi_x.  Equal data decide first: on one table
-    with equal images, f and c the identities will do.  Then exact
-    invariants: |L| must agree, and phi_y(L_y) must be a K-conjugate of
-    phi_x(L_x), which also makes |Ker phi| agree.  Then, for each distinct
-    c = c_g with g from the Z(K) transversal that conjugates the one image
-    to the other, one search is restricted to the fibres of phi_y over
-    c . phi_x, so each map it finds is a morphism over K."""
+def _onto_over_k(x: GroupOverK, y: GroupOverK, possible: bool) -> bool:
+    """True iff x ->> y: some surjection f: L_x -> L_y and inner
+    automorphism c of K satisfy phi_y . f = c . phi_x.  `possible` is the
+    caller's exact test on the orders, read after the different-K refusal
+    and after equal data, one table L with equal images, are accepted by
+    the identity of L.  Such an f carries phi_x(L_x) to phi_y(L_y) by c,
+    so for each distinct c = c_g, with g from the Z(K) transversal that
+    conjugates the one image to the other, one search for surjections is
+    restricted to the fibres of phi_y over c . phi_x, and each map it
+    finds is a morphism over K."""
     if x.K != y.K:
         raise GroupError("different K")
     if x.L == y.L and x.phi.image == y.phi.image:
         return True
-    if x.L.order != y.L.order:
+    if not possible:
         return False
     K, tried = x.K, set()
-    for g in _image_conjugators(x, y):
+    for g in _mask_conjugators(K, mask_of(x.phi.image), mask_of(y.phi.image)):
         psi = tuple(K.conj(v, g) for v in x.phi.image) if g else x.phi.image
         if psi not in tried:
             tried.add(psi)
             fibre = (psi, y.phi.image)
-            if next(_hom_images(x.L, y.L, iso=True, fibre=fibre), None) is not None:
+            if next(_hom_images(x.L, y.L, onto=True, fibre=fibre), None) is not None:
                 return True
     return False
+
+
+def is_isomorphic_over_k(x: GroupOverK, y: GroupOverK) -> bool:
+    """True iff some isomorphism f: L_x -> L_y and inner automorphism c of K
+    satisfy phi_y . f = c . phi_x: x ->> y with |L_x| = |L_y|, since a
+    surjection between groups of one order is bijective."""
+    return _onto_over_k(x, y, x.L.order == y.L.order)
 
 
 def quotient_over_k(x: GroupOverK, N: Subgroup) -> GroupOverK:
@@ -238,24 +242,16 @@ def quotient_over_k(x: GroupOverK, N: Subgroup) -> GroupOverK:
 
 
 def is_quotient_over_k(x: GroupOverK, y: GroupOverK) -> bool:
-    """True iff y is a quotient of x in the category over K: y ~= x/N over
-    K for a normal N <= Ker phi_x with |N| = |L_x|/|L_y|.  Two necessary
-    conditions decide first: |L_x|/|L_y| divides |Ker phi_x|, and
-    phi_y(L_y) is a K-conjugate of phi_x(L_x)."""
-    if x.K != y.K:
-        raise GroupError("different K")
-    if x.L.order % y.L.order != 0:
-        return False
-    target = x.L.order // y.L.order
-    if (x.L.order // len(set(x.phi.image))) % target != 0:
-        return False
-    if next(_image_conjugators(x, y), None) is None:
-        return False
-    return any(
-        is_isomorphic_over_k(quotient_over_k(x, N), y)
-        for N in _normal_in_kernel(x)
-        if N.order == target
-    )
+    """True iff y is a quotient of x in the category over K, y ~= x/N for a
+    normal N <= Ker phi_x: the kernel of a surjection f over K lies in Ker
+    phi_x, so this is x ->> y, and no quotient is built.  Orders decide
+    first: |L_y| must divide |L_x|, the index must divide |Ker phi_x|, and
+    at an index above 1, exp L_y must divide exp L_x (from the element
+    orders kept on L's table); at index 1 the search compares all orders."""
+    index, rest = divmod(x.L.order, y.L.order)
+    kernel_order = x.L.order // x.phi._image_order()
+    return _onto_over_k(x, y, rest == 0 and kernel_order % index == 0 and (
+        index == 1 or x.L.exponent() % y.L.exponent() == 0))
 
 
 def pair_from_subgroup(X: Subgroup, p2: Homomorphism) -> GroupOverK:
@@ -269,17 +265,13 @@ def pair_from_subgroup(X: Subgroup, p2: Homomorphism) -> GroupOverK:
 # B_K-groups
 
 
-def _normal_in_kernel(x: GroupOverK) -> list[Subgroup]:
-    """Normal subgroups of L inside Ker phi, in canonical lattice order."""
-    ker = kernel(x.phi)
-    return [N for N in normal_subgroups(x.L) if N.mask & ker.mask == N.mask]
-
-
 def kernel_m_constants(x: GroupOverK):
     """Yield (N, m_{L,N}) for every normal N <= Ker phi, in canonical
     lattice order."""
-    for N in _normal_in_kernel(x):
-        yield N, m_const(x.L, N)
+    ker = kernel(x.phi).mask
+    for N in normal_subgroups(x.L):
+        if N.mask & ker == N.mask:
+            yield N, m_const(x.L, N)
 
 
 def beta_k_subgroup(m_constants) -> Subgroup:

@@ -7,9 +7,9 @@ import itertools
 
 import pytest
 
-from bgroups import overk
 from bgroups.burnside import m_const
-from bgroups.catalog import groups_up_to_order
+from bgroups import ideals, overk
+from bgroups.catalog import groups_of_order, groups_up_to_order
 from bgroups.groups import (
     Group,
     GroupError,
@@ -196,6 +196,17 @@ def _equal_data(x):
     return copy, quotient_over_k(x, trivial_subgroup(x.L))
 
 
+def _quotient_classes(x, Ls, isos):
+    """The oracle's quotients of x: for each catalog group H in Ls, the phi
+    on H with (H, phi) over-K isomorphic to some x/N."""
+    quotient_to = {}
+    for q in quotients_over_k_oracle(x):
+        for H in Ls:
+            if H.order == q.L.order:
+                quotient_to.setdefault(H, set()).update(over_k_class_oracle(q, H, isos))
+    return quotient_to
+
+
 @pytest.mark.parametrize("K", _ORACLE_KS, ids=lambda g: g.label)
 def test_over_k_decisions_match_the_oracle(K):
     """Both decisions on every ordered pair of (L, phi) with |L| <= 8 equal
@@ -207,11 +218,7 @@ def test_over_k_decisions_match_the_oracle(K):
     isos = functools.cache(isomorphisms_oracle)
     for x in xs:
         iso_to = {H: over_k_class_oracle(x, H, isos) for H in Ls if H.order == x.L.order}
-        quotient_to = {}
-        for q in quotients_over_k_oracle(x):
-            for H in Ls:
-                if H.order == q.L.order:
-                    quotient_to.setdefault(H, set()).update(over_k_class_oracle(q, H, isos))
+        quotient_to = _quotient_classes(x, Ls, isos)
         for y in xs:
             assert is_isomorphic_over_k(x, y) == (y.phi.image in iso_to.get(y.L, ())), (x, y)
             assert is_quotient_over_k(x, y) == (y.phi.image in quotient_to.get(y.L, ())), (x, y)
@@ -254,6 +261,67 @@ def test_equal_data_are_decided_without_a_search(K, monkeypatch):
     for x, y in pairs:
         assert is_isomorphic_over_k(x, y), (x, y)
         assert is_quotient_over_k(x, y), (x, y)
+
+
+@pytest.mark.parametrize("K", [trivial_group(), make_cyclic(2)], ids=lambda g: g.label)
+def test_surjections_onto_smaller_groups_match_the_oracle(K):
+    """x ->> y for every (L, phi) over K with L one of the 14 catalog groups
+    of order 16, against every y with |L_y| <= 8, equals the oracle's, which
+    builds each x/N and tests it against y by the plain isomorphism search:
+    here the search is for surjections onto a smaller group."""
+    Ls = groups_up_to_order(8)
+    ys = _oracle_corpus(K)
+    isos = functools.cache(isomorphisms_oracle)
+    Ms = groups_of_order(16)
+    assert len(Ms) == 14
+    xs = [GroupOverK(M, Homomorphism(M, K, f)) for M in Ms for f in hom_images_oracle(M, K)]
+    found = 0
+    for x in xs:
+        quotient_to = _quotient_classes(x, Ls, isos)
+        for y in ys:
+            expected = y.phi.image in quotient_to.get(y.L, ())
+            assert is_quotient_over_k(x, y) == expected, (x, y)
+            found += expected
+    assert found > len(xs)
+
+
+def test_exponent_refuses_a_quotient_without_a_search(monkeypatch):
+    """exp D8 = 4 does not divide exp C2^7 = 2, so (C2^7, 1) ->> (D8, 1) is
+    refused before any search, though |D8| divides |C2^7|."""
+    E = make_cyclic(2)
+    for _ in range(6):
+        E = direct_product(E, make_cyclic(2)).group
+    one = trivial_group()
+    D8 = dihedral_group(4)
+    x = GroupOverK(E, Homomorphism(E, one, (0,) * E.order))
+    y = GroupOverK(D8, Homomorphism(D8, one, (0,) * D8.order))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("surjection search ran")
+
+    monkeypatch.setattr(overk, "_hom_images", no_search)
+    assert not is_quotient_over_k(x, y)
+
+
+@pytest.mark.parametrize("K", [make_cyclic(2), dihedral_group(4)], ids=lambda g: g.label)
+def test_quotient_decision_builds_no_quotient(K, monkeypatch):
+    """x ->> y is one surjection search over K: with `quotient` and
+    `quotient_over_k` raising, the decision runs on every ordered pair of
+    the corpus, and an ideal evaluation on G x K gives the basis classes it
+    gave before."""
+    xs = _oracle_corpus(K)
+    bk = embedding_over(K, full_subgroup(K))
+    G = make_cyclic(4)
+    basis = ideals.ideal_eval(bk, G).basis_classes
+
+    def no_quotient(*args, **kwargs):
+        raise AssertionError("a quotient was built")
+
+    monkeypatch.setattr(overk, "quotient", no_quotient)
+    monkeypatch.setattr(overk, "quotient_over_k", no_quotient)
+    proper = sum(is_quotient_over_k(x, y) and x.L.order > y.L.order for x in xs for y in xs)
+    assert proper > 0
+    assert ideals.ideal_eval(bk, G).basis_classes == basis
 
 
 def test_equal_data_over_different_k_are_refused():
