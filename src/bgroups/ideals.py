@@ -6,12 +6,15 @@ A poset of B_K-group classes keeps one up-set per node, a bit mask of the
 nodes above it.  x ->> y only when the images of x and y are K-conjugate,
 so only pairs within one image class are tested.
 
-The p-restricted ideal lattice is checked as the theorem states it, one
-subgroup class H of K at a time: H's case builds its 1-2 nodes, and the
-closed sets of their quotient relation are counted.  No relation crosses
-two classes, so the product of the counts is the number of ideals.  No
-poset over all classes is built: C2^7 at p = 2 has 29,340 nodes in 29,212
-classes, and the check holds at most two of them at a time.
+The census of the p-restricted ideal lattice is the case of each subgroup
+class H of K, read off H's mask in K with no node built: a 3-chain when
+H^[p] is cyclic, a 2-chain otherwise, so 3^c * 2^nc ideals.  The check
+counts over that case list as the theorem states it, one class at a time:
+H's case builds its 1-2 nodes, and the closed sets of their quotient
+relation are counted.  No relation crosses two classes, so the product of
+the counts is the number of ideals.  No poset over all classes is built:
+C2^7 at p = 2 has 29,340 nodes in 29,212 classes, and the check holds at
+most two of them at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .groups import (
     Group,
     GroupError,
     ResourceLimit,
+    Subgroup,
     direct_product,
     elements_of,
     image,
@@ -30,7 +34,6 @@ from .groups import (
 )
 from .overk import (
     GroupOverK,
-    _mask_conjugators,
     beta_k,
     classify_p_persistent_bk,
     dedupe_over_k,
@@ -84,15 +87,13 @@ class BkPoset:
 
 
 class IdealLatticeDescription:
-    def __init__(self, K: Group, p: int, c_count: int, nc_count: int, total_ideals: int,
-                 components: list[tuple[str, str]], verified: bool | None = None):
+    def __init__(self, K: Group, p: int, cases: list[str | None]):
         self.K = K
         self.p = p
-        self.c_count = c_count
-        self.nc_count = nc_count
-        self.total_ideals = total_ideals
-        self.components = components  # (subgroup-class label, "chain2"|"isolated")
-        self.verified = verified
+        self.cases = cases  # p_persistent_case of each subgroup class rep of K, by class
+        self.c_count = sum(case is not None for case in cases)  # H^[p] cyclic
+        self.nc_count = len(cases) - self.c_count
+        self.total_ideals = 3**self.c_count * 2**self.nc_count
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +131,20 @@ def simple_dim(bk: GroupOverK, G: Group) -> int:
     """dim of the simple quotient at G: classes X with beta_K(X,p2) iso bk.
     beta_K(X, p2) is a quotient of (X, p2|_X) by a subgroup of the kernel,
     so its order divides |X| and its image is p2(X).  A class X whose order
-    |L| does not divide, or whose image is not a K-conjugate of phi(L),
-    cannot match, and gets no pair and no beta_K."""
+    |L| does not divide, or whose image is not in the subgroup class of
+    phi(L) in K, cannot match, and gets no pair and no beta_K."""
     if not is_bk_group(bk):
         raise GroupError("not a B_K-group; reduce with beta_k first")
-    P = direct_product(G, bk.K)
-    lat, p2 = enumerate_subgroups(P.group), P.proj2.image
-    order, image = bk.L.order, mask_of(bk.phi.image)
+    K = bk.K
+    P = direct_product(G, K)
+    lat, klat, p2 = enumerate_subgroups(P.group), enumerate_subgroups(K), P.proj2.image
+    order, target = bk.L.order, klat.class_of(image(bk.phi))
     dim = 0
     for c in range(lat.n_classes()):
         X = lat.class_rep(c)
-        if X.order % order or next(_mask_conjugators(
-                bk.K, mask_of(p2[a] for a in X.members()), image), None) is None:
+        if X.order % order:
+            continue
+        if klat.class_of(Subgroup(K, mask_of(p2[a] for a in X.members()))) != target:
             continue
         if is_isomorphic_over_k(beta_k(pair_from_subgroup(X, P.proj2)), bk):
             dim += 1
@@ -223,36 +226,27 @@ def closed_subsets(poset: BkPoset, cap: int = DEFAULT_CLOSED_SET_CAP) -> list[fr
     return [frozenset(elements_of(s)) for s in order]
 
 
-def p_ideal_lattice(K: Group, p: int, verify: bool = True,
-                    cases: list[str | None] | None = None) -> IdealLatticeDescription:
-    """Component census of the p-restricted ideal lattice: one factor per
-    subgroup class of K, a 3-chain when H^[p] is cyclic, a 2-chain otherwise;
-    total ideal count 3^c * 2^nc.  With verify, the closed sets of each
-    class's own nodes are counted, and their product must equal the total.
-    `cases`, when given, is p_persistent_case of each class representative,
-    by class, as a caller that needed them first has them."""
+def p_ideal_lattice(K: Group, p: int) -> IdealLatticeDescription:
+    """Census of the p-restricted ideal lattice: the case of each subgroup
+    class of K, a 3-chain when H^[p] is cyclic, a 2-chain otherwise; total
+    ideal count 3^c * 2^nc.  No node is built."""
     lat = enumerate_subgroups(K)
-    if cases is None:
-        cases = [p_persistent_case(lat.class_rep(ci), p) for ci in range(lat.n_classes())]
-    c = nc = 0
-    components: list[tuple[str, str]] = []
+    return IdealLatticeDescription(
+        K, p, [p_persistent_case(lat.class_rep(ci), p) for ci in range(lat.n_classes())])
+
+
+def count_p_ideals(desc: IdealLatticeDescription) -> int:
+    """The closed sets of the p-restricted poset, counted over the census's
+    cases: each class's own nodes are built and the closed sets of their
+    quotient relation counted.  Every node of H's class has image H, and no
+    relation crosses two classes, so the closed sets of all nodes are the
+    products of those of each class; the cap bounds each listing.  The
+    theorem says the count is desc.total_ideals."""
+    K, lat = desc.K, enumerate_subgroups(desc.K)
     count = 1
-    for ci, case in enumerate(cases):
-        H = lat.class_rep(ci)
-        label = f"ord{H.order}#{ci}"
-        if case is not None:  # H^[p] cyclic
-            c += 1
-            components.append((label, "chain2"))
-        else:
-            nc += 1
-            components.append((label, "isolated"))
-        if verify:
-            # every node of H's class has image H, and no relation crosses
-            # two classes, so the closed sets of all nodes are the products
-            # of those of each class; the cap bounds each listing
-            nodes = p_persistent_nodes(K, H, p, case)
-            xs = [x for x, _ in nodes]
-            above = [mask_of(i for i, x in enumerate(xs) if is_quotient_over_k(x, y)) for y in xs]
-            count *= len(closed_subsets(BkPoset(K, xs, [t for _, t in nodes], above)))
-    total = 3**c * 2**nc
-    return IdealLatticeDescription(K, p, c, nc, total, components, count == total if verify else None)
+    for ci, case in enumerate(desc.cases):
+        nodes = p_persistent_nodes(K, lat.class_rep(ci), desc.p, case)
+        xs = [x for x, _ in nodes]
+        above = [mask_of(i for i, x in enumerate(xs) if is_quotient_over_k(x, y)) for y in xs]
+        count *= len(closed_subsets(BkPoset(K, xs, [t for _, t in nodes], above)))
+    return count

@@ -228,4 +228,7 @@ def parse_spec(text: str, validate: bool = True) -> GroupSpecDocument:
 
 def load_spec(path: str, validate: bool = True) -> GroupSpecDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read(), validate)
+        try:
+            return parse_spec(fh.read(), validate)
+        except UnicodeDecodeError as exc:  # from the read: a ValueError that no caller expects
+            raise SpecError(f"{path}: not UTF-8 at byte {exc.start}") from None

@@ -251,7 +251,7 @@ def test_criterion_7_lattice_counts():
     results = {}
     for K in ks:
         for p in (2, 3):
-            desc = p_ideal_lattice(K, p, verify=False)
+            desc = p_ideal_lattice(K, p)
             poset = build_bk_poset(K, P_RESTRICTED, p=p)
             brute = len(closed_subsets(poset))
             assert desc.total_ideals == brute, (K.label, p)

@@ -30,7 +30,14 @@ from bgroups.groups import (
     symmetric_group,
 )
 from bgroups.ideals import IdealLatticeDescription
-from bgroups.overk import GroupOverK, beta_k, classify_p_persistent_bk, is_isomorphic
+from bgroups.overk import (
+    CASE_CP,
+    CASE_CP2,
+    GroupOverK,
+    beta_k,
+    classify_p_persistent_bk,
+    is_isomorphic,
+)
 from bgroups.specdoc import SpecError, load_spec, parse_spec
 from bgroups.subgroups import enumerate_subgroups
 from util import greedy_generators_oracle
@@ -204,7 +211,7 @@ sys.path.insert(0, sys.argv[1])
 from test_cli import GOLDEN_CASES, SPEC, _use_under_other_labels
 from bgroups.cli import main
 from bgroups.groups import Homomorphism, relabel
-from bgroups.ideals import minimal_groups, p_ideal_lattice, simple_dim
+from bgroups.ideals import count_p_ideals, minimal_groups, p_ideal_lattice, simple_dim
 from bgroups.overk import GroupOverK, is_bk_group
 from bgroups.specdoc import load_spec
 
@@ -216,7 +223,7 @@ assert is_bk_group(x)
 minimal_groups(x)
 for name in ("G1", "G2"):
     simple_dim(x, other[name])
-p_ideal_lattice(other["C4"], 2, verify=True)
+count_p_ideals(p_ideal_lattice(other["C4"], 2))
 runs = []
 for fname, args in GOLDEN_CASES:
     out = io.StringIO()
@@ -311,6 +318,19 @@ def test_out_into_a_missing_directory_exits_2_without_a_traceback(tmp_path):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert path in proc.stderr
         assert proc.stdout.startswith("report-version: 1\n")
+
+
+def test_spec_that_is_not_utf8_exits_2_without_a_traceback(tmp_path):
+    """Bytes that do not decode end like any other bad spec: exit 2 and one
+    error line naming the path and the byte offset."""
+    bad = tmp_path / "bad.bspec"
+    bad.write_bytes(b"group A = cyclic 2\n\xff\xfe\n")
+    proc = subprocess.run([sys.executable, "-m", "bgroups.cli", "idempotent", str(bad), "--group", "A",
+                           "--subgroup", "full"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {bad}: not UTF-8 at byte 19\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("line", [
@@ -554,8 +574,13 @@ def test_p_lattice_renders_a_count_over_4300_digits(monkeypatch, capsys):
     import bgroups.ideals as ideals  # cmd_p_lattice imports p_ideal_lattice from here
 
     total = 3**128 * 2**29084
-    monkeypatch.setattr(ideals, "p_ideal_lattice", lambda K, p, verify, cases: IdealLatticeDescription(
-        K, p, 128, 29084, total, [("ord1#0", "chain2"), ("ord2#1", "chain2")]))
+
+    def census(K, p):  # C2's two classes, with the counts of C2^7 at p = 2
+        desc = IdealLatticeDescription(K, p, [CASE_CP2, CASE_CP])
+        desc.c_count, desc.nc_count, desc.total_ideals = 128, 29084, total
+        return desc
+
+    monkeypatch.setattr(ideals, "p_ideal_lattice", census)
     code, out = run_cli(["p-lattice", SPEC, "--k", "C2", "--p", "2", "--no-check"], capsys)
     assert code == 0
     digits = _decimal_digits(total)
@@ -635,8 +660,8 @@ def test_p_lattice_check_bounds_the_poset_nodes(capsys):
 
 @pytest.mark.parametrize("flag", ["--check", "--no-check"])
 def test_p_lattice_computes_each_class_case_once(monkeypatch, capsys, flag):
-    """The CLI's cases, which bound the check's node orders and fill the
-    components table, are the ones the census counts: one p_persistent_case
+    """The census's cases bound the check's node orders, fill the
+    components table and give the check its nodes: one p_persistent_case
     call per subgroup class of K, with or without the check."""
     import bgroups.ideals as ideals
     import bgroups.overk as overk
@@ -647,7 +672,7 @@ def test_p_lattice_computes_each_class_case_once(monkeypatch, capsys, flag):
         calls.append(H.mask)
         return case(H, p)
 
-    monkeypatch.setattr(overk, "p_persistent_case", counted)  # the CLI imports it from here
+    monkeypatch.setattr(overk, "p_persistent_case", counted)  # for any caller that imports it
     monkeypatch.setattr(ideals, "p_persistent_case", counted)
     code, out = run_cli(["p-lattice", SPEC, "--k", "K", "--p", "2", flag], capsys)
     assert code == 0

@@ -25,6 +25,7 @@ from bgroups.ideals import (
     ClosedSetCapExceeded,
     build_bk_poset,
     closed_subsets,
+    count_p_ideals,
     ideal_eval,
     minimal_groups,
     p_ideal_lattice,
@@ -363,7 +364,7 @@ LATTICE_CASES = [
 def test_p_ideal_lattice_census(K, p, c, nc, total):
     d = p_ideal_lattice(K, p)
     assert (d.c_count, d.nc_count, d.total_ideals) == (c, nc, total)
-    assert d.verified is True
+    assert count_p_ideals(d) == total
     assert 3 ** d.c_count * 2 ** d.nc_count == d.total_ideals
 
 
@@ -375,19 +376,19 @@ def test_p_ideal_lattice_verifies_on_the_catalog(K, p):
     """The closed sets of the B_K poset number 3^c 2^nc for every catalog K
     (|K| <= 16), at p = 2 and at p = 3 when 3 divides |K|."""
     assert len(_CENSUS) == 53
-    assert p_ideal_lattice(K, p, verify=True).verified
+    d = p_ideal_lattice(K, p)
+    assert count_p_ideals(d) == d.total_ideals
 
 
 def test_p_ideal_lattice_census_builds_no_subgroup_table():
-    """Without the check, the census reads each class's case off its mask in
-    K: no subgroup of K gets a Cayley table or an inclusion map of its
-    own."""
+    """The census reads each class's case off its mask in K: no subgroup of
+    K gets a Cayley table or an inclusion map of its own."""
     K = direct_product(make_cyclic(5), dihedral_group(5)).group
     lat = enumerate_subgroups(K)
     before = dict(K._t.embeddings)
     assert any(lat.class_rep(c).mask not in before for c in range(lat.n_classes()))
     for p in (2, 5):
-        p_ideal_lattice(K, p, verify=False)
+        p_ideal_lattice(K, p)
         assert K._t.embeddings == before
 
 
@@ -397,7 +398,7 @@ def test_p_ideal_lattice_check_fails_without_the_quotient_relation(monkeypatch):
     monkeypatch.setattr(ideals, "is_quotient_over_k", lambda x, y: False)
     d = p_ideal_lattice(make_cyclic(4), 2)
     assert d.total_ideals == 27
-    assert d.verified is False
+    assert count_p_ideals(d) != 27
 
 
 _CRITERION_7_KS = [trivial_group(), make_cyclic(2), make_cyclic(3), make_cyclic(4),
@@ -419,7 +420,7 @@ def test_bk_poset_relation_matches_the_pairwise_oracle(K, p):
 @pytest.mark.parametrize("K,p", _CENSUS, ids=[f"{K.label}-p{p}" for K, p in _CENSUS])
 def test_components_match_the_connectivity_oracle(K, p):
     """The connected components of the whole poset are the node groups that
-    p_ideal_lattice counts one at a time: one per subgroup class H of K, its
+    count_p_ideals counts one at a time: one per subgroup class H of K, its
     (H, j_H) node and the node classify emits after it, if any."""
     poset = build_bk_poset(K, P_RESTRICTED, p=p)
     starts = [i for i, t in enumerate(poset.tags) if t == CASE_EMBEDDING] + [len(poset.nodes)]
@@ -429,7 +430,7 @@ def test_components_match_the_connectivity_oracle(K, p):
 
 def test_noncyclic_components_are_isolated():
     d = p_ideal_lattice(V4, 2)
-    isolated = [lab for lab, kind in d.components if kind == "isolated"]
+    isolated = [ci for ci, case in enumerate(d.cases) if case is None]
     assert len(isolated) == 1
     poset = build_bk_poset(V4, P_RESTRICTED, p=2)
     # the node for the isolated class covers/is covered by nothing
