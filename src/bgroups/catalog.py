@@ -8,8 +8,6 @@ match the classical census (1,1,1,2,1,2,1,5,2,2,1,5,1,2,1,14).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .groups import (
     Group,
     GroupError,
@@ -61,7 +59,6 @@ def _pauli_group() -> Group:
     return quotient(P.group, subgroup_generated(P.group, [z]))[0]
 
 
-@lru_cache(maxsize=None)
 def groups_of_order(n: int) -> tuple[Group, ...]:
     if n < 1 or n > 16:
         raise GroupError("catalog covers orders 1..16 only")

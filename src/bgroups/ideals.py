@@ -2,6 +2,10 @@
 dimensions, minimal groups, quotient posets of B_K-group classes, and the
 (finite) ideal lattice of the p-restricted shifted Burnside functor.
 
+ideal_eval walks the classes X of G x K once, keeping those with
+(X, p2) ->> bk; simple_dim counts the kept classes whose beta_K is bk,
+since beta_K(X, p2) is a quotient of (X, p2) over K.
+
 A poset of B_K-group classes keeps one up-set per node, a bit mask of the
 nodes above it.  x ->> y only when the images of x and y are K-conjugate,
 so only pairs within one image class are tested.
@@ -24,7 +28,6 @@ from .groups import (
     Group,
     GroupError,
     ResourceLimit,
-    Subgroup,
     direct_product,
     elements_of,
     image,
@@ -100,27 +103,16 @@ class IdealLatticeDescription:
 # ideal evaluations
 
 
-def _product_pairs(G: Group, K: Group):
-    """Class reps X of G x K together with (X, p2|_X) as groups over K."""
-    P = direct_product(G, K)
-    lat = enumerate_subgroups(P.group)
-    out = []
-    for c in range(lat.n_classes()):
-        X = lat.class_rep(c)
-        out.append((c, X, pair_from_subgroup(X, P.proj2)))
-    return lat, out
-
-
 def ideal_eval(bk: GroupOverK, G: Group) -> IdealEvaluation:
     """Basis classes of the ideal evaluation at G: classes X <= G x K with
     (X, p2) ->> bk."""
     if not is_bk_group(bk):
         raise GroupError("not a B_K-group; reduce with beta_k first")
-    lat, pairs = _product_pairs(G, bk.K)
-    basis = []
-    rest = []
-    for c, X, pair in pairs:
-        if is_quotient_over_k(pair, bk):
+    P = direct_product(G, bk.K)
+    lat = enumerate_subgroups(P.group)
+    basis, rest = [], []
+    for c in range(lat.n_classes()):
+        if is_quotient_over_k(pair_from_subgroup(lat.class_rep(c), P.proj2), bk):
             basis.append(c)
         else:
             rest.append(c)
@@ -128,27 +120,14 @@ def ideal_eval(bk: GroupOverK, G: Group) -> IdealEvaluation:
 
 
 def simple_dim(bk: GroupOverK, G: Group) -> int:
-    """dim of the simple quotient at G: classes X with beta_K(X,p2) iso bk.
-    beta_K(X, p2) is a quotient of (X, p2|_X) by a subgroup of the kernel,
-    so its order divides |X| and its image is p2(X).  A class X whose order
-    |L| does not divide, or whose image is not in the subgroup class of
-    phi(L) in K, cannot match, and gets no pair and no beta_K."""
-    if not is_bk_group(bk):
-        raise GroupError("not a B_K-group; reduce with beta_k first")
-    K = bk.K
-    P = direct_product(G, K)
-    lat, klat, p2 = enumerate_subgroups(P.group), enumerate_subgroups(K), P.proj2.image
-    order, target = bk.L.order, klat.class_of(image(bk.phi))
-    dim = 0
-    for c in range(lat.n_classes()):
-        X = lat.class_rep(c)
-        if X.order % order:
-            continue
-        if klat.class_of(Subgroup(K, mask_of(p2[a] for a in X.members()))) != target:
-            continue
-        if is_isomorphic_over_k(beta_k(pair_from_subgroup(X, P.proj2)), bk):
-            dim += 1
-    return dim
+    """dim of the simple quotient at G: classes X with beta_K(X, p2) ~= bk.
+    beta_K(X, p2) is a quotient of (X, p2) over K, so every such X has
+    (X, p2) ->> bk and is a basis class of ideal_eval(bk, G); beta_K is
+    computed for those classes only."""
+    P = direct_product(G, bk.K)
+    lat = enumerate_subgroups(P.group)
+    pairs = (pair_from_subgroup(lat.class_rep(c), P.proj2) for c in ideal_eval(bk, G).basis_classes)
+    return sum(is_isomorphic_over_k(beta_k(x), bk) for x in pairs)
 
 
 def minimal_groups(bk: GroupOverK) -> list[Group]:

@@ -10,9 +10,10 @@ only, since each candidate is built along the plan's tree.
 Both over-K decisions are one surjection search over K, `_onto_over_k`:
 x ~= y is x ->> y with |L_x| = |L_y|, and y ~= x/N for some N exactly
 when x ->> y, so no quotient is built.  Equal data are accepted, exact
-invariants of the orders and of the image's K-class reject, and a search
-still needed runs once per distinct c_g . phi_x, with g from K/Z(K), over
-the fibres of phi_y, so every map it finds is a morphism over K.
+invariants of the orders, of abelianness and of the image's K-class
+reject, and a search still needed runs once per distinct c_g . phi_x,
+with g from K/Z(K), over the fibres of phi_y, so every map it finds is a
+morphism over K.
 """
 
 from __future__ import annotations
@@ -247,11 +248,14 @@ def is_quotient_over_k(x: GroupOverK, y: GroupOverK) -> bool:
     phi_x, so this is x ->> y, and no quotient is built.  Orders decide
     first: |L_y| must divide |L_x|, the index must divide |Ker phi_x|, and
     at an index above 1, exp L_y must divide exp L_x (from the element
-    orders kept on L's table); at index 1 the search compares all orders."""
+    orders kept on L's table); at index 1 the search compares all orders.
+    Then an abelian L_x has no nonabelian quotient: a group is abelian
+    when its kept Z(L)-transversal has one element."""
     index, rest = divmod(x.L.order, y.L.order)
     kernel_order = x.L.order // x.phi._image_order()
     return _onto_over_k(x, y, rest == 0 and kernel_order % index == 0 and (
-        index == 1 or x.L.exponent() % y.L.exponent() == 0))
+        index == 1 or x.L.exponent() % y.L.exponent() == 0) and (
+        len(_transversal(x.L)) > 1 or len(_transversal(y.L)) == 1))
 
 
 def pair_from_subgroup(X: Subgroup, p2: Homomorphism) -> GroupOverK:

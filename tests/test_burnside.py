@@ -822,14 +822,14 @@ def test_class_maps_and_image_tests_match_the_oracles_on_the_ring_products():
 def test_kept_objects_refer_to_each_table_own_group():
     """After every shifted projection and class-representative embedding of
     the `ring` products is built, with their idempotents, the shifts of the
-    embeddings of G's classes and the pairs over K of `ideals`, under K's
-    label and under another, every interned table's kept objects are keyed
-    by mask or table, not by label, and refer to the table's own group: the
-    lattice parent and each lattice subgroup's, each kept idempotent's
-    group, and the source and target of each kept inclusion map,
-    projection, product map, and map shifted from an inclusion or a
-    projection."""
-    from bgroups.ideals import _product_pairs
+    embeddings of G's classes and the pairs over K that `ideals` builds
+    with `pair_from_subgroup`, under K's label and under another, every
+    interned table's kept objects are keyed by mask or table, not by
+    label, and refer to the table's own group: the lattice parent and each
+    lattice subgroup's, each kept idempotent's group, and the source and
+    target of each kept inclusion map, projection, product map, and map
+    shifted from an inclusion or a projection."""
+    from bgroups.overk import pair_from_subgroup
 
     shifted = []
     for G, K in ring_pairs():
@@ -849,7 +849,11 @@ def test_kept_objects_refer_to_each_table_own_group():
         for c in range(lat.n_classes()):
             subgroup_embedding(lat.class_rep(c))
             gluck_idempotent(GK, lat.class_rep(c))
-        assert all(pair.K == K for _, _, pair in _product_pairs(G, B)[1])
+        for L in (K, B):
+            Q = direct_product(G, L)
+            qlat = enumerate_subgroups(Q.group)
+            assert all(pair_from_subgroup(qlat.class_rep(c), Q.proj2).K == L
+                       for c in range(qlat.n_classes()))
     n_maps = n_products = 0
     for t in list(_TABLES.values()):
         own = t.group

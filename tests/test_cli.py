@@ -6,7 +6,6 @@ import importlib
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 import time
@@ -860,10 +859,10 @@ def _decorator_name(node) -> str | None:
 
 
 def test_no_cache_is_keyed_on_groups():
-    """What is derived from a Cayley table lives on its interned table, so
-    no lru_cache/cache in the core takes a Group or Subgroup argument, and
-    `groups` has none at all: its constructors return the group kept on
-    the table under each label."""
+    """What is derived from a Cayley table lives on its interned table, and
+    the constructors return the group kept on the table under each label,
+    so no module of the core imports, names or decorates with an
+    lru_cache or cache at all."""
     src = os.path.join(HERE, os.pardir, "src", "bgroups")
     offenders = []
     for name in sorted(os.listdir(src)):
@@ -872,19 +871,9 @@ def test_no_cache_is_keyed_on_groups():
         with open(os.path.join(src, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
-            # in groups.py, no cache is imported or named at all
             cache_name = node.name if isinstance(node, ast.alias) else _decorator_name(node)
-            if name == "groups.py" and cache_name in ("lru_cache", "cache"):
+            if cache_name in ("lru_cache", "cache"):
                 offenders.append(f"{name}:{node.lineno}")
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not any(
-                _decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list
-            ):
-                continue
-            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
-                if arg.annotation is not None and re.search(
-                    r"\b(Group|Subgroup)\b", ast.unparse(arg.annotation)
-                ):
-                    offenders.append(f"{name}:{node.name}({arg.arg})")
     assert offenders == []
 
 

@@ -242,14 +242,18 @@ def _simple_dim_cases():
 
 
 def test_simple_dim_equals_the_unpruned_sum():
-    """Skipping the classes X whose order |L| does not divide, or whose
-    image is not K-conjugate to phi(L), changes no dimension: simple_dim
-    equals beta_K compared over K on every class."""
-    from util import simple_dim_oracle
+    """Counting over the basis of ideal_eval(bk, G) changes no dimension:
+    simple_dim equals the number of classes X of G x K whose beta_K is
+    isomorphic to bk over K, each pair built by the oracle, and every such
+    class is a basis class of the ideal evaluation."""
+    from util import simple_classes_oracle
 
     cases = _simple_dim_cases()
     dims = [simple_dim(bk, G) for bk, G in cases]
-    assert dims == [simple_dim_oracle(bk, G) for bk, G in cases]
+    counted = [simple_classes_oracle(bk, G) for bk, G in cases]
+    assert dims == [len(cs) for cs in counted]
+    for (bk, G), cs in zip(cases, counted):
+        assert set(cs) <= set(ideal_eval(bk, G).basis_classes), (bk, G)
     assert dims[:3] == [1, 1, 7] and sum(dims) > len(dims) // 2
 
 

@@ -268,21 +268,27 @@ def test_surjections_onto_smaller_groups_match_the_oracle(K):
     """x ->> y for every (L, phi) over K with L one of the 14 catalog groups
     of order 16, against every y with |L_y| <= 8, equals the oracle's, which
     builds each x/N and tests it against y by the plain isomorphism search:
-    here the search is for surjections onto a smaller group."""
+    here the search is for surjections onto a smaller group.  The pairs
+    with exactly one abelian side include an abelian x against a nonabelian
+    y, refused before any search, and nonabelian groups over K mapping onto
+    abelian ones."""
     Ls = groups_up_to_order(8)
     ys = _oracle_corpus(K)
     isos = functools.cache(isomorphisms_oracle)
     Ms = groups_of_order(16)
     assert len(Ms) == 14
     xs = [GroupOverK(M, Homomorphism(M, K, f)) for M in Ms for f in hom_images_oracle(M, K)]
-    found = 0
+    found, mixed = 0, set()
     for x in xs:
         quotient_to = _quotient_classes(x, Ls, isos)
         for y in ys:
             expected = y.phi.image in quotient_to.get(y.L, ())
             assert is_quotient_over_k(x, y) == expected, (x, y)
             found += expected
+            if x.L.is_abelian() != y.L.is_abelian():
+                mixed.add((x.L.is_abelian(), expected))
     assert found > len(xs)
+    assert mixed == {(True, False), (False, False), (False, True)}
 
 
 def test_exponent_refuses_a_quotient_without_a_search(monkeypatch):
@@ -295,6 +301,26 @@ def test_exponent_refuses_a_quotient_without_a_search(monkeypatch):
     D8 = dihedral_group(4)
     x = GroupOverK(E, Homomorphism(E, one, (0,) * E.order))
     y = GroupOverK(D8, Homomorphism(D8, one, (0,) * D8.order))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("surjection search ran")
+
+    monkeypatch.setattr(overk, "_hom_images", no_search)
+    assert not is_quotient_over_k(x, y)
+
+
+def test_abelian_group_has_no_nonabelian_quotient_without_a_search(monkeypatch):
+    """|D8| divides |C4 x C2^5| and exp D8 = 4 divides its exponent, but an
+    abelian group has no nonabelian quotient, so (C4 x C2^5, 1) ->> (D8, 1)
+    is refused before any search."""
+    E = make_cyclic(4)
+    for _ in range(5):
+        E = direct_product(E, make_cyclic(2)).group
+    one = trivial_group()
+    D8 = dihedral_group(4)
+    x = GroupOverK(E, Homomorphism(E, one, (0,) * E.order))
+    y = GroupOverK(D8, Homomorphism(D8, one, (0,) * D8.order))
+    assert E.exponent() % D8.exponent() == 0
 
     def no_search(*args, **kwargs):
         raise AssertionError("surjection search ran")

@@ -18,17 +18,26 @@ def _masked(out: bytes) -> bytes:
     return TIMING.sub(b"N.NNs", out)
 
 
-@pytest.mark.parametrize("script", ["worked_example", "lattice_census"])
-def test_script_output_matches_golden(script):
+# golden file stem -> script and its arguments
+SCRIPT_RUNS = {
+    "worked_example": ("worked_example.py",),
+    "worked_example_verbose": ("worked_example.py", "--verbose"),
+    "lattice_census": ("lattice_census.py",),
+}
+
+
+@pytest.mark.parametrize("golden", SCRIPT_RUNS)
+def test_script_output_matches_golden(golden):
+    script, *args = SCRIPT_RUNS[golden]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", script + ".py")],
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
         capture_output=True, env=env, check=True,
     )
-    with open(os.path.join(HERE, "golden", script + ".out"), "rb") as fh:
+    with open(os.path.join(HERE, "golden", golden + ".out"), "rb") as fh:
         golden = fh.read()
     assert _masked(proc.stdout) == _masked(golden)
 

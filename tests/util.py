@@ -36,7 +36,7 @@ from bgroups.groups import (
     trivial_group,
 )
 from bgroups.catalog import groups_up_to_order
-from bgroups.ideals import _product_pairs, ideal_eval
+from bgroups.ideals import ideal_eval
 from bgroups.overk import (
     CASE_CP,
     CASE_CP2,
@@ -95,11 +95,20 @@ def is_group_table(order, table, inverse) -> bool:
     ) and all(t[t[a][b]][c] == t[a][t[b][c]] for a in r for b in r for c in r)
 
 
-def simple_dim_oracle(bk, G) -> int:
-    """The simple dimension at G as the unpruned sum: beta_K of the pair
-    of every class X of G x K, each compared with bk over K."""
-    _, pairs = _product_pairs(G, bk.K)
-    return sum(1 for _, X, pair in pairs if is_isomorphic_over_k(beta_k(pair), bk))
+def simple_classes_oracle(bk, G) -> list[int]:
+    """The classes counted by the simple dimension at G, unpruned: every
+    class X of G x K, as (X, p2|_X) built from X's own table and the
+    product's encoding (a, b) -> a * |K| + b, whose beta_K is isomorphic to
+    bk over K."""
+    K = bk.K
+    lat = enumerate_subgroups(direct_product(G, K).group)
+    out = []
+    for c in range(lat.n_classes()):
+        j = subgroup_embedding(lat.class_rep(c))
+        pair = GroupOverK(j.source, Homomorphism(j.source, K, tuple(a % K.order for a in j.image)))
+        if is_isomorphic_over_k(beta_k(pair), bk):
+            out.append(c)
+    return out
 
 
 def perm_table_oracle(n: int, gens) -> tuple[tuple[int, ...], ...]:
