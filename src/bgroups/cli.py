@@ -11,8 +11,8 @@ Common flags: --max-order N, --no-validate, --format {text,json},
 --check/--no-check, --out FILE.
 
 Exit codes: 0 success, 2 parse/validation error or a spec or --out file
-that cannot be opened, 3 resource cap exceeded, 4 mathematical precondition
-failed.
+that cannot be opened, 3 resource cap exceeded or out of memory, 4
+mathematical precondition failed.
 
 Reports are deterministic: the same document and flags produce byte-identical
 output.  Rationals are always rendered as "num/den".
@@ -355,6 +355,10 @@ def main(argv: list[str] | None = None) -> int:
         report = COMMANDS[args.cmd](load_spec(args.spec, not args.no_validate), args)
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:  # the frames that held the memory are gone by now
+        print("error: out of memory: the input needs more memory than this process may use",
+              file=sys.stderr)
         return EXIT_RESOURCE
     except (OSError, SpecError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)

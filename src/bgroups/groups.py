@@ -22,7 +22,10 @@ class maps of `burnside` and its shifted maps f x Id_K.
 
 A construction from parameters (cyclic, cyclic extension, symmetric,
 product, semidirect, permutation closure) refuses a group over
-MAX_GROUP_ORDER before it builds the table.  Values are checked where they
+MAX_GROUP_ORDER before it builds the table, and builds it a whole row at a
+time from rows it already has (the row of s·x is the row of x sent
+through the row of s), its entries shared int objects, not a new int
+per cell.  Values are checked where they
 enter: a direct `Group(...)`,
 `Homomorphism(...)` or `Subgroup(...)` call checks its input in full.  Both
 laws are checked exactly on a generating sequence only: associativity by
@@ -40,9 +43,9 @@ Masks are ints over element ids; `mask_of` and `elements_of` convert.
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain, permutations
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 
 class GroupError(ValueError):
@@ -469,11 +472,14 @@ def relabel(G: Group, label: str) -> Group:
 
 
 def make_cyclic(n: int, label: str | None = None) -> Group:
+    """C_n with id i for the i-th power of the generator: row i is the
+    slice [i:i + n] of the ids 0..n-1 written twice, so every entry is one
+    of n shared int objects."""
     if n < 1:
         raise GroupError("cyclic group order must be >= 1")
     _check_order(n)
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return _group(_intern(table), label or f"C{n}")
+    ids = tuple(range(n)) * 2
+    return _group(_intern(tuple(ids[i:i + n] for i in range(n))), label or f"C{n}")
 
 
 def trivial_group() -> Group:
@@ -489,19 +495,35 @@ class Product(_Value):
         return a * self.proj2.target.order + b
 
 
+def _pair_table(g_table, h_table, action=None) -> tuple[tuple[int, ...], ...]:
+    """The table on pairs (a, b), id a*|h| + b, of g x h, or of g semidirect
+    h when action[b] is the permutation of g's ids by which b acts.  Since
+    (a, b) = (a, 1)·(1, b), the row of (a, b) is the row of (1, b) sent
+    through that of (a, 1).  Both are read off slices of one id tuple, so
+    every entry is one of its |g||h| int objects."""
+    n, m = len(g_table), len(h_table)
+    ids = tuple(range(n * m))
+    blocks = [ids[i:i + m] for i in range(0, n * m, m)]  # the pairs (a, b) for each a
+    # (1, b)(a2, b2) = (b·a2, b b2), kept only as the getter that sends a row
+    # through it; (1, 1) needs none, as (a, 1)'s row is its own
+    through = [itemgetter(*chain.from_iterable(map(blocks[a].__getitem__, row) for a in act))
+               for row, act in zip(h_table[1:], (action or [range(n)] * m)[1:])]
+    table = []
+    for row in g_table:
+        left = tuple(chain.from_iterable(map(blocks.__getitem__, row)))  # (a, 1)(a2, b2) = (a a2, b2)
+        table += left, *(get(left) for get in through)
+    return tuple(table)
+
+
 def _product(g: _Table, h: _Table) -> Product:
     """The product of two tables' own groups, with its maps between own
-    groups, kept on g once per h; element id (a, b) -> a*|h| + b."""
+    groups, kept on g once per h; element id (a, b) -> a*|h| + b, the
+    table built a row at a time by `_pair_table`."""
     P = g.products.get(h)
     if P is None:
         n, m = g.order, h.order
         _check_order(n * m)
-        table = tuple(
-            tuple(g.table[a1][a2] * m + h.table[b1][b2] for a2 in range(n) for b2 in range(m))
-            for a1 in range(n)
-            for b1 in range(m)
-        )
-        own = _intern(table).group
+        own = _intern(_pair_table(g.table, h.table)).group
         P = g.products[h] = _trusted(
             Product, own,
             _trusted(Homomorphism, own, g.group, tuple(i // m for i in range(n * m))),
@@ -534,16 +556,7 @@ def semidirect_product(N: Group, H: Group, action) -> Group:
     if not _is_hom(H, action, lambda a, b: tuple(a[x] for x in b)):
         raise GroupError("action is not a homomorphism to Aut(N)")
     # (n1,h1)(n2,h2) = (n1 * action[h1](n2), h1 h2); id (a,b) -> a*|H| + b
-    table = tuple(
-        tuple(
-            N.table[a1][action[b1][a2]] * m + H.table[b1][b2]
-            for a2 in range(n)
-            for b2 in range(m)
-        )
-        for a1 in range(n)
-        for b1 in range(m)
-    )
-    return _group(_intern(table), f"{N.label}:{H.label}")
+    return _group(_intern(_pair_table(N.table, H.table, action)), f"{N.label}:{H.label}")
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
@@ -678,19 +691,21 @@ def subgroup_embedding(S: Subgroup) -> Homomorphism:
 
 def symmetric_group(n: int) -> Group:
     """S_n on {0..n-1} (n >= 0); elements are permutations in lexicographic
-    order."""
+    order, and p·q is p∘q, (p·q)(i) = p(q(i)).  Only the rows x -> g·x of
+    the generators (0 1) and (0 1 … n-1) are composed, n·n! steps each; the
+    other rows come from them by `_walk_rows`."""
     if n < 0:
         raise GroupError("S_n needs n >= 0")
     order = 1
     for k in range(2, n + 1):  # stops at the first k! past the limit
         order *= k
         _check_order(order, f"{n}!")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
-    )
-    return _group(_intern(table), f"S{n}")
+    perms = list(permutations(range(n)))
+    ids = tuple(range(order))
+    index = dict(zip(perms, ids))
+    gens = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    rows = [[index[tuple(map(g.__getitem__, p))] for p in perms] for g in gens]
+    return _group(_intern(_walk_rows(rows, ids)), f"S{n}")
 
 
 def dihedral_group(n: int) -> Group:
@@ -703,29 +718,26 @@ def cyclic_extension(n: int, t: int, r: int, label: str | None = None) -> Group:
 
     Covers dihedral (t=0, r=-1), dicyclic/quaternion (t=n/2, r=-1),
     semidihedral and modular 2-groups.  Element (i, j) = a^i b^j has
-    id 2*i + j.
+    id 2*i + j.  The row of a^i is a rotation of the ids by 2i, and the
+    row of a^i b is the row of b sent through that of a^i, so every entry
+    is one of 2n shared int objects.
     """
     if n < 1 or (r * r - 1) % n != 0 or (t * (r - 1)) % n != 0:
         raise GroupError("parameters do not define a group")
     _check_order(2 * n)
     r %= n
     t %= n
-
-    def mul(i, j, k, l):
-        # a^i b^j a^k b^l
-        if j == 0:
-            return (i + k) % n, l
-        i2 = (i + r * k) % n
-        if l == 0:
-            return i2, 1
-        return (i2 + t) % n, 0
-
-    ids = [(i, j) for i in range(n) for j in range(2)]
-    table = tuple(
-        tuple(mul(i, j, k, l)[0] * 2 + mul(i, j, k, l)[1] for (k, l) in ids)
-        for (i, j) in ids
-    )
-    return _group(_intern(table), label or f"E({n},{t},{r})")
+    ids = tuple(range(2 * n)) * 2
+    # b a^k b^l = a^(rk) b for l = 0 and a^(rk + t) for l = 1
+    b_row = []
+    for k in range(n):
+        b_row += ids[2 * (r * k % n) + 1], ids[2 * ((r * k + t) % n)]
+    get_b = itemgetter(*b_row)
+    table = []
+    for i in range(n):
+        a_row = ids[2 * i:2 * i + 2 * n]  # a^i a^k b^l = a^(i+k) b^l
+        table += a_row, get_b(a_row)
+    return _group(_intern(tuple(table)), label or f"E({n},{t},{r})")
 
 
 def quaternion_group() -> Group:
@@ -755,10 +767,9 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
 
     Elements are ordered: identity first, then BFS by generator application,
     ties broken by permutation lexicographic order.  The walk keeps, per
-    generator g, the row x -> g·x, where (g·x)(i) = g(x(i)); each element a
-    is g·b for the element b it was first reached from, so a's table row is
-    b's row sent through g's: |P|·|gens|·n work for the walk and |P|^2 for
-    the table.
+    generator g, the row x -> g·x, where (g·x)(i) = g(x(i)), and
+    `_walk_rows` builds the table from those rows: |P|·|gens|·n work for
+    the walk and |P|^2 for the table.
     """
     if n < 0:
         raise GroupError("a permutation group needs n >= 0 points")
@@ -770,12 +781,11 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
             raise GroupError("not a permutation of range(n)")
     elems = [ident]
     index = {ident: 0}
-    reached: list[tuple[int, int]] = []  # per element after the identity: (generator, element) it came from
     rows: list[list[int]] = [[] for _ in gens]  # rows[k][x]: the id of gens[k]·elems[x]
     start = 0
     while start < len(elems):
         end = len(elems)
-        found: dict[tuple[int, ...], tuple[int, int]] = {}
+        found: set[tuple[int, ...]] = set()
         later = []  # (k, x, q) with q new at this level: its id is known once the level is sorted
         for x in range(start, end):
             p = elems[x]
@@ -784,7 +794,7 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
                 i = index.get(q)
                 if i is None:
                     if q not in found:
-                        found[q] = (k, x)
+                        found.add(q)
                         _check_order(end + len(found), f"at least {end + len(found)}")
                     later.append((k, x, q))
                     i = -1
@@ -792,11 +802,27 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
         for q in sorted(found):
             index[q] = len(elems)
             elems.append(q)
-            reached.append(found[q])
         for k, x, q in later:
             rows[k][x] = index[q]
         start = end
-    table = [tuple(range(len(elems)))]
-    for k, b in reached:
-        table.append(tuple(map(rows[k].__getitem__, table[b])))
-    return _group(_intern(tuple(table)), label)
+    return _group(_intern(_walk_rows(rows, tuple(range(len(elems))))), label)
+
+
+def _walk_rows(gen_rows, ids) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of the group with element ids `ids` generated by the
+    elements whose left rows are `gen_rows` (gen_rows[k][x] is the id of
+    g_k·x).  A walk of the Cayley graph from the identity, whose row is
+    `ids`: each element s·x first reached from x gets x's row sent through
+    s's, since (s·x)·y = s·(x·y) (Butler, LNCS 559, 1991), so the table
+    costs |G|^2 lookups and holds only the entries of `ids` and `gen_rows`."""
+    table = [None] * len(ids)
+    table[0] = ids
+    walk = [0]
+    for x in walk:  # walk grows as it is read
+        row = table[x]
+        for s in gen_rows:
+            a = s[x]
+            if table[a] is None:
+                table[a] = itemgetter(*row)(s)
+                walk.append(a)
+    return tuple(table)

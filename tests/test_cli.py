@@ -472,6 +472,53 @@ def test_perm_degree_past_the_limit_exits_3_in_a_small_child(tmp_path):
         f"error: line 2: permutation degree 100000000 exceeds construction limit {MAX_PERM_DEGREE}\n")
 
 
+@pytest.mark.parametrize(
+    "lines, mib",
+    [("group A = cyclic 2048", 64),
+     ("group D = dihedral 1024", 64),
+     ("group C1024 = cyclic 1024\ngroup P = product C1024 C2", 96)],
+    ids=["cyclic-2048", "dihedral-1024", "C1024xC2"])
+def test_largest_tables_load_in_a_small_child(tmp_path, lines, mib):
+    """Groups of order 2048, the construction limit, load in a fresh process
+    limited to 64 MiB (96 MiB for the product, which also holds C1024):
+    every table entry is one of 2048 shared int objects.  With a new int
+    per entry each needed more than 128 MiB and died with a MemoryError."""
+    spec = tmp_path / "big.bspec"
+    spec.write_text(f"group C2 = cyclic 2\n{lines}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgroups.cli", "idempotent", str(spec), "--group", "C2",
+         "--subgroup", "full"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_address_space_limit(mib),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_out_of_memory_exits_3_without_a_traceback(tmp_path):
+    """A child that may map only 16 MiB more than it holds after importing
+    the CLI cannot build the 34 MB table of cyclic 2048: the MemoryError
+    ends in exit 3 and one `error: out of memory` line, like a size limit."""
+    spec = tmp_path / "big.bspec"
+    spec.write_text("group C2 = cyclic 2\ngroup A = cyclic 2048\n")
+    code = (
+        "import resource, sys\n"
+        "from bgroups.cli import main\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    vm = next(int(line.split()[1]) for line in fh if line.startswith('VmSize:'))\n"
+        "limit = vm * 1024 + 16 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "idempotent", str(spec), "--group", "C2",
+         "--subgroup", "full"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory"), proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("expr", ["cyclic 4 5", "symmetric 3 x", "dihedral 4 7"])
 def test_exit_code_extra_argument(tmp_path, capsys, expr):
     bad = tmp_path / "bad.bspec"

@@ -55,6 +55,8 @@ from bgroups.overk import GroupOverK, homomorphisms, is_isomorphic, isomorphisms
 from bgroups.subgroups import enumerate_subgroups, normal_subgroups
 from util import (
     conjugate_elements,
+    cyclic_extension_table_oracle,
+    cyclic_table_oracle,
     greedy_generators_oracle,
     is_action,
     is_group_table,
@@ -62,7 +64,10 @@ from util import (
     p_residual_quotient,
     pairwise_closure,
     perm_table_oracle,
+    product_table_oracle,
+    semidirect_table_oracle,
     subgroup_as_group,
+    symmetric_table_oracle,
 )
 
 
@@ -201,6 +206,54 @@ def test_perm_table_equals_the_pairwise_oracle(n, gens):
     """The table built from per-generator rows is the one that composing
     every pair of permutations gives, element order included."""
     assert group_from_permutations(n, gens).table == perm_table_oracle(n, gens)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 150])
+def test_cyclic_table_equals_the_per_cell_oracle(n):
+    assert make_cyclic(n).table == cyclic_table_oracle(n)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_symmetric_table_equals_the_per_cell_oracle(n):
+    """S_n from the rows of (0 1) and (0 1 … n-1) by the row walk is the
+    table of every pair composed, lexicographic ids included."""
+    assert symmetric_group(n).table == symmetric_table_oracle(n)
+
+
+def test_product_tables_equal_the_per_cell_oracle():
+    """Every ordered pair of catalog groups of order <= 8, S4 x C4, and each
+    step of the chain C2^2, …, C2^6."""
+    small = groups_up_to_order(8)
+    pairs = [(G, H) for G in small for H in small]
+    pairs.append((symmetric_group(4), make_cyclic(4)))
+    E, C2 = make_cyclic(2), make_cyclic(2)
+    for _ in range(5):
+        pairs.append((E, C2))
+        E = direct_product(E, C2).group
+    for G, H in pairs:
+        assert direct_product(G, H).group.table == product_table_oracle(G, H), (G, H)
+
+
+def test_semidirect_tables_equal_the_per_cell_oracle():
+    C3, C4, C7 = make_cyclic(3), make_cyclic(4), make_cyclic(7)
+    V = direct_product(make_cyclic(2), make_cyclic(2)).group
+    for N, H, action in [
+        (C3, C4, ((0, 1, 2), (0, 2, 1)) * 2),
+        (C4, C4, ((0, 1, 2, 3), (0, 3, 2, 1)) * 2),
+        (V, C4, ((0, 1, 2, 3), (0, 2, 1, 3)) * 2),
+        (V, C3, ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 3, 1))),
+        (C7, C3, ((0, 1, 2, 3, 4, 5, 6), (0, 2, 4, 6, 1, 3, 5), (0, 4, 1, 5, 2, 6, 3))),
+    ]:
+        assert semidirect_product(N, H, action).table == semidirect_table_oracle(N, H, action)
+
+
+@pytest.mark.parametrize("n, t, r", [
+    *((n, 0, -1) for n in range(3, 9)),  # the catalog's dihedral groups D6 … D16
+    (4, 2, 3), (8, 0, 3), (8, 4, 7), (8, 0, 5),  # Q8, SD16, Q16, M16
+    (50, 0, -1),  # D100
+])
+def test_cyclic_extension_table_equals_the_per_cell_oracle(n, t, r):
+    assert cyclic_extension(n, t, r).table == cyclic_extension_table_oracle(n, t, r)
 
 
 def test_perm_degree_past_the_limit_is_refused():

@@ -133,6 +133,50 @@ def perm_table_oracle(n: int, gens) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(index[tuple(p[q[i]] for i in range(n))] for q in elems) for p in elems)
 
 
+def cyclic_table_oracle(n: int) -> tuple[tuple[int, ...], ...]:
+    """The table of C_n, one sum mod n per cell."""
+    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
+
+def symmetric_table_oracle(n: int) -> tuple[tuple[int, ...], ...]:
+    """The table of S_n on its permutations in lexicographic order, p·q
+    = p∘q composed for every pair: n!^2·n work."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms)
+
+
+def semidirect_table_oracle(N, H, action) -> tuple[tuple[int, ...], ...]:
+    """The table of N semidirect H, id (a, b) -> a*|H| + b, one cell at a
+    time: (n1, h1)(n2, h2) = (n1·action[h1](n2), h1·h2)."""
+    n, m = N.order, H.order
+    return tuple(
+        tuple(N.table[a1][action[b1][a2]] * m + H.table[b1][b2]
+              for a2 in range(n) for b2 in range(m))
+        for a1 in range(n) for b1 in range(m)
+    )
+
+
+def product_table_oracle(G, H) -> tuple[tuple[int, ...], ...]:
+    """The table of G x H, id (a, b) -> a*|H| + b, one cell at a time."""
+    return semidirect_table_oracle(G, H, [range(G.order)] * H.order)
+
+
+def cyclic_extension_table_oracle(n: int, t: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """The table of <a, b | a^n, b^2 = a^t, b a b^-1 = a^r>, id 2i + j for
+    a^i b^j, one product a^i b^j · a^k b^l worked out per cell."""
+    r, t = r % n, t % n
+
+    def mul(i, j, k, l):
+        if j == 0:
+            return (i + k) % n, l
+        i2 = (i + r * k) % n  # b a^k = a^(rk) b
+        return (i2, 1) if l == 0 else ((i2 + t) % n, 0)
+
+    ids = [(i, j) for i in range(n) for j in range(2)]
+    return tuple(tuple(2 * c + d for c, d in (mul(i, j, k, l) for k, l in ids)) for i, j in ids)
+
+
 def pairwise_closure(G, elements) -> set[int]:
     """Reference closure for the enumeration oracle: multiply every pair of
     elements reached, both ways, until nothing new appears; O(k^2) for a
