@@ -22,12 +22,12 @@ class maps of `burnside` and its shifted maps f x Id_K.
 
 A construction from parameters (cyclic, cyclic extension, symmetric,
 product, semidirect, permutation closure) refuses a group over
-MAX_GROUP_ORDER before it builds the table, and builds it a whole row at a
-time from rows it already has (the row of s·x is the row of x sent
-through the row of s), its entries shared int objects, not a new int
-per cell.  Values are checked where they
-enter: a direct `Group(...)`,
-`Homomorphism(...)` or `Subgroup(...)` call checks its input in full.  Both
+MAX_GROUP_ORDER before it builds the table, and builds it in one way: it
+lists the left rows x -> g·x of its generators and `_walk_rows` makes the
+table from them a whole row at a time, its entries shared int objects, not
+a new int per cell.  Values are checked where they enter: a direct
+`Group(...)`, `Homomorphism(...)` or `Subgroup(...)` call checks its input
+in full.  Both
 laws are checked exactly on a generating sequence only: associativity by
 Light's test, and the homomorphism law by `_is_hom`.  One greedy walk,
 `greedy_generators`, chooses the generating sequence of a group, checks a
@@ -43,7 +43,7 @@ Masks are ints over element ids; `mask_of` and `elements_of` convert.
 
 from __future__ import annotations
 
-from itertools import chain, permutations
+from itertools import permutations
 from math import lcm
 from operator import attrgetter, itemgetter
 
@@ -267,7 +267,7 @@ class Homomorphism(_Value):
     def __init__(self, source: Group, target: Group, image: tuple[int, ...]):
         _setattr(self, "source", source)
         _setattr(self, "target", target)
-        _setattr(self, "image", image)
+        _setattr(self, "image", tuple(image))
         self._validate()
 
     def _validate(self) -> None:
@@ -472,14 +472,13 @@ def relabel(G: Group, label: str) -> Group:
 
 
 def make_cyclic(n: int, label: str | None = None) -> Group:
-    """C_n with id i for the i-th power of the generator: row i is the
-    slice [i:i + n] of the ids 0..n-1 written twice, so every entry is one
-    of n shared int objects."""
+    """C_n with id i for the i-th power of the generator, whose row is the
+    ids rotated by one."""
     if n < 1:
         raise GroupError("cyclic group order must be >= 1")
     _check_order(n)
-    ids = tuple(range(n)) * 2
-    return _group(_intern(tuple(ids[i:i + n] for i in range(n))), label or f"C{n}")
+    ids = tuple(range(n))
+    return _group(_intern(_walk_rows([ids[1:] + ids[:1]], ids)), label or f"C{n}")
 
 
 def trivial_group() -> Group:
@@ -495,35 +494,30 @@ class Product(_Value):
         return a * self.proj2.target.order + b
 
 
-def _pair_table(g_table, h_table, action=None) -> tuple[tuple[int, ...], ...]:
-    """The table on pairs (a, b), id a*|h| + b, of g x h, or of g semidirect
-    h when action[b] is the permutation of g's ids by which b acts.  Since
-    (a, b) = (a, 1)·(1, b), the row of (a, b) is the row of (1, b) sent
-    through that of (a, 1).  Both are read off slices of one id tuple, so
-    every entry is one of its |g||h| int objects."""
-    n, m = len(g_table), len(h_table)
+def _product_table(G: Group, H: Group, action=None) -> tuple[tuple[int, ...], ...]:
+    """The table on pairs (a, b), id a*|H| + b, of G x H, or of G semidirect
+    H when action[b] is the permutation of G's ids by which b acts: walked
+    from the rows of (a, 1), (a, 1)·(a2, b2) = (a·a2, b2), for G's
+    generators a and of (1, b), (1, b)·(a2, b2) = (action[b](a2), b·b2),
+    for H's generators b."""
+    n, m = G.order, H.order
     ids = tuple(range(n * m))
     blocks = [ids[i:i + m] for i in range(0, n * m, m)]  # the pairs (a, b) for each a
-    # (1, b)(a2, b2) = (b·a2, b b2), kept only as the getter that sends a row
-    # through it; (1, 1) needs none, as (a, 1)'s row is its own
-    through = [itemgetter(*chain.from_iterable(map(blocks[a].__getitem__, row) for a in act))
-               for row, act in zip(h_table[1:], (action or [range(n)] * m)[1:])]
-    table = []
-    for row in g_table:
-        left = tuple(chain.from_iterable(map(blocks.__getitem__, row)))  # (a, 1)(a2, b2) = (a a2, b2)
-        table += left, *(get(left) for get in through)
-    return tuple(table)
+    action = action or [range(n)] * m
+    rows = [[c for a2 in G.table[a] for c in blocks[a2]] for a in G.generating_sequence()]
+    rows += [[blocks[a2][b2] for a2 in action[b] for b2 in H.table[b]]
+             for b in H.generating_sequence()]
+    return _walk_rows(rows, ids)
 
 
 def _product(g: _Table, h: _Table) -> Product:
     """The product of two tables' own groups, with its maps between own
-    groups, kept on g once per h; element id (a, b) -> a*|h| + b, the
-    table built a row at a time by `_pair_table`."""
+    groups, kept on g once per h; element id (a, b) -> a*|h| + b."""
     P = g.products.get(h)
     if P is None:
         n, m = g.order, h.order
         _check_order(n * m)
-        own = _intern(_pair_table(g.table, h.table)).group
+        own = _intern(_product_table(g.group, h.group)).group
         P = g.products[h] = _trusted(
             Product, own,
             _trusted(Homomorphism, own, g.group, tuple(i // m for i in range(n * m))),
@@ -556,7 +550,7 @@ def semidirect_product(N: Group, H: Group, action) -> Group:
     if not _is_hom(H, action, lambda a, b: tuple(a[x] for x in b)):
         raise GroupError("action is not a homomorphism to Aut(N)")
     # (n1,h1)(n2,h2) = (n1 * action[h1](n2), h1 h2); id (a,b) -> a*|H| + b
-    return _group(_intern(_pair_table(N.table, H.table, action)), f"{N.label}:{H.label}")
+    return _group(_intern(_product_table(N, H, action)), f"{N.label}:{H.label}")
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
@@ -718,26 +712,19 @@ def cyclic_extension(n: int, t: int, r: int, label: str | None = None) -> Group:
 
     Covers dihedral (t=0, r=-1), dicyclic/quaternion (t=n/2, r=-1),
     semidihedral and modular 2-groups.  Element (i, j) = a^i b^j has
-    id 2*i + j.  The row of a^i is a rotation of the ids by 2i, and the
-    row of a^i b is the row of b sent through that of a^i, so every entry
-    is one of 2n shared int objects.
+    id 2*i + j; the row of a is the ids rotated by 2.
     """
     if n < 1 or (r * r - 1) % n != 0 or (t * (r - 1)) % n != 0:
         raise GroupError("parameters do not define a group")
     _check_order(2 * n)
     r %= n
     t %= n
-    ids = tuple(range(2 * n)) * 2
+    ids = tuple(range(2 * n))
     # b a^k b^l = a^(rk) b for l = 0 and a^(rk + t) for l = 1
     b_row = []
     for k in range(n):
         b_row += ids[2 * (r * k % n) + 1], ids[2 * ((r * k + t) % n)]
-    get_b = itemgetter(*b_row)
-    table = []
-    for i in range(n):
-        a_row = ids[2 * i:2 * i + 2 * n]  # a^i a^k b^l = a^(i+k) b^l
-        table += a_row, get_b(a_row)
-    return _group(_intern(tuple(table)), label or f"E({n},{t},{r})")
+    return _group(_intern(_walk_rows([ids[2:] + ids[:2], b_row], ids)), label or f"E({n},{t},{r})")
 
 
 def quaternion_group() -> Group:
@@ -811,10 +798,11 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
 def _walk_rows(gen_rows, ids) -> tuple[tuple[int, ...], ...]:
     """The Cayley table of the group with element ids `ids` generated by the
     elements whose left rows are `gen_rows` (gen_rows[k][x] is the id of
-    g_k·x).  A walk of the Cayley graph from the identity, whose row is
-    `ids`: each element s·x first reached from x gets x's row sent through
-    s's, since (s·x)·y = s·(x·y) (Butler, LNCS 559, 1991), so the table
-    costs |G|^2 lookups and holds only the entries of `ids` and `gen_rows`."""
+    g_k·x); the one table builder of every construction from parameters.
+    A walk of the Cayley graph from the identity, whose row is `ids`: each
+    element s·x first reached from x gets x's row sent through s's, since
+    (s·x)·y = s·(x·y) (Butler, LNCS 559, 1991), so the table costs |G|^2
+    lookups and holds only the entries of `ids` and `gen_rows`."""
     table = [None] * len(ids)
     table[0] = ids
     walk = [0]

@@ -476,13 +476,14 @@ def test_perm_degree_past_the_limit_exits_3_in_a_small_child(tmp_path):
     "lines, mib",
     [("group A = cyclic 2048", 64),
      ("group D = dihedral 1024", 64),
-     ("group C1024 = cyclic 1024\ngroup P = product C1024 C2", 96)],
-    ids=["cyclic-2048", "dihedral-1024", "C1024xC2"])
+     ("group C1024 = cyclic 1024\ngroup P = product C1024 C2", 64),
+     ("group C1024 = cyclic 1024\ngroup P = product C2 C1024", 64)],
+    ids=["cyclic-2048", "dihedral-1024", "C1024xC2", "C2xC1024"])
 def test_largest_tables_load_in_a_small_child(tmp_path, lines, mib):
     """Groups of order 2048, the construction limit, load in a fresh process
-    limited to 64 MiB (96 MiB for the product, which also holds C1024):
-    every table entry is one of 2048 shared int objects.  With a new int
-    per entry each needed more than 128 MiB and died with a MemoryError."""
+    limited to 64 MiB, a product in either order of its factors: every
+    table entry is one of 2048 shared int objects.  With a new int per
+    entry each needed more than 128 MiB and died with a MemoryError."""
     spec = tmp_path / "big.bspec"
     spec.write_text(f"group C2 = cyclic 2\n{lines}\n")
     proc = subprocess.run(

@@ -3,6 +3,7 @@ quotients, residual subgroups."""
 
 import re
 import time
+from itertools import permutations
 from math import gcd, isqrt
 
 import pytest
@@ -152,6 +153,17 @@ def test_malformed_homomorphism_rejected(image):
         Homomorphism(C2, C2, image)
 
 
+def test_homomorphism_keeps_its_own_image_tuple():
+    """A map built from a list is the map built from the tuple: hashable,
+    equal, and not changed by a later change to the list."""
+    C2 = make_cyclic(2)
+    image = [0, 1]
+    f = Homomorphism(C2, C2, image)
+    image[1] = 0
+    g = Homomorphism(C2, C2, (0, 1))
+    assert f.image == (0, 1) and f == g and hash(f) == hash(g)
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: symmetric_group(-2), lambda: symmetric_group(-1),
@@ -235,9 +247,17 @@ def test_product_tables_equal_the_per_cell_oracle():
 
 
 def test_semidirect_tables_equal_the_per_cell_oracle():
+    """The five catalog semidirect products, each acted on by a cyclic H,
+    and two whose H has two generators: V4 : S3 (S4), S3 permuting V4's
+    involutions, and C3 : V4, V4's first generator acting trivially and its
+    second by inversion."""
     C3, C4, C7 = make_cyclic(3), make_cyclic(4), make_cyclic(7)
     V = direct_product(make_cyclic(2), make_cyclic(2)).group
+    S3 = symmetric_group(3)
+    on_involutions = tuple((0, *(p[i] + 1 for i in range(3))) for p in permutations(range(3)))
     for N, H, action in [
+        (V, S3, on_involutions),
+        (C3, V, ((0, 1, 2), (0, 1, 2), (0, 2, 1), (0, 2, 1))),
         (C3, C4, ((0, 1, 2), (0, 2, 1)) * 2),
         (C4, C4, ((0, 1, 2, 3), (0, 3, 2, 1)) * 2),
         (V, C4, ((0, 1, 2, 3), (0, 2, 1, 3)) * 2),
