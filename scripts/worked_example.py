@@ -40,7 +40,7 @@ def main() -> None:
     assert L.element_order(c) == 4 and L.conj(b, c) == L.inv(b)
     P = subgroup_generated(L, [a, b])
     K, phi = quotient(L, P)
-    x = GroupOverK(L, phi, label="L")
+    x = GroupOverK(L, phi)
     print(f"L: order {L.order};  K = L/<a,b>: order {K.order} "
           f"({'cyclic' if K.is_cyclic() else 'noncyclic'})")
 

@@ -184,7 +184,7 @@ def _over_k(doc: GroupSpecDocument, args):
     K, L, phi = doc.group(args.k), doc.group(args.l), doc.hom(args.phi)
     if phi.source != L or phi.target != K:
         raise SpecError(f"{args.phi!r} is not a homomorphism {args.l} -> {args.k}")
-    return GroupOverK(L, phi, label=args.l)
+    return GroupOverK(L, phi)
 
 
 def cmd_beta_k(doc: GroupSpecDocument, args) -> Report:

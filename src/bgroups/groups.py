@@ -8,10 +8,10 @@ contents.  A `Group` is a `_Table` under a label, so `==` and `hash` mean
 owns what is derived from the table alone: its own group, labelled `T` and
 the order, to which every object the library keeps refers; the subgroup
 lattice, generating sequence, element orders, over-K word plan, a
-transversal of G/Z(G); one map object per key, between own groups: the
+transversal of G/Z(G); and one map object per key, between own groups: the
 product maps per other factor's table, and the quotient projection and
-subgroup inclusion per mask; and the labelled groups that the public
-constructors return, one per label.
+subgroup inclusion per mask.  No labelled group is kept: a public
+constructor returns a new `Group` on the kept table under its label.
 Homomorphisms, subgroups and products are immutable values (`_Value`): their
 fields are read-only, and `==`, `hash` and `repr` go by the fields.  What
 a value determines and keeps outside its fields takes no part in them:
@@ -125,12 +125,11 @@ class _Table:
     """One distinct Cayley table with the data derived from it alone."""
 
     __slots__ = ("order", "table", "inverse", "group", "lattice", "gens", "orders", "word_plan",
-                 "transversal", "groups", "products", "embeddings", "quotients")
+                 "transversal", "products", "embeddings", "quotients")
 
     def __init__(self, table, inverse):
         self.order, self.table, self.inverse = len(table), table, inverse
         self.group = self.lattice = self.gens = self.orders = self.word_plan = self.transversal = None
-        self.groups = {}  # label -> the Group on this table under it
         self.products = {}  # other factor's _Table -> Product over the own groups
         self.embeddings = {}  # subgroup mask -> inclusion map
         self.quotients = {}  # normal subgroup mask -> projection
@@ -214,10 +213,8 @@ class Group:
         return self._t.orders
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(
-            t[a][b] == t[b][a] for a in range(self.order) for b in range(a)
-        )
+        """Z(G) = G: its kept transversal of G/Z(G) is the identity alone."""
+        return len(_transversal(self)) == 1
 
     def is_cyclic(self) -> bool:
         return self.order in self.element_orders()
@@ -236,18 +233,17 @@ class Group:
 
 
 def _group(t: _Table, label: str, G: Group | None = None) -> Group:
-    """The Group on the table t under this label, built without a check:
-    the one kept in `t.groups`, made on first use, so every group a public
-    constructor derives with this table and label is one object; or G, a
-    new object filled in and not kept (the checked constructor's own, or
-    the table's own group)."""
+    """A Group on the table t under this label, built without a check: G
+    filled in (the checked constructor's own, or the table's own group),
+    else a new object.  Nothing keeps it; what is kept refers to the
+    table's own group."""
     if G is None:
-        G = t.groups.get(label)
-        if G is not None:
-            return G
-        G = t.groups[label] = object.__new__(Group)
-    for name, value in zip(Group.__slots__, (t, t.order, t.table, t.inverse, label)):
-        _setattr(G, name, value)
+        G = object.__new__(Group)
+    _setattr(G, "_t", t)
+    _setattr(G, "order", t.order)
+    _setattr(G, "table", t.table)
+    _setattr(G, "inverse", t.inverse)
+    _setattr(G, "label", label)
     return G
 
 
@@ -553,9 +549,9 @@ def semidirect_product(N: Group, H: Group, action) -> Group:
     return _group(_intern(_product_table(N, H, action)), f"{N.label}:{H.label}")
 
 
-def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
-    """G/N under the label `G/N|N|`, with the canonical projection kept per
-    mask on G's table, between own groups; cosets ordered by least id."""
+def _projection(G: Group, N: Subgroup) -> Homomorphism:
+    """The canonical projection G -> G/N, kept per mask on G's table,
+    between the own groups of the two tables; cosets ordered by least id."""
     if N.parent != G:
         raise GroupError("N must be a subgroup of G")
     pi = G._t.quotients.get(N.mask)
@@ -573,6 +569,13 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
         table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
         pi = G._t.quotients[N.mask] = _trusted(
             Homomorphism, G._t.group, _intern(table).group, tuple(coset_of))
+    return pi
+
+
+def quotient(G: Group, N: Subgroup) -> tuple[Group, Homomorphism]:
+    """G/N under the label `G/N|N|`, with the kept projection of
+    `_projection`."""
+    pi = _projection(G, N)
     return _group(pi.target._t, f"{G.label}/N{N.order}"), pi
 
 
@@ -637,16 +640,27 @@ def o_p_subgroup(S: Subgroup, p: int) -> Subgroup:
     return subgroup_generated(S.parent, [a for a in elements_of(S.mask) if orders[a] % p])
 
 
+def _transversal(K: Group) -> tuple[int, ...]:
+    """The least element of each coset of Z(K) in K, in increasing order:
+    conjugation by g depends only on gZ(K), so these give every inner
+    automorphism of K once; for abelian K only the identity.  Kept on K's
+    interned table."""
+    if K._t.transversal is None:
+        z, t = elements_of(center_mask(K)), K.table
+        covered, reps = 0, []
+        for g in range(K.order):
+            if not (covered >> g) & 1:
+                reps.append(g)
+                covered |= mask_of(t[g][c] for c in z)
+        K._t.transversal = tuple(reps)
+    return K._t.transversal
+
+
 def inner_automorphisms(K: Group) -> list[Homomorphism]:
-    """One conjugation map per element of K, deduplicated (K/Z(K) many)."""
-    seen = set()
-    out = []
-    for g in range(K.order):
-        im = tuple(K.conj(a, g) for a in range(K.order))
-        if im not in seen:
-            seen.add(im)
-            out.append(_trusted(Homomorphism, K, K, im))
-    return out
+    """One conjugation map per element of K's Z(K)-transversal (K/Z(K)
+    many), in the order of their least conjugating elements."""
+    return [_trusted(Homomorphism, K, K, tuple(K.conj(a, g) for a in range(K.order)))
+            for g in _transversal(K)]
 
 
 def subgroup_embedding(S: Subgroup) -> Homomorphism:
@@ -749,7 +763,7 @@ def dicyclic_3() -> Group:
     return relabel(semidirect_product(C3, C4, (ident, inv, ident, inv)), "C3:C4")
 
 
-def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P") -> Group:
+def group_from_permutations(n: int, gens: list[tuple[int, ...]]) -> Group:
     """Group generated by permutations of {0..n-1}, as an explicit table.
 
     Elements are ordered: identity first, then BFS by generator application,
@@ -792,7 +806,7 @@ def group_from_permutations(n: int, gens: list[tuple[int, ...]], label: str = "P
         for k, x, q in later:
             rows[k][x] = index[q]
         start = end
-    return _group(_intern(_walk_rows(rows, tuple(range(len(elems))))), label)
+    return _group(_intern(_walk_rows(rows, tuple(range(len(elems))))), "P")
 
 
 def _walk_rows(gen_rows, ids) -> tuple[tuple[int, ...], ...]:

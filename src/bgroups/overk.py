@@ -26,9 +26,10 @@ from .groups import (
     Homomorphism,
     Subgroup,
     _Value,
+    _projection,
     _setattr,
+    _transversal,
     _trusted,
-    center_mask,
     conjugate_mask,
     direct_product,
     elements_of,
@@ -37,7 +38,6 @@ from .groups import (
     make_cyclic,
     mask_of,
     o_p_subgroup,
-    quotient,
     subgroup_embedding,
     trivial_group,
 )
@@ -45,39 +45,40 @@ from .subgroups import enumerate_subgroups, m_const, normal_subgroups
 
 
 class GroupOverK(_Value):
-    """A group L with a homomorphism phi: L -> K, under a label."""
+    """A group L with a homomorphism phi: L -> K.  A pair has no name of
+    its own: `==` and `hash` go by L's table and phi, and the repr reads
+    L's label."""
 
-    _fields = ("L", "phi", "label")
+    _fields = ("L", "phi")
 
-    def __init__(self, L: Group, phi: Homomorphism, label: str = ""):
+    def __init__(self, L: Group, phi: Homomorphism):
         if phi.source != L:
             raise GroupError("phi must start at L")
         _setattr(self, "L", L)
         _setattr(self, "phi", phi)
-        _setattr(self, "label", label)
 
     @property
     def K(self) -> Group:
         return self.phi.target
 
     def __repr__(self):
-        return f"GroupOverK({self.label or self.L.label}, |L|={self.L.order})"
+        return f"GroupOverK({self.L.label}, |L|={self.L.order})"
 
 
 def trivial_over(K: Group) -> GroupOverK:
     one = trivial_group()
-    return GroupOverK(one, _trusted(Homomorphism, one, K, (0,)), "1")
+    return GroupOverK(one, _trusted(Homomorphism, one, K, (0,)))
 
 
 def embedding_over(K: Group, H: Subgroup) -> GroupOverK:
     """(H, j_H): a subgroup of K with its inclusion map into K itself.  H
-    may come from the lattice shared with a group equal to K; the label and
-    the target of j_H come from K."""
+    may come from the lattice shared with a group equal to K; L is the own
+    group of H's table, and the target of j_H is K."""
     if H.parent != K:
         raise GroupError("H must be a subgroup of K")
     j = subgroup_embedding(H)
     phi = _trusted(Homomorphism, j.source, K, j.image)
-    return GroupOverK(j.source, phi, f"({K.label}|{j.source.order},incl)")
+    return GroupOverK(j.source, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +170,6 @@ def is_isomorphic(G: Group, H: Group) -> bool:
 # the category over K
 
 
-def _transversal(K: Group) -> tuple[int, ...]:
-    """The least element of each coset of Z(K) in K, in increasing order:
-    conjugation by g depends only on gZ(K), so these give every inner
-    automorphism of K once; for abelian K only the identity.  Kept on K's
-    interned table."""
-    if K._t.transversal is None:
-        z, t = elements_of(center_mask(K)), K.table
-        covered, reps = 0, []
-        for g in range(K.order):
-            if not (covered >> g) & 1:
-                reps.append(g)
-                covered |= mask_of(t[g][c] for c in z)
-        K._t.transversal = tuple(reps)
-    return K._t.transversal
-
-
 def _mask_conjugators(K: Group, xm: int, ym: int):
     """Yield each g of K's Z(K)-transversal with g X g^-1 = Y, for the
     subgroups of K with masks xm and ym."""
@@ -230,16 +215,18 @@ def is_isomorphic_over_k(x: GroupOverK, y: GroupOverK) -> bool:
 
 def quotient_over_k(x: GroupOverK, N: Subgroup) -> GroupOverK:
     """(L/N, phi/N) for a normal N <= Ker phi, which holds exactly when phi
-    is constant on the cosets of N: a coset that meets two values raises."""
-    Q, pi = quotient(x.L, N)
+    is constant on the cosets of N: a coset that meets two values raises.
+    L/N is the own group of the quotient table, the target of the kept
+    projection, so no labelled group is built."""
+    pi = _projection(x.L, N)
+    Q = pi.target
     image = [-1] * Q.order
     for q, v in zip(pi.image, x.phi.image):
         if image[q] != v:
             if image[q] >= 0:
                 raise GroupError("N must be contained in Ker phi")
             image[q] = v
-    phi_bar = _trusted(Homomorphism, Q, x.K, tuple(image))
-    return GroupOverK(Q, phi_bar, f"{x.label}/N{N.order}" if x.label else "")
+    return GroupOverK(Q, _trusted(Homomorphism, Q, x.K, tuple(image)))
 
 
 def is_quotient_over_k(x: GroupOverK, y: GroupOverK) -> bool:
@@ -249,13 +236,12 @@ def is_quotient_over_k(x: GroupOverK, y: GroupOverK) -> bool:
     first: |L_y| must divide |L_x|, the index must divide |Ker phi_x|, and
     at an index above 1, exp L_y must divide exp L_x (from the element
     orders kept on L's table); at index 1 the search compares all orders.
-    Then an abelian L_x has no nonabelian quotient: a group is abelian
-    when its kept Z(L)-transversal has one element."""
+    Then an abelian L_x has no nonabelian quotient."""
     index, rest = divmod(x.L.order, y.L.order)
     kernel_order = x.L.order // x.phi._image_order()
     return _onto_over_k(x, y, rest == 0 and kernel_order % index == 0 and (
         index == 1 or x.L.exponent() % y.L.exponent() == 0) and (
-        len(_transversal(x.L)) > 1 or len(_transversal(y.L)) == 1))
+        not x.L.is_abelian() or y.L.is_abelian()))
 
 
 def pair_from_subgroup(X: Subgroup, p2: Homomorphism) -> GroupOverK:
@@ -339,9 +325,9 @@ def p_persistent_nodes(K: Group, H: Subgroup, p: int, case: str | None) -> list[
     out = [(x, CASE_EMBEDDING)]
     if case is not None:
         Cp = make_cyclic(p)
-        C, prefix = (Cp, "Cpx") if case == CASE_CP else (direct_product(Cp, Cp).group, "Cp2x")
+        C = Cp if case == CASE_CP else direct_product(Cp, Cp).group
         P = direct_product(C, x.L)
-        out.append((GroupOverK(P.group, x.phi.compose(P.proj2), f"{prefix}{x.label}"), case))
+        out.append((GroupOverK(P.group, x.phi.compose(P.proj2)), case))
     return out
 
 

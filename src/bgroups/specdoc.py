@@ -113,9 +113,7 @@ def _parse_group_expr(doc: GroupSpecDocument, name: str, expr: str) -> Group:
     try:
         if kind in ("cyclic", "symmetric", "dihedral"):
             (n,) = map(int, toks[1:])  # exactly one argument, else ValueError
-            if kind == "cyclic":
-                return make_cyclic(n, label=name)
-            g = symmetric_group(n) if kind == "symmetric" else dihedral_group(n)
+            g = {"cyclic": make_cyclic, "symmetric": symmetric_group, "dihedral": dihedral_group}[kind](n)
         elif kind == "product":
             if len(toks) < 3:
                 raise SpecError("product needs two or more factors")
@@ -153,7 +151,7 @@ def _parse_group_expr(doc: GroupSpecDocument, name: str, expr: str) -> Group:
             ]
             if not gens:
                 raise SpecError("perm needs at least one generator")
-            g = group_from_permutations(npoints, gens, label=name)
+            g = group_from_permutations(npoints, gens)
         else:
             raise SpecError(f"unknown construction {kind!r}")
     except (IndexError, ValueError) as exc:

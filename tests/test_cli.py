@@ -192,7 +192,7 @@ def _use_under_other_labels(doc) -> None:
             gluck_idempotent(G, lat.class_rep(c))
             subgroup_embedding(lat.class_rep(c))
     phi = Homomorphism(other["L"], K, doc.hom("phi").image)
-    beta_k(GroupOverK(other["L"], phi, "OtherPair"))
+    beta_k(GroupOverK(other["L"], phi))
     classify_p_persistent_bk(other["C4"], 2)
 
 
@@ -217,7 +217,7 @@ from bgroups.specdoc import load_spec
 doc = load_spec(SPEC)
 _use_under_other_labels(doc)
 other = {name: relabel(G, "Other" + name) for name, G in doc.groups.items()}
-x = GroupOverK(other["L"], Homomorphism(other["L"], other["K"], doc.hom("phi").image), "OtherPair")
+x = GroupOverK(other["L"], Homomorphism(other["L"], other["K"], doc.hom("phi").image))
 assert is_bk_group(x)
 minimal_groups(x)
 for name in ("G1", "G2"):

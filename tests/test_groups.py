@@ -59,6 +59,7 @@ from util import (
     cyclic_extension_table_oracle,
     cyclic_table_oracle,
     greedy_generators_oracle,
+    inner_automorphisms_oracle,
     is_action,
     is_group_table,
     is_homomorphism,
@@ -504,7 +505,7 @@ def _constructions():
     yield from (symmetric_group(n) for n in (1, 2, 3, 4))
     yield from (dihedral_group(n) for n in (1, 2, 3, 9))
     yield from (cyclic_extension(16, t, r) for t, r in ((0, 7), (8, 15), (0, 9)))
-    yield group_from_permutations(4, [(1, 2, 0, 3), (0, 2, 3, 1)], "A4p")
+    yield relabel(group_from_permutations(4, [(1, 2, 0, 3), (0, 2, 3, 1)]), "A4p")
     yield semidirect_product(make_cyclic(7), make_cyclic(3),
                              ((0, 1, 2, 3, 4, 5, 6), (0, 2, 4, 6, 1, 3, 5),
                               (0, 4, 1, 5, 2, 6, 3)))
@@ -736,7 +737,7 @@ def test_is_normal_matches_brute_force():
 def test_quotient_is_built_once_per_table_and_normal_subgroup():
     """The projection is kept once per normal subgroup mask on G's table,
     between the own groups of the two tables, and returned for every label
-    of G; only the quotient group carries G's label."""
+    of G; only the quotient group carries G's label, on the kept table."""
     S4 = symmetric_group(4)
     N = next(N for N in normal_subgroups(S4) if N.order == 4)
     Q1, pi1 = quotient(S4, N)
@@ -745,7 +746,7 @@ def test_quotient_is_built_once_per_table_and_normal_subgroup():
     assert pi2 is pi1 and S4._t.quotients[N.mask] is pi1 and Q1.table is Q2.table
     assert pi1.source is S4._t.group and pi1.target is Q1._t.group
     assert (Q1.label, Q2.label, pi1.source.label, pi1.target.label) == ("S4/N4", "T/N4", "T24", "T6")
-    assert quotient(relabel(S4, "A"), N)[1] is pi1 and Q1 is quotient(S4, N)[0]
+    assert quotient(relabel(S4, "A"), N)[1] is pi1 and quotient(S4, N)[0].table is Q1.table
     H = subgroup_generated(S4, [1])  # order 2, not normal
     for _ in range(2):
         with pytest.raises(GroupError):
@@ -866,12 +867,13 @@ def test_op_minimality_by_enumeration():
 
 def test_cached_constructions_keep_their_labels():
     """A constructed group keeps the label built from its factors' labels,
-    as one object per label; an inclusion map is one object for every
-    parent label, over the own groups of its tables."""
+    on the one kept table; an inclusion map is one object for every parent
+    label, over the own groups of its tables."""
     C3, A, B = make_cyclic(3), make_cyclic(2, "A"), make_cyclic(2, "B")
     PA, PB = direct_product(A, C3).group, direct_product(B, C3).group
     assert PA.label == "AxC3" and PB.label == "BxC3"
-    assert direct_product(A, C3).group is PA and direct_product(B, C3).group is PB
+    again = direct_product(A, C3).group
+    assert again.label == "AxC3" and again._t is PA._t is PB._t
     f = subgroup_embedding(full_subgroup(A))
     assert subgroup_embedding(full_subgroup(B)) is f
     assert f.source is f.target is A._t.group and f.source.label == "T2"
@@ -907,17 +909,17 @@ def test_equal_tables_share_one_table_and_one_lattice():
 
 
 def test_derived_groups_and_embeddings_are_kept_per_table_and_label():
-    """A derived group is the one object on its table under its label, and
-    an inclusion map the one object per subgroup, for every parent label,
+    """A derived group lies on the one kept table of its contents, and an
+    inclusion map is the one object per subgroup, for every parent label,
     between the own groups of the two tables; the checked constructor
     builds its own group, and ==, hash and repr go by the table and label
     as before."""
     S4, C2 = symmetric_group(4), make_cyclic(2)
     N = next(N for N in normal_subgroups(S4) if N.order == 4)
     S = subgroup_generated(S4, [1])
-    assert relabel(S4, "B") is relabel(S4, "B")
-    assert quotient(S4, N)[0] is quotient(S4, N)[0]
-    assert direct_product(S4, C2).group is direct_product(S4, C2).group
+    assert relabel(S4, "B")._t is S4._t
+    assert quotient(S4, N)[0]._t is quotient(S4, N)[1].target._t
+    assert direct_product(S4, C2).group._t is direct_product(S4, C2).proj1.source._t
     f = subgroup_embedding(S)
     assert subgroup_embedding(S) is f and subgroup_embedding(Subgroup(S4, S.mask)) is f
     assert f.image == tuple(S.elements()) and f.source._t is _TABLES[f.source.table]
@@ -926,7 +928,7 @@ def test_derived_groups_and_embeddings_are_kept_per_table_and_label():
     assert subgroup_embedding(Subgroup(B, S.mask)) is f and f.target is S4._t.group
     W = Group(S4.order, S4.table, S4.inverse, "S4")
     assert W is not S4 and W is not Group(S4.order, S4.table, S4.inverse, "S4")
-    assert W._t is S4._t and S4._t.groups["S4"] is S4
+    assert W._t is S4._t
     assert W == S4 == B and hash(W) == hash(S4) == hash(B)
     assert repr(W) == repr(S4) == "Group(S4, order=24)" and repr(B) == "Group(B, order=24)"
 
@@ -1017,12 +1019,15 @@ def test_kept_members_and_image_size_are_not_fields():
 
 
 def test_a_second_pass_of_products_adds_no_group():
+    """A second pass of products over the catalog adds no table and no
+    `Product`: it returns the kept maps, on the kept product tables."""
     catalog, C2 = groups_up_to_order(16), make_cyclic(2)
-    first = [direct_product(G, C2).group for G in catalog]
-    kept = {id(t): len(t.groups) for t in _TABLES.values()}
-    second = [direct_product(G, C2).group for G in catalog]
-    assert all(P is Q for P, Q in zip(first, second))
-    assert {id(t): len(t.groups) for t in _TABLES.values()} == kept
+    first = [direct_product(G, C2) for G in catalog]
+    kept = {id(t): len(t.products) for t in _TABLES.values()}
+    second = [direct_product(G, C2) for G in catalog]
+    assert all(P.group._t is Q.group._t and P.proj1 is Q.proj1 and P.inj2 is Q.inj2
+               for P, Q in zip(first, second))
+    assert {id(t): len(t.products) for t in _TABLES.values()} == kept
 
 
 def _values():
@@ -1036,7 +1041,7 @@ def _values():
     return [
         (lambda: Subgroup(S3, A3.mask), (Subgroup, S3, A3.mask)),
         (lambda: Homomorphism(S3, sign.target, sign.image), (Homomorphism, S3, sign.target, sign.image)),
-        (lambda: GroupOverK(S3, sign, "S3"), (GroupOverK, S3, sign, "S3")),
+        (lambda: GroupOverK(S3, sign), (GroupOverK, S3, sign)),
         (lambda: P, (Product, *fields)),
     ]
 
@@ -1080,3 +1085,18 @@ def test_inner_automorphisms_s3():
     inns = inner_automorphisms(symmetric_group(3))
     assert len(inns) == 6
     assert len({i.image for i in inns}) == 6
+
+
+def test_inner_automorphisms_equal_the_dedupe_oracle():
+    """One conjugation per element of the Z(K)-transversal gives the maps,
+    in the order, of conjugating by every element and dropping repeats; K
+    is abelian exactly when that is the identity alone."""
+    S4 = symmetric_group(4)
+    corpus = [*groups_up_to_order(16), S4, symmetric_group(5), direct_product(S4, make_cyclic(4)).group]
+    for K in corpus:
+        maps = inner_automorphisms(K)
+        assert [f.image for f in maps] == inner_automorphisms_oracle(K), K
+        assert all(f.source is K and f.target is K for f in maps), K
+        commutes = all(K.table[a][b] == K.table[b][a] for a in range(K.order) for b in range(a))
+        assert K.is_abelian() == commutes == (len(maps) == 1), K
+    assert len(corpus) == 45

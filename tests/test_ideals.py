@@ -230,7 +230,7 @@ def _simple_dim_cases():
     from bgroups.specdoc import load_spec
 
     doc = load_spec(os.path.join(os.path.dirname(__file__), "golden", "worked_example.bspec"))
-    x = GroupOverK(doc.group("L"), doc.hom("phi"), "L")
+    x = GroupOverK(doc.group("L"), doc.hom("phi"))
     cases = [(x, doc.group(name)) for name in ("G1", "G2", "L")]
     for K in (trivial_group(), make_cyclic(2), make_cyclic(4), V4, symmetric_group(3)):
         for bk, _ in classify_p_persistent_bk(K, 2):

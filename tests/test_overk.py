@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from bgroups.burnside import m_const
-from bgroups import ideals, overk
+from bgroups import groups, ideals, overk
 from bgroups.catalog import groups_of_order, groups_up_to_order
 from bgroups.groups import (
     Group,
@@ -25,6 +25,7 @@ from bgroups.groups import (
     o_p_subgroup,
     quaternion_group,
     quotient,
+    relabel,
     subgroup_generated,
     symmetric_group,
     trivial_group,
@@ -168,6 +169,37 @@ def test_identity_is_morphism_over_k():
     assert is_morphism_over_k(ident, x, x)
 
 
+def test_over_k_equality_ignores_names():
+    """A pair over K is (L, phi) and nothing more: one subgroup embedded
+    into K under two labels gives equal pairs that hash alike, each with
+    its own K."""
+    K = symmetric_group(3)
+    H = subgroup_generated(K, [1])
+    x, y = embedding_over(relabel(K, "A"), H), embedding_over(relabel(K, "B"), H)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert (x.K.label, y.K.label) == ("A", "B")
+
+
+def test_over_k_path_builds_no_labelled_group(monkeypatch):
+    """beta_K of every pair of the criterion-5 corpus runs on own groups:
+    its L is the own group of the quotient table, and no labelled `Group`
+    is built on the way."""
+    corpus = [x for K in (trivial_group(), make_cyclic(2), make_cyclic(4))
+              for M in groups_up_to_order(16) for x in groups_over_k(M, K)]
+    built, fill = [], groups._group
+
+    def counting_fill(t, label, G=None):
+        if G is None:
+            built.append(label)
+        return fill(t, label, G)
+
+    monkeypatch.setattr(groups, "_group", counting_fill)
+    for x in corpus:
+        b = beta_k(x)
+        assert b.L is b.L._t.group and b.K is x.K
+    assert len(corpus) == 384 and built == []
+
+
 def test_transversal_gives_each_inner_automorphism_once():
     from bgroups.overk import _transversal
 
@@ -192,7 +224,7 @@ def _equal_data(x):
     """Two groups over K with x's table and an equal phi image tuple: one
     under another label, built from scratch, and x / 1."""
     L = Group(x.L.order, x.L.table, x.L.inverse, x.L.label + "'")
-    copy = GroupOverK(L, Homomorphism(L, x.K, tuple(list(x.phi.image))), "copy")
+    copy = GroupOverK(L, Homomorphism(L, x.K, tuple(list(x.phi.image))))
     return copy, quotient_over_k(x, trivial_subgroup(x.L))
 
 
@@ -331,7 +363,8 @@ def test_abelian_group_has_no_nonabelian_quotient_without_a_search(monkeypatch):
 
 @pytest.mark.parametrize("K", [make_cyclic(2), dihedral_group(4)], ids=lambda g: g.label)
 def test_quotient_decision_builds_no_quotient(K, monkeypatch):
-    """x ->> y is one surjection search over K: with `quotient` and
+    """x ->> y is one surjection search over K: with the projection behind
+    every quotient (`groups._projection`, also as imported by `overk`) and
     `quotient_over_k` raising, the decision runs on every ordered pair of
     the corpus, and an ideal evaluation on G x K gives the basis classes it
     gave before."""
@@ -343,7 +376,8 @@ def test_quotient_decision_builds_no_quotient(K, monkeypatch):
     def no_quotient(*args, **kwargs):
         raise AssertionError("a quotient was built")
 
-    monkeypatch.setattr(overk, "quotient", no_quotient)
+    monkeypatch.setattr(groups, "_projection", no_quotient)
+    monkeypatch.setattr(overk, "_projection", no_quotient)
     monkeypatch.setattr(overk, "quotient_over_k", no_quotient)
     proper = sum(is_quotient_over_k(x, y) and x.L.order > y.L.order for x in xs for y in xs)
     assert proper > 0
@@ -698,16 +732,18 @@ def test_classify_klein_four_top_class_has_no_extension():
 def test_classify_labels_come_from_k():
     """The lattice kept on C4's table is over the table's own group, whatever
     label asked first; the classification over C4 under the label B takes
-    its labels, and its phi's target, from that B."""
+    its phi's target from that B, and each embedding node's L is the own
+    group of the subgroup's table."""
     A, B = make_cyclic(4, "A"), make_cyclic(4, "B")
     lat = enumerate_subgroups(A)
     assert lat.parent is A._t.group and lat.parent.label == "T4"
     out = classify_p_persistent_bk(B, 2)
-    assert [x.label for x, _ in out] == [
-        "(B|1,incl)", "Cp2x(B|1,incl)", "(B|2,incl)", "Cpx(B|2,incl)",
-        "(B|4,incl)", "Cpx(B|4,incl)",
+    assert [(x.L.order, case) for x, case in out] == [
+        (1, CASE_EMBEDDING), (4, CASE_CP2), (2, CASE_EMBEDDING), (4, CASE_CP),
+        (4, CASE_EMBEDDING), (8, CASE_CP),
     ]
     assert all(x.K is B and x.phi.target is B for x, _ in out)
+    assert all(x.L is x.L._t.group for x, case in out if case == CASE_EMBEDDING)
 
 
 # every catalog K with |K| <= 8 and p in 2, 3 whose classified nodes all have

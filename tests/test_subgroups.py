@@ -31,6 +31,7 @@ from bgroups.groups import (
     mask_of,
     make_cyclic,
     quaternion_group,
+    relabel,
     semidirect_product,
     subgroup_generated,
     symmetric_group,
@@ -112,7 +113,7 @@ def _frobenius_21() -> Group:
 
 
 def _alternating_5() -> Group:
-    return group_from_permutations(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], "A5")
+    return relabel(group_from_permutations(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]), "A5")
 
 
 # the catalog up to order 16, S4, products whose centre is neither 1 nor the

@@ -276,6 +276,17 @@ def conjugates_oracle(phi) -> set[tuple[int, ...]]:
     return {tuple(K.conj(v, g) for v in phi.image) for g in range(K.order)}
 
 
+def inner_automorphisms_oracle(K) -> list[tuple[int, ...]]:
+    """The image tuple of conjugation by every element of K, in the order
+    of the elements, each kept at its first appearance."""
+    out = []
+    for g in range(K.order):
+        im = tuple(K.conj(a, g) for a in range(K.order))
+        if im not in out:
+            out.append(im)
+    return out
+
+
 def is_morphism_over_k(f, x, y) -> bool:
     """Some inner automorphism c of K satisfies c . phi_x = phi_y . f."""
     return tuple(y.phi.image[b] for b in f.image) in conjugates_oracle(x.phi)
