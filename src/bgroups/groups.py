@@ -33,8 +33,8 @@ Light's test, and the homomorphism law by `_is_hom`.  One greedy walk,
 `greedy_generators`, chooses the generating sequence of a group, checks a
 subgroup mask by closing the generators it chooses inside it (or, once the
 table has its lattice, by looking the mask up there), and gives the CLI's
-class labels their generator words, and `is_normal`, the one
-normality test, conjugates by those generators only; `center_mask` tests
+class labels their generator words, and `is_normal`, the normality test
+that needs no lattice, conjugates by those generators only; `center_mask` tests
 commuting with them only.  Every value this library derives from checked
 values (products, quotients, subgroups, kernels, compositions, named groups)
 is built by `_group` or `_trusted` without a second check.
@@ -602,13 +602,12 @@ def center_mask(G: Group) -> int:
     return mask_of(g for g in range(G.order) if all(t[g][s] == t[s][g] for s in gens))
 
 
-def is_normal(N: Subgroup, L: Subgroup | None = None) -> bool:
-    """N normal in L, for N <= L (L defaults to N's parent): gNg^-1 = N for
-    each of L's greedy generators g.  Exact, because the g with gNg^-1 = N
-    form a subgroup, the normalizer of N."""
+def is_normal(N: Subgroup) -> bool:
+    """N normal in its parent G: gNg^-1 = N for each g in G's generating
+    sequence.  Exact, because the g with gNg^-1 = N form a subgroup, the
+    normalizer of N.  A lattice reads normality off its class sizes."""
     G, m = N.parent, N.mask
-    gens = G.generating_sequence() if L is None else greedy_generators(G, L.mask)
-    return all(conjugate_mask(G, m, g) == m for g in gens)
+    return all(conjugate_mask(G, m, g) == m for g in G.generating_sequence())
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -29,13 +29,14 @@ representative counts the conjugates X' of each class x inside Y, and
 counting the pairs (X' ~ X, Y' ~ Y, X' <= Y') two ways turns that into
 marks[x][y] = |G| · count_x / (|Y| · |class x|), with no walk over the
 conjugates of Y.  A column keeps its nonzero entries only, packed as a
-tuple of classes and a tuple of marks.  The idempotent and m-constant sums
-over X <= L walk the Moebius column of L, which keeps only the X with
-mu(X, L) != 0, and is P. Hall's closed form when |L| is a prime power.  The
-lattice keeps the m-constants, Glück's idempotent e_L per class (filled
-by `burnside.gluck_idempotent`) and one Fraction per coefficient value of
-the Burnside elements over its group (filled by `BurnsideElement.coeffs`);
-a column walked only for an idempotent is not kept.
+tuple of classes and a tuple of marks.  The idempotent sums over X <= L,
+and m_{G,N} for N minimal normal (else a product over G/M), walk L's Moebius
+column, which keeps only the X with mu(X, L) != 0, and is P. Hall's closed
+form when |L| is a prime power.  The lattice keeps its group's m-constants,
+Glück's idempotent e_L per class (filled by `burnside.gluck_idempotent`)
+and one Fraction per coefficient value of the Burnside elements over its
+group (filled by `BurnsideElement.coeffs`); a column walked only for an
+idempotent is not kept.
 Enumeration takes no size limit and keeps one lattice per interned table,
 over the table's own group, shared by equal groups; a caller that must
 bound the work (the CLI's --max-order) checks the group order before
@@ -51,11 +52,11 @@ from .groups import (
     GroupError,
     Subgroup,
     _is_prime,
+    _projection,
     _trusted,
     center_mask,
     conjugate_mask,
     elements_of,
-    is_normal,
     mask_of,
 )
 
@@ -70,7 +71,8 @@ class SubgroupLattice:
         self.class_reps = class_reps  # subgroup index of each class representative
         self.class_sizes = class_sizes  # number of subgroups in each class; 1: normal
         self._mu_columns: dict[int, dict[int, int]] = {}
-        self._m_constants: dict[tuple[int, int], Fraction] = {}  # (L, N) masks
+        self._m_constants: dict[int, Fraction] = {}  # N mask -> m_{G,N}
+        self._minimal_normal: list[Subgroup] | None = None  # filled by m_constant
         self._mark_columns: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._idempotents: dict = {}  # class -> e_L, filled by burnside
         self._values: dict = {}  # den -> {num -> Fraction}, one object per value, filled by burnside
@@ -389,29 +391,33 @@ def count_complements(G: Group, Z: Subgroup) -> int:
 
 
 def m_constant(lat: SubgroupLattice, L: Subgroup, N: Subgroup) -> Fraction:
-    """m_{L,N} = (1/|L|) sum over X <= L with XN = L of |X| mu(X, L).
-
-    The one place that checks that L and N are subgroups of the lattice's
-    group, N <= L, and N is normal in L, in that order; each value is kept
-    per lattice by the two masks, so normality is checked on a miss only.
-    """
-    if L.parent != lat.parent or N.parent != lat.parent:
-        raise GroupError("L and N must be subgroups of the lattice's group")
-    nmask = N.mask
-    if nmask & L.mask != nmask:
-        raise GroupError("N must be contained in L")
-    key = (L.mask, nmask)
-    m = lat._m_constants.get(key)
+    """m_{L,N} = (1/|L|) sum over X <= L with XN = L of |X| mu(X, L), for L
+    the lattice's group and N normal in L, kept per lattice by N's mask.  M,
+    the first nontrivial normal subgroup inside N in lattice order, is
+    minimal normal: if M is N, or N is trivial, the sum walks the top Moebius
+    column, else m_{L,N} = m_{L,M} · m_{L/M,N/M} (Bouc 1990, Ch. 5)."""
+    t = lat.parent._t  # equal groups share one table: no Group.__eq__ call on a memo hit
+    if L.parent._t is not t or N.parent._t is not t or L.mask != lat.subgroups[-1].mask:
+        raise GroupError("L must be the lattice's group and N a subgroup of it")
+    m = lat._m_constants.get(N.mask)
     if m is None:
-        if not is_normal(N, L):
+        if lat.class_sizes[lat.class_of(N)] != 1:
             raise GroupError("N must be normal in L")
-        lorder, norder = L.order, N.order
-        total = 0
-        for j, mu in lat.moebius_column(lat.index(L)).items():
-            X = lat.subgroups[j]
-            if X.order * norder == lorder * (X.mask & nmask).bit_count():  # |XN| = |L|
-                total += X.order * mu
-        m = lat._m_constants[key] = Fraction(total, lorder)
+        if lat._minimal_normal is None:  # found on the first miss
+            lat._minimal_normal = minimal = []
+            for S in normal_subgroups(lat.parent)[1:]:
+                if not any(K <= S for K in minimal):
+                    minimal.append(S)
+        M = next((K for K in lat._minimal_normal if K <= N), N)
+        if M.mask == N.mask:  # walk for the X with |XN| = |L|, i.e. |X| = |L:N|·|X n N|
+            X, index, nmask = lat.subgroups, L.order // N.order, N.mask
+            m = Fraction(sum(X[j].order * mu for j, mu in lat.moebius_column(len(lat) - 1).items()
+                             if X[j].order == index * (X[j].mask & nmask).bit_count()), L.order)
+        elif m := m_constant(lat, L, M):
+            pi = _projection(lat.parent, M)
+            NM = _trusted(Subgroup, pi.target, mask_of(pi.image[x] for x in N.members()))
+            m *= m_const(pi.target, NM)
+        lat._m_constants[N.mask] = m
     return m
 
 

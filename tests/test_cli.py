@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,7 @@ from bgroups.overk import (
 )
 from bgroups.specdoc import SpecError, load_spec, parse_spec
 from bgroups.subgroups import enumerate_subgroups
+from closed_forms import elementary_abelian_m_constant
 from util import greedy_generators_oracle
 
 HERE = os.path.dirname(__file__)
@@ -695,6 +697,51 @@ def test_idempotent_of_a_small_subgroup_of_elementary_abelian_128(tmp_path):
     assert "group: E128 order=128" in lines
     assert "subgroup: 4<1,2>" in lines and "subgroup-classes: 29212" in lines
     assert "check-marks-indicator: pass" in lines
+
+
+E7_SPEC = "group C2 = cyclic 2\ngroup E2 = product C2 C2\n" + "".join(
+    f"group E{k + 1} = product E{k} C2\n" for k in range(2, 7))
+
+
+def test_beta_k_on_elementary_abelian_128_in_a_small_child(tmp_path):
+    """beta-k over C2 of C2^7, phi the projection onto the last factor: each
+    of the 2,825 m-constants of the kernel C2^6 is the product of one walk
+    for a minimal normal C2 and an m-constant of C2^6, not a walk of the
+    29,212 subgroups of C2^7's Moebius column, so the run ends within 10 s
+    in a child limited to 256 MiB (a walk per subgroup took 17.7-27.9 s).
+    Every row is the elementary abelian closed form."""
+    spec = tmp_path / "e7.bspec"
+    images = " ".join(str(i % 2) for i in range(128))
+    spec.write_text(f"{E7_SPEC}hom pr = E7 -> C2 images {images}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgroups.cli", "beta-k", str(spec), "--k", "C2", "--l", "E7",
+         "--phi", "pr"],
+        capture_output=True, text=True, timeout=10, preexec_fn=_address_space_limit(256),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for line in ("chosen-q: 32<2,4,8,16,32>", "beta-order: 4", "check-beta-is-bk: pass"):
+        assert line in lines
+    rows = [line.split(" | ") for line in lines[lines.index("table m-constants:") + 1:]]
+    assert len(rows) == 2825
+    for label, value in rows:
+        rank = int(label.split("<")[0]).bit_length() - 1
+        assert Fraction(value) == elementary_abelian_m_constant(2, 7, rank), label
+
+
+def test_simple_on_elementary_abelian_64_in_a_small_child(tmp_path):
+    """The simple functor S_{C2,C2,id} at C2^6, whose dimension counts
+    m-constants of C2^6 and of its subgroups, ends within 15 s in a child
+    limited to 256 MiB (a Moebius walk per m-constant took about 20-35 s)."""
+    spec = tmp_path / "e6.bspec"
+    spec.write_text(f"{E7_SPEC}hom id = C2 -> C2 images 0 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgroups.cli", "simple", str(spec), "--k", "C2", "--l", "C2",
+         "--phi", "id", "--targets", "E6"],
+        capture_output=True, text=True, timeout=15, preexec_fn=_address_space_limit(256),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "  E6 | order=64 | dim=64" in proc.stdout.splitlines()
 
 
 def test_p_lattice_check_bounds_the_poset_nodes(capsys):

@@ -723,15 +723,20 @@ def _normal_by_brute_force(G, N, L):
 
 
 def test_is_normal_matches_brute_force():
-    """is_normal(N, L), and is_normal(N) for L = G, on every pair N <= L of
-    subgroups of the catalog groups up to order 16 and of S4."""
+    """is_normal(N) on every subgroup N of the catalog groups up to order 16
+    and of S4, and on every pair N <= L of their subgroups, N carried to
+    L's own group, against conjugation by every element of L in G."""
     for G in (*groups_up_to_order(16), symmetric_group(4)):
         subs = enumerate_subgroups(G).subgroups
         for N in subs:
             assert is_normal(N) == _normal_by_brute_force(G, N, subs[-1]), G.label
-            for L in subs:
+        for L in subs:
+            f = subgroup_embedding(L)
+            back = {x: i for i, x in enumerate(f.image)}  # parent id -> id in L's group
+            for N in subs:
                 if N <= L:
-                    assert is_normal(N, L) == _normal_by_brute_force(G, N, L), G.label
+                    NL = Subgroup(f.source, mask_of(back[x] for x in N.elements()))
+                    assert is_normal(NL) == _normal_by_brute_force(G, N, L), G.label
 
 
 def test_quotient_is_built_once_per_table_and_normal_subgroup():

@@ -33,6 +33,7 @@ from bgroups.groups import (
     quaternion_group,
     relabel,
     semidirect_product,
+    subgroup_embedding,
     subgroup_generated,
     symmetric_group,
     trivial_subgroup,
@@ -57,6 +58,7 @@ from util import (
     brute_mark,
     conjugate_elements,
     cyclic_join_oracle,
+    m_constant_oracle,
     mark_columns_oracle,
     moebius_oracle,
     pairwise_closure,
@@ -648,24 +650,27 @@ def test_m_constant_examples():
 
 def test_m_constant_refuses_a_non_normal_subgroup():
     """m_{L,N} is defined only for N normal in L: a transposition's C2 in S3,
-    and each non-central C2 of a dihedral subgroup of S4, is refused and
-    leaves no memo entry."""
+    and each non-central C2 of D8 on D8's own lattice, is refused and leaves
+    no memo entry; D8 inside S4 is refused as L."""
     S3 = symmetric_group(3)
     lat = enumerate_subgroups(S3)
     C2 = next(S for S in lat.subgroups if S.order == 2)
     with pytest.raises(GroupError, match="N must be normal in L"):
         m_constant(lat, full_subgroup(S3), C2)
-    assert (full_subgroup(S3).mask, C2.mask) not in lat._m_constants
+    assert C2.mask not in lat._m_constants
     lat4 = enumerate_subgroups(symmetric_group(4))
     D8 = next(S for S in lat4.subgroups if S.order == 8)
+    with pytest.raises(GroupError, match="L must be the lattice's group"):
+        m_constant(lat4, D8, lat4.subgroups[0])
+    latd = enumerate_subgroups(subgroup_embedding(D8).source)
     refused = 0
-    for N in lat4.subgroups:
-        if N.order == 2 and N.mask & D8.mask == N.mask:
+    for N in latd.subgroups:
+        if N.order == 2:
             try:
-                m_constant(lat4, D8, N)
+                m_constant(latd, latd.subgroups[-1], N)
             except GroupError:
                 refused += 1
-                assert (D8.mask, N.mask) not in lat4._m_constants
+                assert N.mask not in latd._m_constants
     assert refused == 4  # D8 has five subgroups of order 2; only its centre is normal
 
 
@@ -676,13 +681,13 @@ def test_m_constant_refuses_subgroups_of_another_group():
     lat = enumerate_subgroups(S3)
     for L, N in ((full_subgroup(C6), trivial_subgroup(S3)),
                  (full_subgroup(S3), trivial_subgroup(C6))):
-        with pytest.raises(GroupError, match="subgroups of the lattice's group"):
+        with pytest.raises(GroupError, match="L must be the lattice's group and N a subgroup of it"):
             m_constant(lat, L, N)
 
 
 def test_m_const_refuses_a_foreign_or_non_normal_subgroup():
     S3 = symmetric_group(3)
-    with pytest.raises(GroupError, match="subgroups of the lattice's group"):
+    with pytest.raises(GroupError, match="L must be the lattice's group and N a subgroup of it"):
         m_const(S3, trivial_subgroup(make_cyclic(6)))
     C2 = next(S for S in enumerate_subgroups(S3).subgroups if S.order == 2)
     with pytest.raises(GroupError, match="N must be normal in L"):
@@ -691,37 +696,47 @@ def test_m_const_refuses_a_foreign_or_non_normal_subgroup():
 
 @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.label)
 def test_m_constant_memo_matches_moebius_oracle(G):
-    """Every m_{L,N}, for N normal in L, equals
-    (1/|L|) sum of |X| mu(X, L) over X <= L with XN = L, with mu from the
-    recursion oracle, on the first call and on the memoised second one;
-    an N outside L is still refused once the memo is filled."""
+    """For every subgroup L, every m_{L,N} with N normal in L, computed on
+    L's own group, equals `m_constant_oracle` (mu from the recursion
+    oracle, XN = L by pairwise closure), on the first call, in the memo
+    under N's mask, and on the memoised second call; a proper subgroup as
+    L is still refused once the memo is filled."""
     lat = enumerate_subgroups(G)
-    mu = moebius_oracle(lat)
-    t = G.table
-    for li, L in enumerate(lat.subgroups):
-        for N in lat.subgroups:
+    for L in lat.subgroups:
+        LG = subgroup_embedding(L).source
+        latl = enumerate_subgroups(LG)
+        for N in latl.subgroups:
             nset = set(N.elements())
-            if N.mask & L.mask != N.mask or any(
-                conjugate_elements(G, nset, g) != nset for g in L.elements()
-            ):
+            if any(conjugate_elements(LG, nset, g) != nset for g in range(LG.order)):
                 continue
-            want = Fraction(
-                sum(
-                    X.order * mu[xi, li]
-                    for xi, X in enumerate(lat.subgroups)
-                    if (xi, li) in mu
-                    and len({t[x][n] for x in X.elements() for n in nset}) == L.order
-                ),
-                L.order,
-            )
-            assert m_constant(lat, L, N) == want
-            assert lat._m_constants[L.mask, N.mask] == want
-            assert m_constant(lat, L, N) == want
-    top, bottom = lat.subgroups[-1], lat.subgroups[0]
-    m_constant(lat, bottom, bottom)
+            want = m_constant_oracle(LG, N)
+            assert m_constant(latl, latl.subgroups[-1], N) == want
+            assert latl._m_constants[N.mask] == want
+            assert m_constant(latl, latl.subgroups[-1], N) == want
+    bottom = lat.subgroups[0]
     if len(lat) > 1:
-        with pytest.raises(GroupError):
-            m_constant(lat, bottom, top)
+        with pytest.raises(GroupError, match="L must be the lattice's group"):
+            m_constant(lat, bottom, bottom)
+
+
+M_ORACLE_GROUPS = [
+    *groups_up_to_order(16),
+    direct_product(symmetric_group(4), make_cyclic(2)).group,
+    direct_product(symmetric_group(4), make_cyclic(4)).group,
+    symmetric_group(5),
+    direct_product(dihedral_group(4), make_cyclic(6)).group,
+]
+
+
+@pytest.mark.parametrize("G", M_ORACLE_GROUPS, ids=lambda g: g.label)
+def test_m_constants_match_the_oracle_on_every_normal_subgroup(G):
+    """m_{G,N} for every normal N (422 in all over these groups), with G's
+    memo emptied first so the product recursion through the minimal normal
+    subgroups runs, equals `m_constant_oracle`, which walks no quotient."""
+    lat = enumerate_subgroups(G)
+    lat._m_constants.clear()
+    for N in normal_subgroups(G):
+        assert m_const(G, N) == m_constant_oracle(G, N), N
 
 
 @pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 3)], ids=["C2^6", "C3^4", "C5^3"])

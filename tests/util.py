@@ -385,11 +385,12 @@ def class_map_oracle(f, cx) -> int:
     return lat_t.conj_class[lat_t.index_of[mask_of([f.image[a] for a in elements_of(X.mask)])]]
 
 
-def moebius_oracle(lat) -> dict[tuple[int, int], int]:
-    """Reference Moebius function on every pair (i, j) with X_i <= X_j, by the
-    defining recursion mu(X, X) = 1, mu(X, Y) = -sum of mu(Z, Y) over
-    X < Z <= Y, memoised by pair.  Each interval is found by a scan of the
-    lattice's masks; the lattice's own Moebius code is not called."""
+def moebius_oracle(lat, columns=None) -> dict[tuple[int, int], int]:
+    """Reference Moebius function on every pair (i, j) with X_i <= X_j, or
+    with j in `columns` if given, by the defining recursion mu(X, X) = 1,
+    mu(X, Y) = -sum of mu(Z, Y) over X < Z <= Y, memoised by pair.  Each
+    interval is found by a scan of the lattice's masks; the lattice's own
+    Moebius code is not called."""
     masks = [S.mask for S in lat.subgroups]
     mu: dict[tuple[int, int], int] = {}
 
@@ -400,9 +401,9 @@ def moebius_oracle(lat) -> dict[tuple[int, int], int]:
             mu[i, j] = 1 if i == j else -sum(rec(z, j) for z in between)
         return mu[i, j]
 
-    for j, mj in enumerate(masks):
+    for j in range(len(masks)) if columns is None else columns:
         for i, mi in enumerate(masks):
-            if mi & mj == mi:
+            if mi & masks[j] == mi:
                 rec(i, j)
     return mu
 
@@ -414,21 +415,27 @@ def conjugate_elements(G, elements, g) -> set[int]:
     return {t[t[gi][x]][g] for x in elements}
 
 
+def m_constant_oracle(G, N) -> Fraction:
+    """m_{G,N} = (1/|G|) sum of |X| mu(X, G) over X <= G with XN = G, with mu
+    from the recursion oracle (G's column only) and XN = G by pairwise
+    closure: no m-constant, quotient or Moebius code of the library runs."""
+    lat = enumerate_subgroups(G)
+    top = len(lat) - 1
+    mu = moebius_oracle(lat, [top])
+    return Fraction(sum(
+        X.order * mu[xi, top] for xi, X in enumerate(lat.subgroups)
+        if mu.get((xi, top)) and len(pairwise_closure(G, X.elements() + N.elements())) == G.order
+    ), G.order)
+
+
 def is_b_group_oracle(G) -> bool:
     """G over K = 1 is a B-group, by the all-N test: m_{G,N} = 0 for every
     nontrivial normal N, with N normal when every element conjugates it
-    onto itself, mu from the recursion oracle, and XN = G by pairwise
-    closure."""
-    lat = enumerate_subgroups(G)
-    mu = moebius_oracle(lat)
-    top = len(lat) - 1
-    terms = [(X, mu[xi, top]) for xi, X in enumerate(lat.subgroups) if (xi, top) in mu]
-    for N in lat.subgroups[1:]:
+    onto itself and m_{G,N} from `m_constant_oracle`."""
+    for N in enumerate_subgroups(G).subgroups[1:]:
         members = set(N.elements())
         if all(conjugate_elements(G, members, g) == members for g in range(G.order)):
-            m = sum(X.order * m for X, m in terms
-                    if len(pairwise_closure(G, X.elements() + N.elements())) == G.order)
-            if m:
+            if m_constant_oracle(G, N):
                 return False
     return True
 
